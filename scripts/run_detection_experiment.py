@@ -12,7 +12,7 @@ from pathlib import Path
 from snndetect.baselines import default_specs
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.evaluation import GroundTruth, attach_metrics, compare_filters, sweep_tau
-from snndetect.pipeline import FilterConfig, flag_anomalies, percent_deviation, snn_filter
+from snndetect.pipeline import FilterConfig, detect
 from snndetect.presets import get_preset
 
 OUT = Path("results/detection")
@@ -29,8 +29,8 @@ def main() -> None:
     truth = GroundTruth(defect_layers=frozenset(spec.layers), window=WINDOW)
 
     cfg = get_preset("cpu-pd1-66", seed=7)
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
-    report = attach_metrics(flag_anomalies(dev, truth.default_policy()), truth)
+    report = attach_metrics(detect(defective, healthy, cfg, truth.default_policy()), truth)
+    dev = report.deviations
     print(f"flagged: {report.flagged_layers}")
     print(f"precision={report.metrics.precision:.3f} recall={report.metrics.recall:.3f} "
           f"f1={report.metrics.f1:.3f} (threshold {report.threshold_used:.2f}%)")

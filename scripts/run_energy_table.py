@@ -1,66 +1,18 @@
 #!/usr/bin/env python3
 """Per-hardware energy estimates across the six standard defect samples.
 
-Runs each sample's defective series through the filter, counts synaptic
-ops and neuron updates, calibrates the hardware profiles on the 66%/7-layer
-reference sample, and prints the energy-per-inference table. Dense hardware
-rows are flat; the event-driven rows track each sample's spiking.
+A thin call into `snndetect energy` with the cpu-pd1-66 preset and filter
+seed 7, so this table and the CLI's are the same table: the samples,
+their seeds (filter seed + sample index) and the calibration on the
+66%/7-layer reference sample all come from the CLI. Prints the
+energy-per-inference rows and writes energy.csv and profiles.json under
+results/energy/.
 """
 
-from pathlib import Path
+import sys
 
-from snndetect.datagen import DefectSpec, GenParams, gen_defective
-from snndetect.energy import (
-    HARDWARE_ORDER,
-    NetworkTopology,
-    count_ops,
-    estimate_energy,
-    profiles_to_json,
-    reference_profiles,
-)
-from snndetect.pipeline import run_filter
-from snndetect.presets import get_preset
-
-OUT = Path("results/energy")
-WINDOW = (570, 650)
-SAMPLES = (
-    ("S1V3", 33.0, 3),
-    ("S1V7", 33.0, 7),
-    ("S2V3", 66.0, 3),
-    ("S2V7", 66.0, 7),
-    ("S3V3", 100.0, 3),
-    ("S3V7", 100.0, 7),
-)
-
-
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    cfg = get_preset("cpu-pd1-66", seed=7)
-    topology = NetworkTopology.chain(cfg.stage_sizes())
-
-    counts = {}
-    for i, (sample_id, reduction, n_layers) in enumerate(SAMPLES):
-        params = GenParams(layer_range=WINDOW, noise_std=20.0, seed=100 + i)
-        spec = DefectSpec(start_layer=613, n_layers=n_layers,
-                          power_reduction_percent=reduction)
-        _, sim = run_filter(gen_defective(params, spec), cfg)
-        counts[sample_id] = count_ops(sim.raster, topology, steps=len(sim.decoded))
-
-    profiles = reference_profiles(counts["S2V7"])
-    (OUT / "profiles.json").write_text(profiles_to_json(profiles) + "\n")
-
-    header = f"{'sample':8s}" + "".join(f"{n:>12s}" for n in HARDWARE_ORDER)
-    print(header)
-    lines = ["sample," + ",".join(HARDWARE_ORDER)]
-    for sample_id, _, _ in SAMPLES:
-        row = [estimate_energy(counts[sample_id], profiles[n]) for n in HARDWARE_ORDER]
-        print(f"{sample_id:8s}" + "".join(f"{v:12.3f}" for v in row))
-        lines.append(sample_id + "," + ",".join(repr(v) for v in row))
-    (OUT / "energy.csv").write_text("\n".join(lines) + "\n")
-    print(f"\n(uJ per inference; synop counts: "
-          f"{', '.join(f'{k}={v.synaptic_ops}' for k, v in counts.items())})")
-    print(f"artifacts in {OUT}/")
-
+from snndetect.cli import main
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(["energy", "--preset", "cpu-pd1-66", "--seed", "7",
+                   "--outdir", "results/energy"]))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ConfigError, DataError
 from .pipeline import SignalSeries
@@ -88,10 +87,14 @@ def apply_baseline_filter(series: SignalSeries, spec: BaselineFilterSpec) -> Sig
         kernel /= kernel.sum()
         y = _reflect_convolve(x, kernel)
     elif spec.kind == "butterworth":
+        from scipy import signal as sps  # on first use: the import costs over a second
+
         b, a = sps.butter(spec.order, spec.cutoff, btype="low")
         padlen = min(3 * max(len(a), len(b)), x.size - 1)
         y = sps.filtfilt(b, a, x, padtype="even", padlen=padlen)
     else:  # savitzky_golay; scipy's "mirror" matches numpy's reflect padding
+        from scipy import signal as sps
+
         y = sps.savgol_filter(x, spec.window, spec.polyorder, mode="mirror")
 
     return SignalSeries(

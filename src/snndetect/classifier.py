@@ -62,6 +62,25 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ez / ez.sum(axis=axis, keepdims=True)
 
 
+def window_steps(series: SignalSeries, cfg: FilterConfig,
+                 window: tuple[int, int] | None = None) -> slice:
+    """The presentation steps of an inclusive layer window of a series.
+
+    The window must be covered by the series; it defaults to the whole
+    series.
+    """
+    if window is None:
+        window = (int(series.layers[0]), int(series.layers[-1]))
+    lo, hi = window
+    if lo > hi or lo < series.layers[0] or hi > series.layers[-1]:
+        raise DataError(
+            f"window {window} is not covered by series layers "
+            f"{series.layers[0]}..{series.layers[-1]}"
+        )
+    m = cfg.presentation_steps
+    return slice(series.layer_index(lo) * m, (series.layer_index(hi) + 1) * m)
+
+
 def encode_sample(
     series: SignalSeries,
     ensemble: Ensemble,
@@ -74,26 +93,15 @@ def encode_sample(
 
     Runs the series through the filter with the given population and
     averages each neuron's filtered rate across the window's presentation
-    steps. The window is an inclusive layer range and must be covered by
-    the series; it defaults to the whole series.
+    steps (see window_steps).
     """
-    if window is None:
-        window = (int(series.layers[0]), int(series.layers[-1]))
-    lo, hi = window
-    if lo > hi or lo < series.layers[0] or hi > series.layers[-1]:
-        raise DataError(
-            f"window {window} is not covered by series layers "
-            f"{series.layers[0]}..{series.layers[-1]}"
-        )
-    m = cfg.presentation_steps
-    inputs = np.repeat(series.values, m)
+    steps = window_steps(series, cfg, window)
+    inputs = np.repeat(series.values, cfg.presentation_steps)
     result = simulate_filter(
         ensemble, inputs, cfg.dt, cfg.tau_in, cfg.tau_out, record_rates=True
     )
-    i0 = series.layer_index(lo)
-    i1 = series.layer_index(hi)
-    rates = result.rates[i0 * m : (i1 + 1) * m]
-    return SampleFeature(sample_id=sample_id, feature=rates.mean(axis=0), label=label)
+    return SampleFeature(sample_id=sample_id, feature=result.rates[steps].mean(axis=0),
+                         label=label)
 
 
 def _validate_probs_labels(probs: np.ndarray, labels: np.ndarray) -> None:

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineFilterSpec, default_specs
-from .classifier import encode_sample, predict, train_classifier
+from .classifier import SampleFeature, predict, train_classifier, window_steps
 from .datagen import NOISE_STD, DefectSpec, GenParams, gen_defective, gen_healthy
-from .ensembles import EnsembleConfig, build_ensemble
 from .energy import (
     HARDWARE_ORDER,
     NetworkTopology,
@@ -39,11 +38,9 @@ from .pipeline import (
     FilterConfig,
     FixedPolicy,
     SignalSeries,
-    flag_anomalies,
+    detect,
     load_layer_series,
-    percent_deviation,
     run_filter,
-    snn_filter,
 )
 from .presets import get_preset
 
@@ -256,8 +253,8 @@ def _cmd_detect(args) -> int:
     truth = GroundTruth.from_json(args.truth) if args.truth else None
     policy = _resolve_policy(args, truth)
 
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
-    report = flag_anomalies(dev, policy)
+    report = detect(defective, healthy, cfg, policy)
+    dev = report.deviations
     if truth is not None:
         report = attach_metrics(report, truth)
 
@@ -355,10 +352,9 @@ def _cmd_classify(args) -> int:
         raise DataError(f"{path}: expected a 'samples' list: {err}") from err
 
     base = path.parent
-    ensemble = build_ensemble(
-        EnsembleConfig(n_neurons=cfg.neurons, radius=cfg.radius), seed=cfg.seed
-    )
-    features = []
+    # classification reads one population of cfg.neurons, whatever cfg.stages says
+    single = replace(cfg, stages=1)
+    samples = []
     for i, entry in enumerate(entries):
         try:
             sample_path = base / entry["path"]
@@ -367,9 +363,14 @@ def _cmd_classify(args) -> int:
         except (KeyError, TypeError) as err:
             raise DataError(f"{path}: bad sample entry {i}: {err}") from err
         series = load_layer_series(sample_path, condition="defective")
-        features.append(
-            encode_sample(series, ensemble, cfg, window=window, label=clabel, sample_id=sample_id)
-        )
+        samples.append((series, window_steps(series, single, window), clabel, sample_id))
+
+    lanes = [series for series, *_ in samples]
+    runs = run_filter(lanes, single, record_rates=True) if lanes else []
+    features = [
+        SampleFeature(sample_id=sample_id, feature=sim.rates[steps].mean(axis=0), label=clabel)
+        for (_, steps, clabel, sample_id), (_, sim) in zip(samples, runs)
+    ]
 
     model = train_classifier(features, epochs=args.epochs, lr=args.lr)
     meta = run.meta()
@@ -400,17 +401,18 @@ def _cmd_energy(args) -> int:
                            input_paths=(args.profiles,) if args.profiles else ())
     lo, hi = args.window
     topology = NetworkTopology.chain(cfg.stage_sizes())
-    counts = {}
-    for i, (sample_id, reduction, n_layers) in enumerate(ENERGY_SAMPLES):
-        params = GenParams(
-            layer_range=(lo, hi), noise_std=args.noise_std, seed=cfg.seed + i,
+    samples = [
+        gen_defective(
+            GenParams(layer_range=(lo, hi), noise_std=args.noise_std, seed=cfg.seed + i),
+            DefectSpec(start_layer=args.defect_start, n_layers=n_layers,
+                       power_reduction_percent=reduction),
         )
-        spec = DefectSpec(
-            start_layer=args.defect_start, n_layers=n_layers,
-            power_reduction_percent=reduction,
-        )
-        _, sim = run_filter(gen_defective(params, spec), cfg)
-        counts[sample_id] = count_ops(sim.raster, topology, steps=len(sim.decoded))
+        for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
+    ]
+    counts = {
+        sample_id: count_ops(sim.raster, topology, steps=len(sim.decoded))
+        for (sample_id, _, _), (_, sim) in zip(ENERGY_SAMPLES, run_filter(samples, cfg))
+    }
 
     if args.profiles:
         ppath = Path(args.profiles)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .pipeline import SignalSeries
 
 # PD2/BD channels are markedly noisier than PD1; these are synthetic stand-ins,
@@ -34,12 +34,16 @@ class GenParams:
     sensor: str = "PD1"
 
     def __post_init__(self) -> None:
+        check_int("seed", self.seed, 0)
+        check_int("junction_period", self.junction_period, 1)
+        for bound in self.layer_range:
+            check_int("layer_range bound", bound)
+        for name in ("baseline_level", "noise_std", "junction_spike_amplitude"):
+            check_real(name, getattr(self, name))
         if not self.baseline_level > 0:
             raise ConfigError(f"baseline_level must be positive, got {self.baseline_level}")
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.junction_period < 1:
-            raise ConfigError(f"junction_period must be >= 1, got {self.junction_period}")
         lo, hi = self.layer_range
         if lo > hi:
             raise ConfigError(f"layer_range must be non-empty, got {self.layer_range}")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_int, check_real
 from .neurons import LifParams, lif_rate
 
 
@@ -46,8 +46,10 @@ class EnsembleConfig:
     decode_reg: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.n_neurons < 1:
-            raise ConfigError(f"n_neurons must be >= 1, got {self.n_neurons}")
+        check_int("n_neurons", self.n_neurons, 1)
+        check_int("decode_points", self.decode_points, 1)
+        for name in ("radius", "decode_reg"):
+            check_real(name, getattr(self, name))
         if not self.radius > 0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         lo, hi = self.intercept_range
@@ -61,8 +63,6 @@ class EnsembleConfig:
                 f"max rate {rhi} Hz is unreachable: refractory period caps rates at "
                 f"{self.lif.rate_ceiling} Hz"
             )
-        if self.decode_points < 1:
-            raise ConfigError(f"decode_points must be >= 1, got {self.decode_points}")
         if self.decode_reg < 0:
             raise ConfigError(f"decode_reg must be >= 0, got {self.decode_reg}")
 

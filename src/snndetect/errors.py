@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that raise them."""
+
+from __future__ import annotations
+
+import math
+import numbers
 
 
 class SnnDetectError(Exception):
@@ -15,3 +20,18 @@ class DataError(SnnDetectError, ValueError):
 
 class NumericError(SnnDetectError, RuntimeError):
     """A numerical procedure failed despite valid inputs."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ConfigError unless `value` is an integer (not a bool), and at
+    least `minimum` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -7,10 +7,10 @@ window: each layer is either flagged or not, defective or not.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
-
 
 from .baselines import BaselineFilterSpec, apply_baseline_filter
 from .errors import ConfigError, DataError, SnnDetectError
@@ -25,6 +25,10 @@ from .pipeline import (
     percent_deviation,
     snn_filter,
 )
+
+
+# clean layers kept between the calibration range and the first defect layer
+CALIBRATION_MARGIN = 5
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,22 @@ class GroundTruth:
             raise DataError(f"{path}: expected keys 'defect_layers' and 'window': {err}") from err
 
     def default_policy(self, k: float = 6.0) -> AdaptivePolicy:
-        """Adaptive policy calibrated on the clean layers before the defect."""
+        """Adaptive policy calibrated on the clean layers before the defect.
+
+        The calibration range ends CALIBRATION_MARGIN layers before the
+        first defect layer; a defect that starts within that margin of the
+        window start leaves no clean layers to calibrate on.
+        """
         start = min(self.defect_layers) if self.defect_layers else self.window[1] + 1
-        return AdaptivePolicy(k=k, calibration=(self.window[0], start - 5))
+        last = start - CALIBRATION_MARGIN
+        if last < self.window[0]:
+            raise ConfigError(
+                f"cannot calibrate the default policy: the defect starts at layer {start}, "
+                f"within the {CALIBRATION_MARGIN}-layer margin of window {self.window}, so "
+                f"no clean layers precede it; give an explicit calibration range or a "
+                f"fixed threshold"
+            )
+        return AdaptivePolicy(k=k, calibration=(self.window[0], last))
 
 
 def f1_score(flags: Iterable[int], truth: GroundTruth) -> tuple[float, float, float]:
@@ -107,6 +124,17 @@ class SweepResult:
     best_tau: float
 
 
+def _score(
+    filtered: Sequence[SignalSeries],
+    policy: FixedPolicy | AdaptivePolicy,
+    truth: GroundTruth,
+) -> tuple[float, float, float, int]:
+    """Deviate a filtered (defective, healthy) pair, flag, and score:
+    (precision, recall, f1, flagged count in the window)."""
+    flags = window_flags(flag_anomalies(percent_deviation(*filtered), policy), truth)
+    return (*f1_score(flags, truth), len(flags))
+
+
 def sweep_tau(
     defective: SignalSeries,
     healthy: SignalSeries,
@@ -117,27 +145,29 @@ def sweep_tau(
 ) -> SweepResult:
     """Score detection across synaptic time constants (applied to both links).
 
-    Populations are rebuilt per point from the same seed, so the sweep is
-    deterministic. Per-point pipeline failures are recorded in the row
-    rather than aborting the sweep. Ties for the best F1 go to the smallest
-    time constant, which has the least lag.
+    The whole sweep is one batched filter run: the populations are built
+    once, and each time constant contributes a defective and a healthy
+    lane, so the sweep is deterministic and every point sees the same
+    network. Per-point pipeline failures are recorded in the row rather
+    than aborting the sweep. Ties for the best F1 go to the smallest time
+    constant, which has the least lag.
     """
     taus = [float(t) for t in taus]
-    if not taus or any(t <= 0 for t in taus):
-        raise ConfigError(f"time constants must be positive, got {taus}")
+    if not taus or not all(0 < t < math.inf for t in taus):
+        raise ConfigError(f"time constants must be positive and finite, got {taus}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("time constants must be strictly increasing")
     policy = policy if policy is not None else truth.default_policy()
 
+    cfgs = [replace(cfg, tau_in=tau, tau_out=tau) for tau in taus for _ in (0, 1)]
+    try:
+        filtered = snn_filter([defective, healthy] * len(taus), cfgs)
+    except SnnDetectError as err:  # one run carries every point
+        raise DataError(f"every sweep point failed: {err}") from err
     points = []
-    for tau in taus:
-        cfg_t = replace(cfg, tau_in=tau, tau_out=tau)
+    for i, tau in enumerate(taus):
         try:
-            dev = percent_deviation(snn_filter(defective, cfg_t), snn_filter(healthy, cfg_t))
-            report = flag_anomalies(dev, policy)
-            flags = window_flags(report, truth)
-            p, r, f1 = f1_score(flags, truth)
-            points.append(SweepPoint(tau, p, r, f1, len(flags)))
+            points.append(SweepPoint(tau, *_score(filtered[2 * i : 2 * i + 2], policy, truth)))
         except SnnDetectError as err:
             points.append(SweepPoint(tau, float("nan"), float("nan"), float("nan"), 0, str(err)))
 
@@ -168,19 +198,17 @@ def compare_filters(
     """One scored row per classical filter plus one for the spiking filter."""
     policy = policy if policy is not None else truth.default_policy()
 
-    def score(filter_fn, name: str) -> ComparisonRow:
+    def score(filter_pair, name: str) -> ComparisonRow:
         try:
-            dev = percent_deviation(filter_fn(defective), filter_fn(healthy))
-            report = flag_anomalies(dev, policy)
-            flags = window_flags(report, truth)
-            p, r, f1 = f1_score(flags, truth)
+            p, r, f1, _ = _score(filter_pair(), policy, truth)
             return ComparisonRow(name, p, r, f1)
         except SnnDetectError as err:
             return ComparisonRow(name, float("nan"), float("nan"), float("nan"), str(err))
 
     rows = [
-        score(lambda s, spec=spec: apply_baseline_filter(s, spec), spec.kind)
+        score(lambda spec=spec: [apply_baseline_filter(s, spec) for s in (defective, healthy)],
+              spec.kind)
         for spec in specs
     ]
-    rows.append(score(lambda s: snn_filter(s, cfg), "snn"))
+    rows.append(score(lambda: snn_filter([defective, healthy], cfg), "snn"))
     return rows

@@ -98,7 +98,7 @@ def lif_step_arrays(
     """
     span = p.v_th - p.e_l
     v_ss = p.e_l + j * span
-    delta = np.clip(dt - refr, 0.0, dt)
+    delta = np.minimum(np.maximum(dt - refr, 0.0), dt)
     v_next = v_ss + (v - v_ss) * np.exp(-delta / p.tau_rc)
     # floor at the rest level: without it, strongly inhibited neurons charge
     # far below rest and take tens of ms to recover when the drive returns,
@@ -106,7 +106,7 @@ def lif_step_arrays(
     v_next = np.maximum(v_next, p.e_l)
     refr_next = np.maximum(refr - dt, 0.0)
     spiked = v_next > p.v_th
-    if np.any(spiked):
+    if spiked.any():
         # time between the crossing and the end of the step
         overshoot = (v_next[spiked] - p.v_th) / (v_ss[spiked] - p.v_th)
         t_after = -p.tau_rc * np.log1p(-overshoot)

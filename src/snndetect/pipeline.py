@@ -14,12 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ensembles import Ensemble, EnsembleConfig, build_ensemble
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int, check_real
 from .simulator import SimResult, simulate_cascade
 
 SENSORS = ("PD1", "PD2", "BD")
@@ -135,16 +135,17 @@ class FilterConfig:
     stages: int = 1
 
     def __post_init__(self) -> None:
-        if self.neurons < 1:
-            raise ConfigError(f"neurons must be >= 1, got {self.neurons}")
+        check_int("neurons", self.neurons, 1)
+        check_int("seed", self.seed, 0)
+        check_int("stages", self.stages, 1)
+        for name in ("radius", "dt", "presentation_time", "tau_in", "tau_out"):
+            check_real(name, getattr(self, name))
         if not self.radius > 0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.tau_in > 0 and self.tau_out > 0):
             raise ConfigError(f"time constants must be positive, got {self.tau_in}, {self.tau_out}")
-        if self.stages < 1:
-            raise ConfigError(f"stages must be >= 1, got {self.stages}")
         if self.stages > self.neurons:
             raise ConfigError(f"cannot split {self.neurons} neurons over {self.stages} stages")
         ratio = self.presentation_time / self.dt
@@ -192,36 +193,71 @@ def build_filter_ensembles(cfg: FilterConfig) -> list[Ensemble]:
     return ensembles
 
 
-def run_filter(series: SignalSeries, cfg: FilterConfig, record_rates: bool = False
-               ) -> tuple[SignalSeries, SimResult]:
-    """Filter a series through the spiking network; also return the raw run.
+def run_filter(
+    series: SignalSeries | Sequence[SignalSeries],
+    cfg: FilterConfig | Sequence[FilterConfig],
+    record_rates: bool = False,
+) -> tuple[SignalSeries, SimResult] | list[tuple[SignalSeries, SimResult]]:
+    """Filter series through the spiking network; also return the raw runs.
+
+    `series` is one SignalSeries or a sequence of them, one per lane, and
+    `cfg` is one FilterConfig for every lane or a sequence with one per
+    lane. Lane configs may differ only in tau_in and tau_out: the
+    populations are built once per call and every lane runs through them
+    in one step loop. Shorter lanes are padded to the longest; the loop is
+    causal, so each lane's prefix is exactly its run alone.
 
     Each layer value is held for presentation_time and the layer's filtered
     value is the decoded output at the last step of its window (the settled
     response). Inter-stage links reuse tau_out, so a two-stage cascade
     applies three filter passes in total.
+
+    Returns one (filtered, SimResult) pair for one series, or a list with
+    one pair per lane for a sequence.
     """
-    ensembles = build_filter_ensembles(cfg)
-    m = cfg.presentation_steps
-    inputs = np.repeat(series.values, m)
-    taus = [cfg.tau_in] + [cfg.tau_out] * cfg.stages
-    result = simulate_cascade(ensembles, inputs, cfg.dt, taus, record_rates=record_rates)
-    idx = np.arange(1, series.layers.size + 1) * m - 1
-    filtered = SignalSeries(
-        sensor=series.sensor,
-        condition=series.condition,
-        layers=series.layers,
-        values=result.decoded[idx],
-        metadata={**dict(series.metadata), "filtered": "snn", "filter_seed": cfg.seed,
-                  "stages": cfg.stages},
-    )
-    return filtered, result
+    single = isinstance(series, SignalSeries)
+    lanes = [series] if single else list(series)
+    cfgs = [cfg] * len(lanes) if isinstance(cfg, FilterConfig) else list(cfg)
+    if not lanes:
+        raise ConfigError("at least one series is required")
+    if len(cfgs) != len(lanes):
+        raise ConfigError(f"need one config per series, got {len(cfgs)} for {len(lanes)}")
+    base = cfgs[0]
+    if any(replace(c, tau_in=base.tau_in, tau_out=base.tau_out) != base for c in cfgs):
+        raise ConfigError("lane configs may differ only in tau_in and tau_out")
+
+    ensembles = build_filter_ensembles(base)
+    m = base.presentation_steps
+    inputs = np.zeros((len(lanes), max(s.layers.size for s in lanes) * m))
+    for b, s in enumerate(lanes):
+        inputs[b, : s.layers.size * m] = np.repeat(s.values, m)
+    taus = [[c.tau_in] + [c.tau_out] * c.stages for c in cfgs]
+    result = simulate_cascade(ensembles, inputs, base.dt, taus, record_rates=record_rates)
+
+    out = []
+    for b, (s, c) in enumerate(zip(lanes, cfgs)):
+        lane = result.lane(b, s.layers.size * m)
+        idx = np.arange(1, s.layers.size + 1) * m - 1
+        filtered = SignalSeries(
+            sensor=s.sensor,
+            condition=s.condition,
+            layers=s.layers,
+            values=lane.decoded[idx],
+            metadata={**dict(s.metadata), "filtered": "snn", "filter_seed": c.seed,
+                      "stages": c.stages, "tau_in": c.tau_in, "tau_out": c.tau_out},
+        )
+        out.append((filtered, lane))
+    return out[0] if single else out
 
 
-def snn_filter(series: SignalSeries, cfg: FilterConfig) -> SignalSeries:
-    """Filter a layer series through the configured spiking network."""
-    filtered, _ = run_filter(series, cfg)
-    return filtered
+def snn_filter(
+    series: SignalSeries | Sequence[SignalSeries],
+    cfg: FilterConfig | Sequence[FilterConfig],
+) -> SignalSeries | list[SignalSeries]:
+    """Filter one layer series, or a sequence of them in one batched run
+    (see run_filter), through the configured spiking network."""
+    runs = run_filter(series, cfg)
+    return runs[0] if isinstance(series, SignalSeries) else [f for f, _ in runs]
 
 
 def cascade_filter(series: SignalSeries, cfg: FilterConfig, stages: int) -> SignalSeries:
@@ -392,7 +428,6 @@ def detect(
     cfg: FilterConfig,
     policy: FixedPolicy | AdaptivePolicy | None = None,
 ) -> DetectionReport:
-    """Full pipeline: filter both series, deviate, flag."""
+    """Full pipeline: filter both series (two lanes of one run), deviate, flag."""
     policy = policy if policy is not None else AdaptivePolicy()
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
-    return flag_anomalies(dev, policy)
+    return flag_anomalies(percent_deviation(*snn_filter([defective, healthy], cfg)), policy)

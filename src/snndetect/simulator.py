@@ -1,4 +1,4 @@
-"""Clocked simulation of spiking filter networks.
+"""Clocked simulation of spiking filter networks, many lanes at once.
 
 Each step low-passes the raw input, drives every neuron through its
 tuning, collects spikes, low-passes each neuron's spike train, and
@@ -6,11 +6,19 @@ decodes. Cascaded populations chain through one synapse per link, so a
 chain of N populations applies N + 1 filter stages in total. Spikes are
 scaled by 1/dt when converted to current so the filtered trains are
 rate-equivalent (Hz) and match the units the decoders were solved in.
+
+A run carries a leading lane axis: every lane is an independent input
+series pushed through the same populations, with its own neuron state
+and, optionally, its own synaptic time constants, so a whole tau sweep
+is one step loop. Lanes never interact; each lane of a batched run is
+bit-for-bit the run of that lane alone. Spikes are kept as packed bits
+and turned into (neuron, time) events only when a raster is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,39 +54,86 @@ class SpikeRaster:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Output of one run.
+
+    A run of a 1-D input has `decoded` of shape (steps,) and `rates` of
+    shape (steps x neurons); a lane-batched run adds a leading lane axis to
+    both. `spikes` holds one bit per neuron and step, packed along the
+    neuron axis: (steps, lanes, ceil(neurons / 8)).
+    """
+
     decoded: np.ndarray
-    raster: SpikeRaster
-    rates: np.ndarray | None = None  # filtered rates of the last stage, (steps x neurons)
+    spikes: np.ndarray
+    n_neurons: int
+    dt: float
+    rates: np.ndarray | None = None  # filtered rates of the last stage
+
+    def lane(self, b: int, steps: int | None = None) -> "SimResult":
+        """Lane `b` as a single-lane result, cut to its first `steps` steps."""
+        decoded = self.decoded if self.decoded.ndim == 1 else self.decoded[b]
+        rates = self.rates if self.rates is None or self.rates.ndim == 2 else self.rates[b]
+        cut = slice(None, steps)
+        return SimResult(
+            decoded=decoded[cut],
+            spikes=self.spikes[cut, b : b + 1],
+            n_neurons=self.n_neurons,
+            dt=self.dt,
+            rates=None if rates is None else rates[cut],
+        )
+
+    @cached_property
+    def raster(self) -> SpikeRaster:
+        """Spike events, built from the packed bits on first read.
+
+        Events are ordered by step, then neuron id. In a lane-batched run
+        the lanes sit side by side: neuron i of lane b has id
+        b * n_neurons + i.
+        """
+        steps, lanes, _ = self.spikes.shape
+        bits = np.unpackbits(self.spikes, axis=-1, count=self.n_neurons)
+        k, ids = np.nonzero(bits.reshape(steps, lanes * self.n_neurons))
+        return SpikeRaster(
+            neuron_ids=ids.astype(np.int64),
+            times=k * self.dt,
+            n_neurons=lanes * self.n_neurons,
+            duration=steps * self.dt,
+            dt=self.dt,
+        )
 
 
 def simulate_cascade(
     ensembles: Sequence[Ensemble],
     inputs,
     dt: float,
-    taus: Sequence[float],
+    taus,
     record_rates: bool = False,
 ) -> SimResult:
-    """Run a chain of populations over a time-stepped input signal.
+    """Run a chain of populations over time-stepped input signals.
 
-    `taus` holds one synaptic time constant per connection: the input link,
-    each inter-population link, and the output link (len(ensembles) + 1
-    entries). Neuron ids in the returned raster are offset per stage in
-    chain order. Fully deterministic: no randomness enters the loop.
+    `inputs` is one signal (steps,) or one per lane (lanes, steps). `taus`
+    holds one synaptic time constant per connection: the input link, each
+    inter-population link, and the output link (len(ensembles) + 1
+    entries), shared by every lane, or one such row per lane
+    (lanes x links). Neuron ids in the raster are offset per stage in chain
+    order. Fully deterministic: no randomness enters the loop.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 1 or not np.all(np.isfinite(inputs)):
-        raise ValueError("inputs must be a finite 1-D signal")
+    if inputs.ndim not in (1, 2) or not np.all(np.isfinite(inputs)):
+        raise ValueError("inputs must be a finite 1-D signal or a (lanes, steps) array")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     if len(ensembles) < 1:
         raise ConfigError("at least one population is required")
-    if len(taus) != len(ensembles) + 1:
+    n_stages = len(ensembles)
+    lanes, n_steps = (1, inputs.size) if inputs.ndim == 1 else inputs.shape
+    taus = np.asarray(taus, dtype=float)
+    if taus.shape not in ((n_stages + 1,), (lanes, n_stages + 1)):
         raise ConfigError(
-            f"expected {len(ensembles) + 1} time constants for "
-            f"{len(ensembles)} populations, got {len(taus)}"
+            f"expected {n_stages + 1} time constants for {n_stages} populations "
+            f"(or one row of them per lane), got shape {taus.shape}"
         )
-    if any(t <= 0 for t in taus):
-        raise ConfigError(f"time constants must be positive, got {list(taus)}")
+    if not np.all(taus > 0):
+        raise ConfigError(f"time constants must be positive, got {taus.tolist()}")
     for e in ensembles:
         if len(e.decoders) != e.n_neurons:
             raise ConfigError(
@@ -86,55 +141,47 @@ def simulate_cascade(
                 f"{e.n_neurons} neurons"
             )
 
-    n_stages = len(ensembles)
-    n_steps = inputs.size
+    taus = np.broadcast_to(taus, (lanes, n_stages + 1))
     sizes = [e.n_neurons for e in ensembles]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    n_total = int(bounds[-1])
 
-    in_syn = Lowpass(taus[0], dt)
-    out_syns = [Lowpass(taus[s + 1], dt, sizes[s]) for s in range(n_stages)]
+    in_syn = Lowpass(taus[:, 0], dt, lanes)
+    out_syns = [Lowpass(taus[:, s + 1], dt, (lanes, sizes[s])) for s in range(n_stages)]
     gain_enc = [e.gains * e.encoders for e in ensembles]
     radii = [e.radius for e in ensembles]
     biases = [e.biases for e in ensembles]
     spike_scale = [e.lif.i_spk / dt for e in ensembles]
-    v = [np.full(sizes[s], ensembles[s].lif.e_l) for s in range(n_stages)]
-    refr = [np.zeros(sizes[s]) for s in range(n_stages)]
+    v = [np.full((lanes, sizes[s]), ensembles[s].lif.e_l) for s in range(n_stages)]
+    refr = [np.zeros((lanes, sizes[s])) for s in range(n_stages)]
 
-    decoded = np.empty(n_steps)
-    rates = np.empty((n_steps, sizes[-1])) if record_rates else None
-    id_chunks: list[np.ndarray] = []
-    time_chunks: list[np.ndarray] = []
+    columns = np.ascontiguousarray(inputs.reshape(lanes, n_steps).T)
+    decoded = np.empty((lanes, n_steps))
+    rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
+    spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
+    spiked_all = np.zeros((lanes, n_total), dtype=bool) if n_stages > 1 else None
 
     for k in range(n_steps):
-        x = in_syn.step(inputs[k])
+        x = in_syn.step(columns[k])
         for s, e in enumerate(ensembles):
-            x_norm = min(max(x / radii[s], -1.0), 1.0)
-            drive = gain_enc[s] * x_norm + biases[s]
+            x_norm = np.minimum(np.maximum(x / radii[s], -1.0), 1.0)
+            drive = gain_enc[s] * x_norm[:, None] + biases[s]
             v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt, e.lif)
-            idx = np.nonzero(spiked)[0]
-            if idx.size:
-                id_chunks.append(idx + offsets[s])
-                time_chunks.append(np.full(idx.size, k * dt))
+            if spiked_all is not None:
+                spiked_all[:, bounds[s] : bounds[s + 1]] = spiked
             r = out_syns[s].step(spiked * spike_scale[s])
-            x = e.decoders @ r
-        decoded[k] = x
+            # one dot product per lane: a single (lanes x n) @ (n,) product
+            # sums in a different order and drifts from the one-lane run
+            x = np.array([e.decoders @ rb for rb in r])
+        decoded[:, k] = x
+        spikes[k] = np.packbits(spiked if spiked_all is None else spiked_all, axis=-1)
         if rates is not None:
-            rates[k] = r
+            rates[:, k] = r
 
-    if id_chunks:
-        neuron_ids = np.concatenate(id_chunks).astype(np.int64)
-        times = np.concatenate(time_chunks)
-    else:
-        neuron_ids = np.zeros(0, dtype=np.int64)
-        times = np.zeros(0)
-    raster = SpikeRaster(
-        neuron_ids=neuron_ids,
-        times=times,
-        n_neurons=int(sum(sizes)),
-        duration=n_steps * dt,
-        dt=dt,
-    )
-    return SimResult(decoded=decoded, raster=raster, rates=rates)
+    if inputs.ndim == 1:
+        decoded = decoded[0]
+        rates = None if rates is None else rates[0]
+    return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)
 
 
 def simulate_filter(

@@ -36,14 +36,28 @@ def synapse_step(s: SynapseState, x: float, dt: float) -> tuple[SynapseState, fl
 
 
 class Lowpass:
-    """Stateful vector form of synapse_step for simulation loops."""
+    """Stateful vector form of synapse_step for simulation loops.
 
-    def __init__(self, tau: float, dt: float, shape: int | tuple = ()):
-        if not (tau > 0 and dt > 0):
+    `tau` is one time constant, or a sequence of them with one per lane
+    along the leading axis of `shape`. Each decay is math.exp(-dt / tau),
+    as in synapse_step, so a lane filters exactly as it would alone.
+    """
+
+    def __init__(self, tau, dt: float, shape: int | tuple = ()):
+        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        taus = np.ravel(tau)
+        if np.ndim(tau) > 1 or (np.ndim(tau) == 1 and (not shape or taus.size != shape[0])):
+            raise ConfigError(f"expected one time constant per lane for shape {shape}, got {tau}")
+        if not (np.all(taus > 0) and dt > 0):
             raise ConfigError(f"tau and dt must be positive, got tau={tau}, dt={dt}")
-        self.decay = math.exp(-dt / tau)
+        if np.ndim(tau) == 0:
+            self.decay = math.exp(-dt / tau)
+        else:
+            decays = np.array([math.exp(-dt / t) for t in taus])
+            self.decay = decays.reshape((-1,) + (1,) * (len(shape) - 1))
+        self.gain = 1.0 - self.decay
         self.y = np.zeros(shape)
 
     def step(self, x):
-        self.y = self.y * self.decay + x * (1.0 - self.decay)
+        self.y = self.y * self.decay + x * self.gain
         return self.y

@@ -13,11 +13,12 @@ from snndetect.classifier import (
     predict,
     softmax,
     train_classifier,
+    window_steps,
 )
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.ensembles import EnsembleConfig, build_ensemble
 from snndetect.errors import ConfigError, DataError, NumericError
-from snndetect.pipeline import FilterConfig
+from snndetect.pipeline import FilterConfig, run_filter
 
 
 # ------------------------------------------------------------ cross entropy
@@ -199,6 +200,17 @@ def test_encoding_is_deterministic(small_ensemble):
     b = encode_sample(s, small_ensemble, CFG, window=(600, 640))
     np.testing.assert_array_equal(a.feature, b.feature)
     assert a.feature.size == 150
+
+
+def test_batched_rates_give_the_encoded_features(small_ensemble):
+    # the classify command encodes every sample in one lane-batched run
+    samples = [gen_healthy(GenParams(seed=31)),
+               gen_defective(GenParams(seed=32, layer_range=(580, 650)), DefectSpec())]
+    runs = run_filter(samples, CFG, record_rates=True)
+    for s, (_, sim) in zip(samples, runs):
+        steps = window_steps(s, CFG, (600, 640))
+        np.testing.assert_array_equal(sim.rates[steps].mean(axis=0),
+                                      encode_sample(s, small_ensemble, CFG, (600, 640)).feature)
 
 
 def test_encoding_window_mismatch(small_ensemble):

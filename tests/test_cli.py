@@ -285,3 +285,95 @@ def test_config_with_unknown_keys_rejected(workdir, tmp_path):
         "--outdir", str(workdir / "z"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("fragment", [
+    '"neurons": "500"',
+    '"neurons": 2.5',
+    '"seed": -1',
+    '"presentation_time": 1e400',
+    '"stages": true',
+])
+def test_config_rejected_by_type(workdir, tmp_path, capsys, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{" + fragment + "}")
+    data = workdir / "data"
+    code = main([
+        "detect", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--config", str(bad),
+        "--outdir", str(workdir / "typed"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (workdir / "typed" / "report.json").exists()
+
+
+def test_defect_at_window_start_fails_at_policy(workdir, capsys):
+    data = workdir / "edge"
+    assert main(["gen-data", "--outdir", str(data), "--seed", "3",
+                 "--defect-start", "573"]) == 0
+    code = main([
+        "detect", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+        "--config", str(workdir / "config.json"), "--outdir", str(workdir / "edge-out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "layer 573" in err and "5-layer margin" in err and "(570, 650)" in err
+
+
+def test_populations_built_once_per_command(workdir, monkeypatch):
+    import snndetect.pipeline as pipeline
+
+    calls = []
+    real = pipeline.build_ensemble
+
+    def counting(config=None, seed=0):
+        calls.append(seed)
+        return real(config, seed)
+
+    monkeypatch.setattr(pipeline, "build_ensemble", counting)
+    data = workdir / "data"
+    assert main([
+        "sweep", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+        "--taus", "0.001,0.002,0.004", "--config", str(workdir / "config.json"),
+        "--outdir", str(workdir / "once"),
+    ]) == 0
+    assert calls == [7]
+    calls.clear()
+    assert main(["energy", "--preset", "fpga-pd1-66", "--seed", "3",
+                 "--outdir", str(workdir / "once")]) == 0
+    assert calls == [3, 4]  # one population per cascade stage
+
+
+def test_scipy_loaded_only_by_compare(workdir):
+    # importing the CLI must not pay for scipy.signal; compare loads it on use
+    import os
+    import subprocess
+    import sys
+
+    import snndetect
+
+    data = workdir / "data"
+    script = (
+        "import sys\n"
+        "from snndetect.cli import main\n"
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported eagerly'\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(snndetect.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = workdir / "cmp"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "compare",
+         "--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv"),
+         "--truth", str(data / "truth.json"), "--config", str(workdir / "config.json"),
+         "--outdir", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [l for l in (out / "compare.csv").read_text().splitlines()[2:] if l]
+    assert [r.split(",")[0] for r in rows] == [
+        "savitzky_golay", "butterworth", "moving_average", "gaussian", "snn"]

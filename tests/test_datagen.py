@@ -113,6 +113,10 @@ def test_validation():
         GenParams(noise_std=-1.0)
     with pytest.raises(ConfigError):
         GenParams(junction_period=0)
+    for bad in ({"seed": -1}, {"seed": True}, {"junction_period": 8.0},
+                {"noise_std": float("inf")}, {"layer_range": (570.5, 650)}):
+        with pytest.raises(ConfigError):
+            GenParams(**bad)
     with pytest.raises(ConfigError):
         DefectSpec(n_layers=0)
     with pytest.raises(ConfigError):

@@ -160,6 +160,10 @@ def test_config_validation():
         EnsembleConfig(max_rate_range=(200.0, 600.0))
     with pytest.raises(ConfigError):
         drive_for_rate(500.0, LifParams())
+    for bad in ({"n_neurons": 50.0}, {"n_neurons": False}, {"radius": float("inf")},
+                {"decode_points": "1000"}, {"decode_reg": float("nan")}):
+        with pytest.raises(ConfigError):
+            EnsembleConfig(**bad)
 
 
 def test_non_finite_inputs_rejected(ens):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import snndetect.evaluation as evaluation
 from snndetect.baselines import default_specs
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.errors import ConfigError, DataError, SnnDetectError
-from snndetect.evaluation import GroundTruth, compare_filters, f1_score, sweep_tau
-from snndetect.pipeline import FilterConfig, FixedPolicy
+from snndetect.evaluation import GroundTruth, compare_filters, f1_score, sweep_tau, window_flags
+from snndetect.pipeline import FilterConfig, FixedPolicy, detect
 
 WINDOW = (570, 650)
 
@@ -113,16 +114,18 @@ def test_sweep_noiseless_perfect_across_small_taus():
 
 
 def test_sweep_records_row_errors(monkeypatch):
+    # the sweep filters every point in one batched run, so the per-point
+    # failure is injected where each point's filtered pair is scored
     defective, healthy, truth = noiseless_case()
     cfg = FilterConfig(seed=7)
-    real = evaluation.snn_filter
+    real = evaluation.percent_deviation
 
-    def flaky(series, cfg_t):
-        if cfg_t.tau_in == 0.002:
+    def flaky(filtered_def, filtered_heal):
+        if filtered_def.metadata["tau_in"] == 0.002:
             raise SnnDetectError("injected failure")
-        return real(series, cfg_t)
+        return real(filtered_def, filtered_heal)
 
-    monkeypatch.setattr(evaluation, "snn_filter", flaky)
+    monkeypatch.setattr(evaluation, "percent_deviation", flaky)
     result = sweep_tau(
         defective, healthy, [0.001, 0.002], cfg, truth,
         policy=FixedPolicy(threshold_pct=30.0),
@@ -143,6 +146,38 @@ def test_sweep_all_rows_failing_raises(monkeypatch):
     with pytest.raises(DataError):
         sweep_tau(defective, healthy, [0.001], FilterConfig(seed=7), truth,
                   policy=FixedPolicy(threshold_pct=30.0))
+
+
+def test_sweep_points_equal_single_tau_detection():
+    # the batched sweep scores each point exactly as a detect run at that tau
+    p = GenParams(noise_std=20.0, seed=5)
+    defective = gen_defective(p, DefectSpec())
+    healthy = gen_healthy(GenParams(noise_std=20.0, seed=6))
+    truth = GroundTruth(defect_layers=frozenset(DefectSpec().layers), window=WINDOW)
+    cfg = FilterConfig(neurons=120, seed=7, stages=2)
+    taus = [0.001, 0.003, 0.008]
+    result = sweep_tau(defective, healthy, taus, cfg, truth)
+    for tau, pt in zip(taus, result.points):
+        report = detect(defective, healthy, replace(cfg, tau_in=tau, tau_out=tau),
+                        truth.default_policy())
+        flags = window_flags(report, truth)
+        assert (pt.precision, pt.recall, pt.f1, pt.flagged_count) == (
+            *f1_score(flags, truth), len(flags))
+
+
+def test_default_policy_calibrates_before_the_defect():
+    truth = GroundTruth(defect_layers=frozenset(range(613, 620)), window=WINDOW)
+    assert truth.default_policy().calibration == (570, 608)
+    edge = GroundTruth(defect_layers=frozenset(range(575, 580)), window=WINDOW)
+    assert edge.default_policy().calibration == (570, 570)
+
+
+def test_default_policy_rejects_defect_within_margin_of_window_start():
+    truth = GroundTruth(defect_layers=frozenset(range(573, 580)), window=WINDOW)
+    with pytest.raises(ConfigError) as info:
+        truth.default_policy()
+    message = str(info.value)
+    assert "573" in message and "(570, 650)" in message and "5-layer margin" in message
 
 
 def test_sweep_deterministic():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snndetect.datagen import GenParams, gen_healthy
+from dataclasses import replace
+
+from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.errors import ConfigError, DataError
 from snndetect.pipeline import (
     AdaptivePolicy,
@@ -13,9 +15,11 @@ from snndetect.pipeline import (
     FixedPolicy,
     SignalSeries,
     cascade_filter,
+    detect,
     flag_anomalies,
     load_layer_series,
     percent_deviation,
+    run_filter,
     snn_filter,
 )
 from snndetect.presets import TAU_TABLE, get_preset, preset_names
@@ -111,6 +115,20 @@ def test_config_json_round_trip_and_strict_keys():
         FilterConfig.from_json("not json")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("neurons", "500"), ("neurons", 2.5), ("neurons", True), ("stages", True),
+    ("seed", -1), ("seed", 1.0), ("radius", "1100"), ("radius", float("nan")),
+    ("dt", True), ("presentation_time", float("inf")), ("tau_in", None),
+])
+def test_config_rejects_fields_by_type(field, value):
+    with pytest.raises(ConfigError, match=field):
+        FilterConfig(**{field: value})
+
+
+def test_config_accepts_integer_kinds():
+    assert FilterConfig(neurons=np.int64(200), radius=1100, seed=np.uint8(3)).neurons == 200
+
+
 def test_config_stage_sizes():
     assert FilterConfig(neurons=500, stages=2).stage_sizes() == [250, 250]
     assert FilterConfig(neurons=501, stages=2).stage_sizes() == [251, 250]
@@ -185,6 +203,65 @@ def test_cascade_smooths_white_noise_harder():
     var1 = cascade_filter(s, cfg8, 1).values[50:].var()
     var2 = cascade_filter(s, cfg8, 2).values[50:].var()
     assert var2 <= var1
+
+
+# ---------------------------------------------------------- lane batching
+
+def lane_series():
+    """Three builds with unequal, partly disjoint layer sets."""
+    return [
+        gen_defective(GenParams(seed=21, noise_std=60.0), DefectSpec()),
+        gen_healthy(GenParams(seed=22, layer_range=(575, 640))),
+        gen_healthy(GenParams(seed=23, layer_range=(560, 600))),
+    ]
+
+
+def assert_same_filter_run(batched, single):
+    (fb, rb), (fs, rs) = batched, single
+    np.testing.assert_array_equal(fb.layers, fs.layers)
+    np.testing.assert_array_equal(fb.values, fs.values)
+    assert fb.metadata == fs.metadata
+    np.testing.assert_array_equal(rb.decoded, rs.decoded)
+    np.testing.assert_array_equal(rb.raster.neuron_ids, rs.raster.neuron_ids)
+    np.testing.assert_array_equal(rb.raster.times, rs.raster.times)
+    assert rb.raster.duration == rs.raster.duration
+    np.testing.assert_array_equal(rb.rates, rs.rates)
+
+
+@pytest.mark.parametrize("per_lane_taus", [False, True])
+@pytest.mark.parametrize("stages", [1, 2])
+def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
+    base = FilterConfig(neurons=120, tau_in=0.002, tau_out=0.003, seed=7, stages=stages)
+    lanes = lane_series()
+    cfgs = [replace(base, tau_in=t, tau_out=2 * t) for t in (0.001, 0.004, 0.008)]
+    runs = run_filter(lanes, cfgs if per_lane_taus else base, record_rates=True)
+    assert len(runs) == len(lanes)
+    for s, c, batched in zip(lanes, cfgs if per_lane_taus else [base] * 3, runs):
+        assert_same_filter_run(batched, run_filter(s, c, record_rates=True))
+        assert batched[0].metadata["tau_out"] == c.tau_out
+
+
+def test_run_filter_lane_configs_may_differ_only_in_taus():
+    lanes = lane_series()[:2]
+    cfg = FilterConfig(neurons=50, seed=7)
+    for other in (replace(cfg, seed=8), replace(cfg, stages=2), replace(cfg, radius=900.0)):
+        with pytest.raises(ConfigError):
+            run_filter(lanes, [cfg, other])
+    with pytest.raises(ConfigError):
+        run_filter(lanes, [cfg])  # one config per lane
+    with pytest.raises(ConfigError):
+        run_filter([], cfg)
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+def test_detect_pair_with_mismatched_layers_equals_separate_runs(stages):
+    cfg = FilterConfig(neurons=120, seed=7, stages=stages)
+    defective, healthy, _ = lane_series()
+    report = detect(defective, healthy, cfg, FixedPolicy(threshold_pct=20.0))
+    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
+    np.testing.assert_array_equal(report.deviations.layers, dev.layers)
+    np.testing.assert_array_equal(report.deviations.values, dev.values)
+    assert report.flagged_layers == flag_anomalies(dev, FixedPolicy(threshold_pct=20.0)).flagged_layers
 
 
 # ---------------------------------------------------------------- deviation

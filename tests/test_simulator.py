@@ -3,7 +3,9 @@ import pytest
 
 from snndetect.ensembles import EnsembleConfig, build_ensemble, tuning_curves
 from snndetect.errors import ConfigError
+from snndetect.neurons import lif_step_arrays
 from snndetect.simulator import simulate_cascade, simulate_filter
+from snndetect.synapses import Lowpass
 
 DT = 0.001
 
@@ -108,3 +110,109 @@ def test_config_errors(ens):
     object.__setattr__(bad, "decoders", np.zeros(5))
     with pytest.raises(ConfigError):
         simulate_filter(bad, np.zeros(10), DT, 0.003, 0.003)
+
+
+# ------------------------------------------------------------ lane batching
+
+def lane_signals(lanes, steps):
+    rng = np.random.default_rng(11)
+    return rng.uniform(-1500.0, 1500.0, size=(lanes, steps))
+
+
+def reference_cascade(ensembles, inputs, dt, taus):
+    """One series at a time with scalar synapses and per-step spike events:
+    the straightforward loop the lane-batched simulator must reproduce."""
+    sizes = [e.n_neurons for e in ensembles]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    in_syn = Lowpass(taus[0], dt)
+    out_syns = [Lowpass(taus[s + 1], dt, n) for s, n in enumerate(sizes)]
+    v = [np.full(n, e.lif.e_l) for e, n in zip(ensembles, sizes)]
+    refr = [np.zeros(n) for n in sizes]
+    decoded, ids, times = [], [], []
+    for k, value in enumerate(inputs):
+        x = in_syn.step(value)
+        for s, e in enumerate(ensembles):
+            drive = e.gains * e.encoders * min(max(x / e.radius, -1.0), 1.0) + e.biases
+            v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt, e.lif)
+            idx = np.nonzero(spiked)[0]
+            ids.extend(idx + offsets[s])
+            times.extend([k * dt] * idx.size)
+            x = e.decoders @ out_syns[s].step(spiked * (e.lif.i_spk / dt))
+        decoded.append(x)
+    return np.array(decoded), np.array(ids, dtype=np.int64), np.array(times)
+
+
+@pytest.mark.parametrize("sizes", [(60,), (40, 30)])
+def test_lanes_match_reference_loop_bit_for_bit(sizes):
+    ensembles = [build_ensemble(EnsembleConfig(n_neurons=n), seed=s) for s, n in enumerate(sizes)]
+    inputs = lane_signals(2, 150)
+    taus = np.array([[0.002] * (len(sizes) + 1), [0.006] * (len(sizes) + 1)])
+    res = simulate_cascade(ensembles, inputs, DT, taus)
+    for b in range(2):
+        decoded, ids, times = reference_cascade(ensembles, inputs[b], DT, taus[b])
+        lane = res.lane(b)
+        np.testing.assert_array_equal(lane.decoded, decoded)
+        np.testing.assert_array_equal(lane.raster.neuron_ids, ids)
+        np.testing.assert_array_equal(lane.raster.times, times)
+
+
+def assert_same_run(batched, single):
+    np.testing.assert_array_equal(batched.decoded, single.decoded)
+    np.testing.assert_array_equal(batched.raster.neuron_ids, single.raster.neuron_ids)
+    np.testing.assert_array_equal(batched.raster.times, single.raster.times)
+    assert batched.raster.n_neurons == single.raster.n_neurons
+    assert batched.raster.duration == single.raster.duration
+    if single.rates is None:
+        assert batched.rates is None
+    else:
+        np.testing.assert_array_equal(batched.rates, single.rates)
+
+
+@pytest.mark.parametrize("per_lane_taus", [False, True])
+@pytest.mark.parametrize("sizes", [(60,), (40, 30)])
+def test_each_lane_equals_its_single_run(sizes, per_lane_taus):
+    ensembles = [build_ensemble(EnsembleConfig(n_neurons=n), seed=s) for s, n in enumerate(sizes)]
+    inputs = lane_signals(4, 120)
+    links = len(sizes) + 1
+    if per_lane_taus:
+        taus = np.array([[t] * links for t in (0.0005, 0.001, 0.004, 0.012)])
+        taus[1, -1] = 0.003  # lanes may differ per link too
+    else:
+        taus = np.full((4, links), 0.002)
+    res = simulate_cascade(ensembles, inputs, DT, taus if per_lane_taus else taus[0],
+                           record_rates=True)
+    assert res.decoded.shape == (4, 120)
+    assert res.rates.shape == (4, 120, sizes[-1])
+    for b in range(4):
+        single = simulate_cascade(ensembles, inputs[b], DT, taus[b], record_rates=True)
+        assert_same_run(res.lane(b), single)
+
+
+def test_padded_lane_prefix_is_exact(ens):
+    # the loop is causal: a short lane padded with anything runs exactly
+    # like the short input alone over its own steps
+    short = lane_signals(1, 70)[0]
+    padded = np.stack([np.concatenate([short, np.full(30, 900.0)]), lane_signals(2, 100)[1]])
+    res = simulate_filter(ens, padded, DT, 0.003, 0.003, record_rates=True)
+    assert_same_run(res.lane(0, 70), simulate_filter(ens, short, DT, 0.003, 0.003,
+                                                     record_rates=True))
+
+
+def test_batched_raster_lays_lanes_side_by_side():
+    e = build_ensemble(EnsembleConfig(n_neurons=40), seed=1)
+    inputs = np.stack([np.full(200, 600.0), np.full(200, -600.0)])
+    res = simulate_cascade([e], inputs, DT, [0.004, 0.004])
+    raster = res.raster
+    assert raster.n_neurons == 80
+    lanes = [res.lane(b).raster for b in range(2)]
+    assert raster.neuron_ids.size == sum(r.neuron_ids.size for r in lanes)
+    np.testing.assert_array_equal(np.sort(raster.neuron_ids[raster.neuron_ids >= 40] - 40),
+                                  np.sort(lanes[1].neuron_ids))
+    assert res.spikes.shape == (200, 2, 5)  # 40 neurons pack into 5 bytes
+
+
+def test_lane_shape_errors(ens):
+    with pytest.raises(ConfigError):
+        simulate_cascade([ens], np.zeros((2, 10)), DT, np.full((3, 2), 0.003))  # 3 rows, 2 lanes
+    with pytest.raises(ValueError):
+        simulate_cascade([ens], np.zeros((2, 3, 4)), DT, [0.003, 0.003])

@@ -97,3 +97,21 @@ def test_validation():
         synapse_step(SynapseState(tau_syn=0.01), float("nan"), 0.001)
     with pytest.raises(ValueError):
         synapse_step(SynapseState(tau_syn=0.01), 1.0, -0.001)
+
+
+def test_lowpass_per_lane_time_constants():
+    dt = 0.001
+    taus = [0.001, 0.004, 0.02]
+    lp = Lowpass(taus, dt, (3, 2))
+    xs = np.array([[1.0, -2.0], [0.5, 3.0], [4.0, 0.0]])
+    for _ in range(10):
+        out = lp.step(xs)
+    for b, tau in enumerate(taus):
+        alone = Lowpass(tau, dt, 2)
+        for _ in range(10):
+            ref = alone.step(xs[b])
+        np.testing.assert_array_equal(out[b], ref)
+    with pytest.raises(ConfigError):
+        Lowpass([0.001, 0.002], dt, (3, 2))  # one constant per lane
+    with pytest.raises(ConfigError):
+        Lowpass([0.001, -0.002], dt, 2)
