@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every artifact of a fixed set of CLI runs.
+
+    PYTHONPATH=src python scripts/artifact_digests.py OUTDIR
+
+gen-data writes three fixture pairs (33/66/100% reduction) and a classify
+manifest over them; detect, sweep, compare, raster, energy and classify
+then run under the cpu-pd1-66 and fpga-pd1-66 presets into OUTDIR. One
+`sha256  relpath` line is printed per file. snndetect is imported from
+PYTHONPATH, so pointing it at another checkout's src/ lists that
+checkout's digests; `diff` two listings to see which artifacts moved.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from snndetect.cli import main
+
+PRESETS = ("cpu-pd1-66", "fpga-pd1-66")
+REDUCTIONS = (33, 66, 100)
+
+
+def run(*argv) -> None:
+    argv = [str(a) for a in argv]
+    with redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code:
+        sys.exit(f"snndetect {' '.join(argv)} exited with {code}")
+
+
+def digests(out: Path) -> None:
+    for i, r in enumerate(REDUCTIONS):
+        run("gen-data", "--seed", 42 + i, "--reduction", r, "--outdir", out / f"data-{r}")
+    samples = [{"path": f"data-{r}/{kind}.csv", "label": int(kind == "defective"),
+                "sample_id": f"{kind}-{r}"} for r in REDUCTIONS for kind in ("healthy", "defective")]
+    (out / "manifest.json").write_text(json.dumps({"window": [570, 650], "samples": samples}))
+    data = out / "data-66"
+    pair = ("--defective", data / "defective.csv", "--healthy", data / "healthy.csv",
+            "--truth", data / "truth.json")
+    for preset in PRESETS:
+        net = ("--preset", preset, "--seed", 7, "--outdir", out / preset)
+        run("detect", *pair, *net)
+        run("sweep", *pair, "--taus", "0.001,0.002,0.004,0.008", *net)
+        run("compare", *pair, *net)
+        run("raster", "--input", data / "defective.csv", *net)
+        run("energy", *net)
+        run("classify", "--manifest", out / "manifest.json", *net)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out), sep="  ")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    digests(Path(sys.argv[1]))

@@ -32,7 +32,6 @@ from .energy import (
 from .ensembles import (
     Ensemble,
     EnsembleConfig,
-    NeuronTuning,
     build_ensemble,
     solve_decoders,
     tuning_curves,
@@ -47,12 +46,11 @@ from .pipeline import (
     FilterConfig,
     FixedPolicy,
     SignalSeries,
-    cascade_filter,
     flag_anomalies,
     load_layer_series,
     percent_deviation,
     snn_filter,
 )
 from .presets import get_preset, preset_names
-from .simulator import SimResult, SpikeRaster, simulate_cascade, simulate_filter
+from .simulator import SimResult, SpikeRaster, simulate_cascade
 from .synapses import SynapseState, synapse_step

@@ -12,16 +12,15 @@ transform.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import FilterConfig, SignalSeries
-from .simulator import simulate_filter
+from .pipeline import FilterConfig, SignalSeries, run_filter
 
 PROB_EPS = 1e-12
 
@@ -82,26 +81,35 @@ def window_steps(series: SignalSeries, cfg: FilterConfig,
 
 
 def encode_sample(
-    series: SignalSeries,
-    ensemble: Ensemble,
+    series: SignalSeries | Sequence[SignalSeries],
     cfg: FilterConfig,
     window: tuple[int, int] | None = None,
-    label: int = 0,
-    sample_id: str = "",
-) -> SampleFeature:
+    label: int | Sequence[int] = 0,
+    sample_id: str | Sequence[str] = "",
+) -> SampleFeature | list[SampleFeature]:
     """Per-neuron mean output-filtered rate over a layer window.
 
-    Runs the series through the filter with the given population and
-    averages each neuron's filtered rate across the window's presentation
-    steps (see window_steps).
+    `series` is one SignalSeries or a sequence of them; a sequence runs as
+    the lanes of one filter run (see run_filter) and takes one label and
+    sample id for all series or one per series. The network is the one
+    `cfg` describes, so a cascade is read at the rates of its last stage.
+    Each feature averages the rates across the window's presentation steps
+    (see window_steps).
     """
-    steps = window_steps(series, cfg, window)
-    inputs = np.repeat(series.values, cfg.presentation_steps)
-    result = simulate_filter(
-        ensemble, inputs, cfg.dt, cfg.tau_in, cfg.tau_out, record_rates=True
-    )
-    return SampleFeature(sample_id=sample_id, feature=result.rates[steps].mean(axis=0),
-                         label=label)
+    single = isinstance(series, SignalSeries)
+    lanes = [series] if single else list(series)
+    labels = [label] * len(lanes) if isinstance(label, numbers.Integral) else list(label)
+    ids = [sample_id] * len(lanes) if isinstance(sample_id, str) else list(sample_id)
+    if not len(labels) == len(ids) == len(lanes):
+        raise ConfigError(f"need one label and sample id per series, got {len(labels)} "
+                          f"and {len(ids)} for {len(lanes)}")
+    steps = [window_steps(s, cfg, window) for s in lanes]
+    runs = run_filter(lanes, cfg, record_rates=True)
+    features = [
+        SampleFeature(sample_id=i, feature=sim.rates[st].mean(axis=0), label=l)
+        for (_, sim), st, l, i in zip(runs, steps, labels, ids)
+    ]
+    return features[0] if single else features
 
 
 def _validate_probs_labels(probs: np.ndarray, labels: np.ndarray) -> None:

@@ -13,14 +13,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import BaselineFilterSpec, default_specs
-from .classifier import SampleFeature, predict, train_classifier, window_steps
+from .classifier import encode_sample, predict, train_classifier
 from .datagen import NOISE_STD, DefectSpec, GenParams, gen_defective, gen_healthy
 from .energy import (
     HARDWARE_ORDER,
@@ -31,7 +31,7 @@ from .energy import (
     profiles_to_json,
     reference_profiles,
 )
-from .errors import ConfigError, DataError, SnnDetectError
+from .errors import ConfigError, DataError, SnnDetectError, check_int
 from .evaluation import GroundTruth, attach_metrics, compare_filters, sweep_tau
 from .pipeline import (
     AdaptivePolicy,
@@ -69,28 +69,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """One CLI invocation: the command, its inputs, and where output goes.
-
-    Input paths are checked up front so a run fails before writing anything;
-    the seed/preset/version triple is stamped into every artifact.
-    """
-
-    command: str
-    seed: int
-    preset: str
-    outdir: Path
-    config_path: str | None = None
-    input_paths: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        for p in self.input_paths:
-            if not Path(p).exists():
-                raise DataError(f"input path does not exist: {p}")
-
-    def meta(self) -> dict:
-        return {"seed": self.seed, "preset": self.preset, "version": __version__}
+def _meta(seed: int, preset: str) -> dict:
+    """The seed/preset/version triple stamped into every artifact."""
+    return {"seed": seed, "preset": preset, "version": __version__}
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -148,7 +129,8 @@ def _add_network_args(sp) -> None:
     sp.add_argument("--seed", type=int, default=None, help="override the configured seed")
 
 
-def _resolve_config(args) -> tuple[FilterConfig, str, list[BaselineFilterSpec] | None]:
+def _resolve_config(args) -> tuple[FilterConfig, dict, list[BaselineFilterSpec] | None]:
+    """The filter config, the artifact meta, and any baseline specs of the config file."""
     baseline_specs = None
     if args.config:
         path = Path(args.config)
@@ -175,7 +157,7 @@ def _resolve_config(args) -> tuple[FilterConfig, str, list[BaselineFilterSpec] |
         label = "default"
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    return cfg, label, baseline_specs
+    return cfg, _meta(cfg.seed, label), baseline_specs
 
 
 def _load_pair(args) -> tuple[SignalSeries, SignalSeries]:
@@ -210,7 +192,6 @@ def _series_csv(series: SignalSeries, meta: dict) -> str:
 
 def _cmd_gen_data(args) -> int:
     out = _outdir(args)
-    manifest = RunManifest(command="gen-data", seed=args.seed, preset="-", outdir=out)
     noise = args.noise_std if args.noise_std is not None else NOISE_STD[args.sensor]
     lo, hi = args.window
     baseline_seed = args.baseline_seed if args.baseline_seed is not None else args.seed + 1
@@ -227,7 +208,7 @@ def _cmd_gen_data(args) -> int:
     defective = gen_defective(p_def, spec)
     healthy = gen_healthy(p_heal)
 
-    meta = manifest.meta()
+    meta = _meta(args.seed, "-")
     _atomic_write(out / "defective.csv", _series_csv(defective, meta))
     _atomic_write(out / "healthy.csv", _series_csv(healthy, {**meta, "seed": baseline_seed}))
     truth = {
@@ -245,10 +226,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_detect(args) -> int:
     out = _outdir(args)
-    cfg, label, _ = _resolve_config(args)
-    inputs = (args.defective, args.healthy) + ((args.truth,) if args.truth else ())
-    manifest = RunManifest(command="detect", seed=cfg.seed, preset=label, outdir=out,
-                           config_path=args.config, input_paths=inputs)
+    cfg, meta, _ = _resolve_config(args)
     defective, healthy = _load_pair(args)
     truth = GroundTruth.from_json(args.truth) if args.truth else None
     policy = _resolve_policy(args, truth)
@@ -258,7 +236,6 @@ def _cmd_detect(args) -> int:
     if truth is not None:
         report = attach_metrics(report, truth)
 
-    meta = manifest.meta()
     doc = {**meta, "config": cfg.to_dict(), **report.to_dict()}
     _atomic_write(out / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _atomic_write(
@@ -275,10 +252,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = _outdir(args)
-    cfg, label, _ = _resolve_config(args)
-    manifest = RunManifest(command="sweep", seed=cfg.seed, preset=label, outdir=out,
-                           config_path=args.config,
-                           input_paths=(args.defective, args.healthy, args.truth))
+    cfg, meta, _ = _resolve_config(args)
     defective, healthy = _load_pair(args)
     truth = GroundTruth.from_json(args.truth)
     policy = _resolve_policy(args, truth)
@@ -287,7 +261,6 @@ def _cmd_sweep(args) -> int:
         (pt.tau, pt.precision, pt.recall, pt.f1, pt.flagged_count)
         for pt in result.points
     ]
-    meta = manifest.meta()
     _atomic_write(
         out / "sweep.csv",
         _csv_text(meta, ["tau", "precision", "recall", "f1", "flagged"], rows),
@@ -298,16 +271,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     out = _outdir(args)
-    cfg, label, baseline_specs = _resolve_config(args)
-    manifest = RunManifest(command="compare", seed=cfg.seed, preset=label, outdir=out,
-                           config_path=args.config,
-                           input_paths=(args.defective, args.healthy, args.truth))
+    cfg, meta, baseline_specs = _resolve_config(args)
     defective, healthy = _load_pair(args)
     truth = GroundTruth.from_json(args.truth)
     policy = _resolve_policy(args, truth)
     specs = baseline_specs if baseline_specs is not None else default_specs()
     rows = compare_filters(defective, healthy, specs, cfg, truth, policy)
-    meta = manifest.meta()
     _atomic_write(
         out / "compare.csv",
         _csv_text(meta, ["filter", "precision", "recall", "f1"],
@@ -320,12 +289,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_raster(args) -> int:
     out = _outdir(args)
-    cfg, label, _ = _resolve_config(args)
-    manifest = RunManifest(command="raster", seed=cfg.seed, preset=label, outdir=out,
-                           config_path=args.config, input_paths=(args.input,))
+    cfg, meta, _ = _resolve_config(args)
     series = load_layer_series(args.input, condition="defective")
     _, sim = run_filter(series, cfg)
-    meta = manifest.meta()
     _atomic_write(
         out / "raster.csv",
         _csv_text(meta, ["neuron", "time"], zip(sim.raster.neuron_ids, sim.raster.times)),
@@ -337,9 +303,7 @@ def _cmd_raster(args) -> int:
 
 def _cmd_classify(args) -> int:
     out = _outdir(args)
-    cfg, label, _ = _resolve_config(args)
-    run = RunManifest(command="classify", seed=cfg.seed, preset=label, outdir=out,
-                      config_path=args.config, input_paths=(args.manifest,))
+    cfg, meta, _ = _resolve_config(args)
     path = Path(args.manifest)
     try:
         manifest = json.loads(path.read_text())
@@ -350,30 +314,28 @@ def _cmd_classify(args) -> int:
         window = tuple(manifest["window"]) if "window" in manifest else None
     except (KeyError, TypeError) as err:
         raise DataError(f"{path}: expected a 'samples' list: {err}") from err
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: 'samples' must be a list, got {entries!r}")
+    if window is not None:
+        if len(window) != 2:
+            raise DataError(f"{path}: 'window' must be two layers, got {list(window)}")
+        for bound in window:
+            check_int("manifest window bound", bound)
 
-    base = path.parent
-    # classification reads one population of cfg.neurons, whatever cfg.stages says
-    single = replace(cfg, stages=1)
-    samples = []
+    series, labels, ids = [], [], []
     for i, entry in enumerate(entries):
         try:
-            sample_path = base / entry["path"]
-            clabel = int(entry["label"])
-            sample_id = str(entry.get("sample_id", f"sample{i}"))
+            sample_path = path.parent / entry["path"]
+            label = entry["label"]
+            ids.append(str(entry.get("sample_id", f"sample{i}")))
         except (KeyError, TypeError) as err:
             raise DataError(f"{path}: bad sample entry {i}: {err}") from err
-        series = load_layer_series(sample_path, condition="defective")
-        samples.append((series, window_steps(series, single, window), clabel, sample_id))
-
-    lanes = [series for series, *_ in samples]
-    runs = run_filter(lanes, single, record_rates=True) if lanes else []
-    features = [
-        SampleFeature(sample_id=sample_id, feature=sim.rates[steps].mean(axis=0), label=clabel)
-        for (_, steps, clabel, sample_id), (_, sim) in zip(samples, runs)
-    ]
+        check_int(f"label of sample entry {i}", label, 0)
+        labels.append(label)
+        series.append(load_layer_series(sample_path, condition="defective"))
+    features = encode_sample(series, cfg, window, labels, ids)
 
     model = train_classifier(features, epochs=args.epochs, lr=args.lr)
-    meta = run.meta()
     _atomic_write(
         out / "loss.csv",
         _csv_text(meta, ["epoch", "loss"], enumerate(model.training_history)),
@@ -395,10 +357,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_energy(args) -> int:
     out = _outdir(args)
-    cfg, label, _ = _resolve_config(args)
-    manifest = RunManifest(command="energy", seed=cfg.seed, preset=label, outdir=out,
-                           config_path=args.config,
-                           input_paths=(args.profiles,) if args.profiles else ())
+    cfg, meta, _ = _resolve_config(args)
     lo, hi = args.window
     topology = NetworkTopology.chain(cfg.stage_sizes())
     samples = [
@@ -428,7 +387,6 @@ def _cmd_energy(args) -> int:
         (sample_id, *(estimate_energy(counts[sample_id], profiles[n]) for n in names))
         for sample_id, _, _ in ENERGY_SAMPLES
     ]
-    meta = manifest.meta()
     _atomic_write(out / "energy.csv", _csv_text(meta, ["sample"] + names, rows))
     profiles_doc = {**meta, "profiles": json.loads(profiles_to_json(profiles))}
     _atomic_write(out / "profiles.json", json.dumps(profiles_doc, indent=2, sort_keys=True) + "\n")
@@ -522,10 +480,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args) or 0)
-    except SnnDetectError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (SnnDetectError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -48,14 +48,6 @@ class GenParams:
         if lo > hi:
             raise ConfigError(f"layer_range must be non-empty, got {self.layer_range}")
 
-    @classmethod
-    def for_sensor(cls, sensor: str, **kwargs) -> "GenParams":
-        """Defaults with the sensor's typical noise level filled in."""
-        if sensor not in NOISE_STD:
-            raise ConfigError(f"unknown sensor {sensor!r}, expected one of {sorted(NOISE_STD)}")
-        kwargs.setdefault("noise_std", NOISE_STD[sensor])
-        return cls(sensor=sensor, **kwargs)
-
 
 @dataclass(frozen=True)
 class DefectSpec:

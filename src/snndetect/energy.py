@@ -51,10 +51,6 @@ class NetworkTopology:
         return int(self.fan_out.size)
 
     @classmethod
-    def uniform(cls, n_neurons: int, fan_out: int = 1) -> "NetworkTopology":
-        return cls(fan_out=np.full(n_neurons, fan_out, dtype=np.int64))
-
-    @classmethod
     def chain(cls, stage_sizes: Sequence[int]) -> "NetworkTopology":
         """Cascade topology: each stage projects onto the next, the last decodes
         to a single output."""

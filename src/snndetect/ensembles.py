@@ -25,17 +25,6 @@ from .neurons import LifParams, lif_rate
 
 
 @dataclass(frozen=True)
-class NeuronTuning:
-    """Sampled response curve of one neuron (1-D encoder is +-1)."""
-
-    encoder: float
-    gain: float
-    bias: float
-    intercept: float
-    max_rate: float
-
-
-@dataclass(frozen=True)
 class EnsembleConfig:
     n_neurons: int = 500
     radius: float = 1100.0
@@ -91,18 +80,6 @@ class Ensemble:
     @property
     def lif(self) -> LifParams:
         return self.config.lif
-
-    @property
-    def tunings(self) -> tuple[NeuronTuning, ...]:
-        return tuple(
-            NeuronTuning(
-                encoder=float(e), gain=float(g), bias=float(b),
-                intercept=float(c), max_rate=float(r),
-            )
-            for e, g, b, c, r in zip(
-                self.encoders, self.gains, self.biases, self.intercepts, self.max_rates
-            )
-        )
 
     def drive(self, x: float) -> np.ndarray:
         """Normalized per-neuron drive for a raw input value (receptive

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .baselines import BaselineFilterSpec, apply_baseline_filter
-from .errors import ConfigError, DataError, SnnDetectError
+from .errors import ConfigError, DataError, SnnDetectError, check_int
 from .pipeline import (
     AdaptivePolicy,
     DetectionMetrics,
@@ -37,6 +37,10 @@ class GroundTruth:
     window: tuple[int, int]  # inclusive
 
     def __post_init__(self) -> None:
+        for layer in self.defect_layers:
+            check_int("defect layer", layer)
+        for bound in self.window:
+            check_int("window bound", bound)
         object.__setattr__(self, "defect_layers", frozenset(int(l) for l in self.defect_layers))
         lo, hi = self.window
         if lo > hi:
@@ -55,12 +59,11 @@ class GroundTruth:
         except json.JSONDecodeError as err:
             raise DataError(f"{path}: invalid JSON: {err}") from err
         try:
-            return cls(
-                defect_layers=frozenset(data["defect_layers"]),
-                window=(int(data["window"][0]), int(data["window"][1])),
-            )
-        except (KeyError, TypeError, IndexError) as err:
+            lo, hi = data["window"]
+            layers = tuple(data["defect_layers"])
+        except (KeyError, TypeError, ValueError) as err:
             raise DataError(f"{path}: expected keys 'defect_layers' and 'window': {err}") from err
+        return cls(defect_layers=layers, window=(lo, hi))
 
     def default_policy(self, k: float = 6.0) -> AdaptivePolicy:
         """Adaptive policy calibrated on the clean layers before the defect.
@@ -104,8 +107,18 @@ def window_flags(report: DetectionReport, truth: GroundTruth) -> set[int]:
 
 
 def attach_metrics(report: DetectionReport, truth: GroundTruth) -> DetectionReport:
+    """The report with its window flags scored against the truth."""
     p, r, f1 = f1_score(window_flags(report, truth), truth)
     return replace(report, metrics=DetectionMetrics(precision=p, recall=r, f1=f1))
+
+
+def _evaluate_pair(
+    filtered: Sequence[SignalSeries],
+    policy: FixedPolicy | AdaptivePolicy,
+    truth: GroundTruth,
+) -> DetectionReport:
+    """Deviate a filtered (defective, healthy) pair, flag, and score it."""
+    return attach_metrics(flag_anomalies(percent_deviation(*filtered), policy), truth)
 
 
 @dataclass(frozen=True)
@@ -122,17 +135,6 @@ class SweepPoint:
 class SweepResult:
     points: tuple[SweepPoint, ...]
     best_tau: float
-
-
-def _score(
-    filtered: Sequence[SignalSeries],
-    policy: FixedPolicy | AdaptivePolicy,
-    truth: GroundTruth,
-) -> tuple[float, float, float, int]:
-    """Deviate a filtered (defective, healthy) pair, flag, and score:
-    (precision, recall, f1, flagged count in the window)."""
-    flags = window_flags(flag_anomalies(percent_deviation(*filtered), policy), truth)
-    return (*f1_score(flags, truth), len(flags))
 
 
 def sweep_tau(
@@ -167,13 +169,17 @@ def sweep_tau(
     points = []
     for i, tau in enumerate(taus):
         try:
-            points.append(SweepPoint(tau, *_score(filtered[2 * i : 2 * i + 2], policy, truth)))
+            report = _evaluate_pair(filtered[2 * i : 2 * i + 2], policy, truth)
         except SnnDetectError as err:
             points.append(SweepPoint(tau, float("nan"), float("nan"), float("nan"), 0, str(err)))
+            continue
+        m = report.metrics
+        points.append(SweepPoint(tau, m.precision, m.recall, m.f1,
+                                 len(window_flags(report, truth))))
 
     scored = [pt for pt in points if pt.error is None]
     if not scored:
-        raise DataError("every sweep point failed; see per-point errors")
+        raise DataError(f"every sweep point failed; the first: {points[0].error}")
     best = max(scored, key=lambda pt: pt.f1)  # max() keeps the first (smallest tau) on ties
     return SweepResult(points=tuple(points), best_tau=best.tau)
 
@@ -200,8 +206,8 @@ def compare_filters(
 
     def score(filter_pair, name: str) -> ComparisonRow:
         try:
-            p, r, f1, _ = _score(filter_pair(), policy, truth)
-            return ComparisonRow(name, p, r, f1)
+            m = _evaluate_pair(filter_pair(), policy, truth).metrics
+            return ComparisonRow(name, m.precision, m.recall, m.f1)
         except SnnDetectError as err:
             return ComparisonRow(name, float("nan"), float("nan"), float("nan"), str(err))
 

@@ -10,7 +10,6 @@ power drop leaves behind.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -173,16 +172,6 @@ class FilterConfig:
             raise ConfigError(f"unknown filter-config keys: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FilterConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise DataError(f"invalid filter-config JSON: {err}") from err
-        if not isinstance(data, dict):
-            raise DataError("filter config must be a JSON object")
-        return cls.from_dict(data)
-
 
 def build_filter_ensembles(cfg: FilterConfig) -> list[Ensemble]:
     """One population per stage, seeded deterministically from cfg.seed."""
@@ -258,11 +247,6 @@ def snn_filter(
     (see run_filter), through the configured spiking network."""
     runs = run_filter(series, cfg)
     return runs[0] if isinstance(series, SignalSeries) else [f for f, _ in runs]
-
-
-def cascade_filter(series: SignalSeries, cfg: FilterConfig, stages: int) -> SignalSeries:
-    """snn_filter with the population split into a chain of `stages` stages."""
-    return snn_filter(series, replace(cfg, stages=stages))
 
 
 @dataclass(frozen=True)

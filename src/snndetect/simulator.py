@@ -43,10 +43,6 @@ class SpikeRaster:
         if len(self.neuron_ids) != len(self.times):
             raise ConfigError("neuron_ids and times must have equal length")
 
-    @property
-    def events(self) -> list[tuple[int, float]]:
-        return [(int(i), float(t)) for i, t in zip(self.neuron_ids, self.times)]
-
     def spike_counts(self) -> np.ndarray:
         """Total spikes per neuron."""
         return np.bincount(self.neuron_ids, minlength=self.n_neurons)
@@ -182,15 +178,3 @@ def simulate_cascade(
         decoded = decoded[0]
         rates = None if rates is None else rates[0]
     return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)
-
-
-def simulate_filter(
-    e: Ensemble,
-    inputs,
-    dt: float,
-    tau_in: float,
-    tau_out: float,
-    record_rates: bool = False,
-) -> SimResult:
-    """Single-population filter: input synapse, spiking, output synapse, decode."""
-    return simulate_cascade([e], inputs, dt, [tau_in, tau_out], record_rates=record_rates)

@@ -43,7 +43,7 @@ from snndetect.pipeline import (
     snn_filter,
 )
 from snndetect.presets import get_preset
-from snndetect.simulator import simulate_filter
+from snndetect.simulator import simulate_cascade
 
 WINDOW = (570, 650)
 SWEEP_TAUS = [1e-4, 0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.1]
@@ -109,7 +109,7 @@ def test_c02_decode_accuracy_and_saturation(big_ensemble):
     dt, tau = 0.001, 0.005
 
     def settled(x):
-        res = simulate_filter(e, np.full(400, float(x)), dt, tau, tau)
+        res = simulate_cascade([e], np.full(400, float(x)), dt, [tau, tau])
         return res.decoded[-150:].mean()
 
     inner = np.linspace(-880.0, 880.0, 13)
@@ -261,7 +261,6 @@ def test_c07_cross_entropy_correctness():
 
     # 14 one-sample classes built from actual spiking-filter features
     cfg = FilterConfig(neurons=200, tau_in=0.004, tau_out=0.004, seed=7)
-    ens = build_ensemble(EnsembleConfig(n_neurons=200, radius=1100.0), seed=7)
     combos = [(nl, red) for red in (33.0, 66.0) for nl in (1, 3, 5, 7, 9)]
     combos += [(nl, 100.0) for nl in (1, 3, 5, 7)]
     features = []
@@ -269,7 +268,7 @@ def test_c07_cross_entropy_correctness():
         params = GenParams(layer_range=WINDOW, noise_std=20.0, seed=200 + label)
         spec = DefectSpec(start_layer=613, n_layers=n_layers, power_reduction_percent=reduction)
         features.append(
-            encode_sample(gen_defective(params, spec), ens, cfg,
+            encode_sample(gen_defective(params, spec), cfg,
                           window=(613, 621), label=label, sample_id=f"S{label}")
         )
     model14 = train_classifier(features, epochs=500, lr=0.05)

@@ -13,12 +13,12 @@ from snndetect.classifier import (
     predict,
     softmax,
     train_classifier,
-    window_steps,
 )
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.ensembles import EnsembleConfig, build_ensemble
 from snndetect.errors import ConfigError, DataError, NumericError
-from snndetect.pipeline import FilterConfig, run_filter
+from snndetect.pipeline import FilterConfig
+from snndetect.simulator import simulate_cascade
 
 
 # ------------------------------------------------------------ cross entropy
@@ -188,35 +188,35 @@ def test_predict_dimension_mismatch():
 CFG = FilterConfig(neurons=150, tau_in=0.004, tau_out=0.004, seed=7)
 
 
-@pytest.fixture(scope="module")
-def small_ensemble():
-    return build_ensemble(EnsembleConfig(n_neurons=150, radius=1100.0), seed=7)
-
-
-def test_encoding_is_deterministic(small_ensemble):
+def test_encoding_is_deterministic():
     p = GenParams(seed=31)
     s = gen_healthy(p)
-    a = encode_sample(s, small_ensemble, CFG, window=(600, 640))
-    b = encode_sample(s, small_ensemble, CFG, window=(600, 640))
+    a = encode_sample(s, CFG, window=(600, 640))
+    b = encode_sample(s, CFG, window=(600, 640))
     np.testing.assert_array_equal(a.feature, b.feature)
     assert a.feature.size == 150
 
 
-def test_batched_rates_give_the_encoded_features(small_ensemble):
+def test_batched_rates_give_the_encoded_features():
     # the classify command encodes every sample in one lane-batched run
     samples = [gen_healthy(GenParams(seed=31)),
                gen_defective(GenParams(seed=32, layer_range=(580, 650)), DefectSpec())]
-    runs = run_filter(samples, CFG, record_rates=True)
-    for s, (_, sim) in zip(samples, runs):
-        steps = window_steps(s, CFG, (600, 640))
-        np.testing.assert_array_equal(sim.rates[steps].mean(axis=0),
-                                      encode_sample(s, small_ensemble, CFG, (600, 640)).feature)
+    batched = encode_sample(samples, CFG, (600, 640), label=[0, 1], sample_id=["a", "b"])
+    for s, f, label, sample_id in zip(samples, batched, (0, 1), ("a", "b")):
+        np.testing.assert_array_equal(f.feature, encode_sample(s, CFG, (600, 640)).feature)
+        assert (f.label, f.sample_id) == (label, sample_id)
 
 
-def test_encoding_window_mismatch(small_ensemble):
+def test_encoding_window_mismatch():
     s = gen_healthy(GenParams(seed=31))
     with pytest.raises(DataError):
-        encode_sample(s, small_ensemble, CFG, window=(560, 640))
+        encode_sample(s, CFG, window=(560, 640))
+
+
+def test_encoding_reads_the_last_cascade_stage():
+    s = gen_healthy(GenParams(seed=31))
+    feat = encode_sample(s, FilterConfig(neurons=150, stages=2, seed=7), window=(600, 640))
+    assert feat.feature.size == 75
 
 
 def test_input_between_intercepts_gives_silent_features():
@@ -226,16 +226,17 @@ def test_input_between_intercepts_gives_silent_features():
     )
     s = gen_healthy(GenParams(noise_std=0.0, junction_spike_amplitude=0.0,
                               baseline_level=1e-6, seed=1))
-    feat = encode_sample(s, ens, CFG)
-    np.testing.assert_allclose(feat.feature, 0.0, atol=1e-9)
+    inputs = np.repeat(s.values, CFG.presentation_steps)
+    res = simulate_cascade([ens], inputs, CFG.dt, [CFG.tau_in, CFG.tau_out], record_rates=True)
+    np.testing.assert_allclose(res.rates.mean(axis=0), 0.0, atol=1e-9)
 
 
-def test_dip_sample_feature_differs_from_healthy(small_ensemble):
+def test_dip_sample_feature_differs_from_healthy():
     p = GenParams(seed=31)
     d = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=66.0)
     window = (613, 621)
-    healthy = encode_sample(gen_healthy(p), small_ensemble, CFG, window=window)
-    dipped = encode_sample(gen_defective(p, d), small_ensemble, CFG, window=window)
+    healthy = encode_sample(gen_healthy(p), CFG, window=window)
+    dipped = encode_sample(gen_defective(p, d), CFG, window=window)
     scale = np.maximum(healthy.feature, 1.0)
     rel = np.abs(dipped.feature - healthy.feature) / scale
     assert np.mean(rel > 0.10) >= 0.01

@@ -377,3 +377,68 @@ def test_scipy_loaded_only_by_compare(workdir):
     rows = [l for l in (out / "compare.csv").read_text().splitlines()[2:] if l]
     assert [r.split(",")[0] for r in rows] == [
         "savitzky_golay", "butterworth", "moving_average", "gaussian", "snn"]
+
+
+@pytest.mark.parametrize("truth", [
+    {"defect_layers": ["x"], "window": [600, 640]},
+    {"defect_layers": [620.7], "window": [600, 640]},
+    {"defect_layers": [620], "window": [600, "640"]},
+])
+def test_truth_rejected_by_type(workdir, tmp_path, capsys, truth):
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    data = workdir / "data"
+    code = main([
+        "detect", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--truth", str(path),
+        "--config", str(workdir / "config.json"), "--outdir", str(workdir / "typed-truth"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "must be an integer" in err and "Traceback" not in err
+    assert not (workdir / "typed-truth" / "report.json").exists()
+
+
+@pytest.mark.parametrize("label, window", [("x", [620, 628]), (1, ["a", 628]), (1.0, [620, 628])])
+def test_manifest_rejected_by_type(workdir, capsys, label, window):
+    manifest = workdir / "typed-manifest.json"
+    manifest.write_text(json.dumps({"window": window, "samples": [
+        {"path": "data/healthy.csv", "label": 0},
+        {"path": "data/defective.csv", "label": label},
+    ]}))
+    code = main([
+        "classify", "--manifest", str(manifest), "--config", str(workdir / "config.json"),
+        "--epochs", "5", "--outdir", str(workdir / "typed-cls"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "must be an integer" in err and "Traceback" not in err
+    assert not (workdir / "typed-cls" / "loss.csv").exists()
+
+
+def test_sweep_with_every_point_failing_names_the_reason(workdir, capsys):
+    data = workdir / "data"
+    code = main([
+        "sweep", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+        "--taus", "0.001,0.002", "--calibration", "1:5",
+        "--config", str(workdir / "config.json"), "--outdir", str(workdir / "failed-sweep"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: every sweep point failed")
+    assert "calibration range (1, 5) contains no deviation layers" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--truth", "--defective"])
+def test_undecodable_input_exits_2(workdir, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    data = workdir / "data"
+    paths = {"--defective": data / "defective.csv", "--healthy": data / "healthy.csv",
+             "--truth": data / "truth.json", "--config": workdir / "config.json", flag: bad}
+    code = main(["detect", *(str(a) for kv in paths.items() for a in kv),
+                 "--outdir", str(workdir / "undecodable")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,126 @@
+"""Fuzz of the CLI error contract over the JSON inputs a user hands in.
+
+Valid `--config`, `--truth` and classify-manifest documents get some of
+their values, at any depth, swapped for a wrong type, a bool, null, a
+list, a negative number or 1e400 (or dropped). Whatever comes in, main()
+returns 0 or 2, and a nonzero exit writes a one-line `error: ` message
+rather than a traceback. Valid sizes stay tiny (32 neurons, 20 layers, 2
+steps per layer), so each example runs in milliseconds.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from snndetect.cli import main
+
+HUGE = "<1e400>"  # stands for the literal 1e400 in the written document
+BAD = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-10**6, 0),
+    st.floats(-1e6, -1e-3), st.just(float("nan")), st.just(HUGE),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+CONFIG = {"neurons": 32, "radius": 1100.0, "dt": 0.001, "presentation_time": 0.002,
+          "tau_in": 0.002, "tau_out": 0.002, "seed": 1, "stages": 1}
+TRUTH = {"defect_layers": [612, 613, 614], "window": [600, 619]}
+MANIFEST = {"window": [605, 615], "samples": [
+    {"path": "data/healthy.csv", "label": 0, "sample_id": "h"},
+    {"path": "data/defective.csv", "label": 1, "sample_id": "d"},
+]}
+FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc, drop=True):
+    """JSON text of `doc` with one to three values replaced by bad ones (or dropped)."""
+    doc = copy.deepcopy(doc)
+    for path in draw(st.lists(st.sampled_from(list(_paths(doc))), min_size=1, max_size=3)):
+        if not path:
+            doc = draw(BAD)
+            continue
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this path
+        if drop and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(BAD)
+    return json.dumps(doc).replace(json.dumps(HUGE), "1e400")
+
+
+@pytest.fixture(scope="module")
+def fx(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-data", "--outdir", str(root / "data"), "--seed", "5", "--window",
+                 "600:619", "--defect-start", "612", "--defect-layers", "3"]) == 0
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    return root
+
+
+def run_cli(fx, name, text, *argv):
+    (fx / name).write_text(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([*argv, "--outdir", str(fx / "out")])
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith("error: ") and "Traceback" not in err, err
+    return code
+
+
+def detect_args(fx, config, truth):
+    data = fx / "data"
+    return ("detect", "--defective", str(data / "defective.csv"),
+            "--healthy", str(data / "healthy.csv"), "--config", str(config),
+            "--truth", str(truth))
+
+
+@FUZZ
+@given(text=mutated(CONFIG, drop=False))  # a dropped key falls back to a 500-neuron default
+@example(text="not json")
+def test_config_documents(fx, text):
+    run_cli(fx, "fuzz-config.json", text,
+            *detect_args(fx, fx / "fuzz-config.json", fx / "data" / "truth.json"))
+
+
+@FUZZ
+@given(text=mutated(TRUTH))
+@example(text='{"defect_layers": ["x"], "window": [600, 619]}')
+def test_truth_documents(fx, text):
+    run_cli(fx, "fuzz-truth.json", text,
+            *detect_args(fx, fx / "config.json", fx / "fuzz-truth.json"))
+
+
+@FUZZ
+@given(text=mutated(MANIFEST))
+@example(text='{"samples": 5}')
+def test_manifest_documents(fx, text):
+    run_cli(fx, "fuzz-manifest.json", text, "classify", "--manifest",
+            str(fx / "fuzz-manifest.json"), "--config", str(fx / "config.json"),
+            "--epochs", "5")
+
+
+def test_the_unmutated_documents_run(fx):
+    assert run_cli(fx, "ok-config.json", json.dumps(CONFIG),
+                   *detect_args(fx, fx / "ok-config.json", fx / "data" / "truth.json")) == 0
+    assert run_cli(fx, "ok-truth.json", json.dumps(TRUTH),
+                   *detect_args(fx, fx / "config.json", fx / "ok-truth.json")) == 0
+    assert run_cli(fx, "ok-manifest.json", json.dumps(MANIFEST), "classify", "--manifest",
+                   str(fx / "ok-manifest.json"), "--config", str(fx / "config.json"),
+                   "--epochs", "5") == 0

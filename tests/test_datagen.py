@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snndetect.cli import main
 from snndetect.datagen import NOISE_STD, DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.errors import ConfigError
 
@@ -99,11 +100,15 @@ def test_metadata_recorded():
     assert s.metadata["defect_start_layer"] == 615
 
 
-def test_for_sensor_noise_defaults():
-    assert GenParams.for_sensor("PD2").noise_std == NOISE_STD["PD2"]
-    assert GenParams.for_sensor("PD1").noise_std == NOISE_STD["PD1"]
-    with pytest.raises(ConfigError):
-        GenParams.for_sensor("PD9")
+def test_for_sensor_noise_defaults(tmp_path):
+    # gen-data fills in the sensor's noise level unless --noise-std is given
+    for sensor in ("PD2", "PD1"):
+        default, explicit = tmp_path / f"{sensor}-default", tmp_path / f"{sensor}-explicit"
+        assert main(["gen-data", "--sensor", sensor, "--outdir", str(default)]) == 0
+        assert main(["gen-data", "--sensor", sensor, "--noise-std", str(NOISE_STD[sensor]),
+                     "--outdir", str(explicit)]) == 0
+        assert (default / "defective.csv").read_bytes() == (explicit / "defective.csv").read_bytes()
+    assert main(["gen-data", "--sensor", "PD9", "--outdir", str(tmp_path / "bad")]) == 1
 
 
 def test_validation():

@@ -29,7 +29,7 @@ def raster(ids, times, n_neurons, dt=0.001, duration=1.0):
 
 
 def test_empty_raster_counts():
-    topo = NetworkTopology.uniform(20, fan_out=1)
+    topo = NetworkTopology.chain([20])
     c = count_ops(raster([], [], 20), topo, steps=100)
     assert c.synaptic_ops == 0
     assert c.neuron_updates == 2000
@@ -37,7 +37,7 @@ def test_empty_raster_counts():
 
 
 def test_uniform_fanout_counts_spikes():
-    topo = NetworkTopology.uniform(5, fan_out=1)
+    topo = NetworkTopology.chain([5])
     c = count_ops(raster([0, 1, 2, 3, 4, 0, 1, 2, 3, 4], [0.001 * k for k in range(10)], 5),
                   topo, steps=50)
     assert c.synaptic_ops == 10
@@ -68,7 +68,7 @@ def test_counts_match_independent_recount(tmp_path):
 
 
 def test_count_ops_validation():
-    topo = NetworkTopology.uniform(3)
+    topo = NetworkTopology.chain([3])
     with pytest.raises(DataError):
         count_ops(raster([0], [0.0], 5), topo, steps=10)  # n_neurons mismatch
     with pytest.raises(DataError):

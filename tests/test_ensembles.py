@@ -66,12 +66,6 @@ def test_simulated_rate_at_intercept_is_silent(ens):
         assert count <= 1  # at most one spurious spike
 
 
-def test_tunings_property_mirrors_arrays(ens):
-    t = ens.tunings[7]
-    assert t.gain == ens.gains[7]
-    assert t.encoder == ens.encoders[7]
-
-
 def test_curves_zero_below_intercept_and_monotone(ens):
     xs = np.linspace(-ens.radius, ens.radius, 101)
     rates = tuning_curves(ens, xs)

@@ -4,7 +4,7 @@ import pytest
 from snndetect.ensembles import EnsembleConfig, build_ensemble, tuning_curves
 from snndetect.errors import ConfigError
 from snndetect.neurons import lif_step_arrays
-from snndetect.simulator import simulate_cascade, simulate_filter
+from snndetect.simulator import simulate_cascade
 from snndetect.synapses import Lowpass
 
 DT = 0.001
@@ -17,14 +17,14 @@ def ens():
 
 def settled_value(e, x, tau=0.005, duration=0.4, tail=0.15):
     steps = int(duration / DT)
-    res = simulate_filter(e, np.full(steps, float(x)), DT, tau, tau)
+    res = simulate_cascade([e], np.full(steps, float(x)), DT, [tau, tau])
     return res.decoded[-int(tail / DT):].mean()
 
 
 def test_run_is_deterministic(ens):
     inputs = np.linspace(-800, 800, 300)
-    a = simulate_filter(ens, inputs, DT, 0.003, 0.003)
-    b = simulate_filter(ens, inputs, DT, 0.003, 0.003)
+    a = simulate_cascade([ens], inputs, DT, [0.003, 0.003])
+    b = simulate_cascade([ens], inputs, DT, [0.003, 0.003])
     np.testing.assert_array_equal(a.decoded, b.decoded)
     np.testing.assert_array_equal(a.raster.neuron_ids, b.raster.neuron_ids)
     np.testing.assert_array_equal(a.raster.times, b.raster.times)
@@ -47,7 +47,7 @@ def test_beyond_radius_saturates(ens):
 
 def test_raster_invariants(ens):
     steps = 2000
-    res = simulate_filter(ens, np.full(steps, 0.6 * ens.radius), DT, 0.003, 0.003)
+    res = simulate_cascade([ens], np.full(steps, 0.6 * ens.radius), DT, [0.003, 0.003])
     raster = res.raster
     assert raster.duration == pytest.approx(steps * DT)
     assert np.all(raster.times >= 0)
@@ -64,7 +64,7 @@ def test_raster_invariants(ens):
 def test_empirical_rates_match_tuning_curves(ens):
     x = 0.55 * ens.radius
     duration = 2.0
-    res = simulate_filter(ens, np.full(int(duration / DT), x), DT, 0.003, 0.003)
+    res = simulate_cascade([ens], np.full(int(duration / DT), x), DT, [0.003, 0.003])
     counts = res.raster.spike_counts()
     predicted = tuning_curves(ens, [x])[:, 0]
     active = predicted >= 20.0
@@ -92,7 +92,7 @@ def test_cascade_raster_offsets():
 
 
 def test_rates_recording_shape(ens):
-    res = simulate_filter(ens, np.full(50, 100.0), DT, 0.003, 0.003, record_rates=True)
+    res = simulate_cascade([ens], np.full(50, 100.0), DT, [0.003, 0.003], record_rates=True)
     assert res.rates.shape == (50, ens.n_neurons)
     assert np.all(res.rates >= 0)
 
@@ -105,11 +105,11 @@ def test_config_errors(ens):
     with pytest.raises(ConfigError):
         simulate_cascade([ens], np.zeros(10), 0.0, [0.003, 0.003])
     with pytest.raises(ValueError):
-        simulate_filter(ens, np.array([1.0, np.nan]), DT, 0.003, 0.003)
+        simulate_cascade([ens], np.array([1.0, np.nan]), DT, [0.003, 0.003])
     bad = build_ensemble(EnsembleConfig(n_neurons=20), seed=3)
     object.__setattr__(bad, "decoders", np.zeros(5))
     with pytest.raises(ConfigError):
-        simulate_filter(bad, np.zeros(10), DT, 0.003, 0.003)
+        simulate_cascade([bad], np.zeros(10), DT, [0.003, 0.003])
 
 
 # ------------------------------------------------------------ lane batching
@@ -193,8 +193,8 @@ def test_padded_lane_prefix_is_exact(ens):
     # like the short input alone over its own steps
     short = lane_signals(1, 70)[0]
     padded = np.stack([np.concatenate([short, np.full(30, 900.0)]), lane_signals(2, 100)[1]])
-    res = simulate_filter(ens, padded, DT, 0.003, 0.003, record_rates=True)
-    assert_same_run(res.lane(0, 70), simulate_filter(ens, short, DT, 0.003, 0.003,
+    res = simulate_cascade([ens], padded, DT, [0.003, 0.003], record_rates=True)
+    assert_same_run(res.lane(0, 70), simulate_cascade([ens], short, DT, [0.003, 0.003],
                                                      record_rates=True))
 
 
