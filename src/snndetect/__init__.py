@@ -29,16 +29,10 @@ from .energy import (
     estimate_energy,
     reference_profiles,
 )
-from .ensembles import (
-    Ensemble,
-    EnsembleConfig,
-    build_ensemble,
-    solve_decoders,
-    tuning_curves,
-)
+from .ensembles import Ensemble, build_ensemble, solve_decoders, tuning_curves
 from .errors import ConfigError, DataError, NumericError, SnnDetectError
 from .evaluation import GroundTruth, SweepResult, compare_filters, f1_score, sweep_tau
-from .neurons import LifParams, LifState, lif_rate, lif_step
+from .neurons import lif_rate
 from .pipeline import (
     AdaptivePolicy,
     DetectionReport,

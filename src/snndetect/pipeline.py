@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble, EnsembleConfig, build_ensemble
-from .errors import ConfigError, DataError, check_int, check_real
+from .ensembles import Ensemble, build_ensemble
+from .errors import ConfigError, DataError, NumericError, check_int, check_real
 from .simulator import SimResult, simulate_cascade
 
 SENSORS = ("PD1", "PD2", "BD")
@@ -61,18 +61,12 @@ class SignalSeries:
         return int(idx)
 
 
-def load_layer_series(
-    path,
-    schema: tuple[str, str] = ("layer", "value"),
-    sensor: str = "PD1",
-    condition: str = "healthy",
-) -> SignalSeries:
-    """Parse a layer/value CSV into a validated, layer-sorted series.
+def load_layer_series(path, condition: str = "healthy") -> SignalSeries:
+    """Parse a layer/value CSV into a validated, layer-sorted PD1 series.
 
     Lines starting with '#' are treated as comments. Errors name the
     offending physical row (1-based, comments and header included).
     """
-    layer_col, value_col = schema
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file does not exist: {path}")
@@ -87,20 +81,20 @@ def load_layer_series(
             cells = [c.strip() for c in line.split(",")]
             if header is None:
                 header = cells
-                for col in (layer_col, value_col):
+                for col in ("layer", "value"):
                     if col not in header:
                         raise DataError(f"row {row_no}: missing column {col!r} in header {header}")
-                li, vi = header.index(layer_col), header.index(value_col)
+                li, vi = header.index("layer"), header.index("value")
                 continue
             if len(cells) != len(header):
                 raise DataError(f"row {row_no}: expected {len(header)} cells, got {len(cells)}")
             try:
                 layer_f = float(cells[li])
-                layer = int(layer_f)
-                if layer != layer_f:
+                layer = int(layer_f)  # OverflowError for +-inf
+                if layer != layer_f or abs(layer) >= 2**63:
                     raise ValueError
-            except ValueError:
-                raise DataError(f"row {row_no}: layer {cells[li]!r} is not an integer") from None
+            except (ValueError, OverflowError):
+                raise DataError(f"row {row_no}: layer {cells[li]!r} is not a 64-bit integer") from None
             try:
                 value = float(cells[vi])
             except ValueError:
@@ -116,7 +110,7 @@ def load_layer_series(
     rows.sort(key=lambda r: r[0])
     layers = np.array([r[0] for r in rows], dtype=np.int64)
     values = np.array([r[1] for r in rows])
-    return SignalSeries(sensor=sensor, condition=condition, layers=layers, values=values,
+    return SignalSeries(sensor="PD1", condition=condition, layers=layers, values=values,
                         metadata={"source": str(path)})
 
 
@@ -175,11 +169,7 @@ class FilterConfig:
 
 def build_filter_ensembles(cfg: FilterConfig) -> list[Ensemble]:
     """One population per stage, seeded deterministically from cfg.seed."""
-    ensembles = []
-    for s, size in enumerate(cfg.stage_sizes()):
-        econf = EnsembleConfig(n_neurons=size, radius=cfg.radius)
-        ensembles.append(build_ensemble(econf, seed=cfg.seed + s))
-    return ensembles
+    return [build_ensemble(size, cfg.radius, cfg.seed + s) for s, size in enumerate(cfg.stage_sizes())]
 
 
 def run_filter(
@@ -301,6 +291,7 @@ class FixedPolicy:
     threshold_pct: float
 
     def __post_init__(self) -> None:
+        check_real("threshold_pct", self.threshold_pct)
         if not self.threshold_pct > 0:
             raise ConfigError(f"threshold must be positive, got {self.threshold_pct}")
 
@@ -320,6 +311,8 @@ class AdaptivePolicy:
     min_threshold_pct: float = 5.0
 
     def __post_init__(self) -> None:
+        check_real("k", self.k)
+        check_real("min_threshold_pct", self.min_threshold_pct)
         if not self.k > 0:
             raise ConfigError(f"k must be positive, got {self.k}")
         if not self.min_threshold_pct > 0:
@@ -395,6 +388,8 @@ def flag_anomalies(dev: DeviationSeries, policy: FixedPolicy | AdaptivePolicy) -
     else:
         raise ConfigError(f"unknown policy type: {type(policy).__name__}")
 
+    if not math.isfinite(theta):
+        raise NumericError(f"{name}: threshold {theta} is not finite")
     flagged = tuple(int(l) for l in dev.layers[dev.values <= -theta])
     return DetectionReport(
         flagged_layers=flagged,

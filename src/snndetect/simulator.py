@@ -147,8 +147,8 @@ def simulate_cascade(
     gain_enc = [e.gains * e.encoders for e in ensembles]
     radii = [e.radius for e in ensembles]
     biases = [e.biases for e in ensembles]
-    spike_scale = [e.lif.i_spk / dt for e in ensembles]
-    v = [np.full((lanes, sizes[s]), ensembles[s].lif.e_l) for s in range(n_stages)]
+    spike_scale = 1.0 / dt  # unit spike current
+    v = [np.zeros((lanes, sizes[s])) for s in range(n_stages)]
     refr = [np.zeros((lanes, sizes[s])) for s in range(n_stages)]
 
     columns = np.ascontiguousarray(inputs.reshape(lanes, n_steps).T)
@@ -162,10 +162,10 @@ def simulate_cascade(
         for s, e in enumerate(ensembles):
             x_norm = np.minimum(np.maximum(x / radii[s], -1.0), 1.0)
             drive = gain_enc[s] * x_norm[:, None] + biases[s]
-            v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt, e.lif)
+            v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt)
             if spiked_all is not None:
                 spiked_all[:, bounds[s] : bounds[s + 1]] = spiked
-            r = out_syns[s].step(spiked * spike_scale[s])
+            r = out_syns[s].step(spiked * spike_scale)
             # one dot product per lane: a single (lanes x n) @ (n,) product
             # sums in a different order and drifts from the one-lane run
             x = np.array([e.decoders @ rb for rb in r])

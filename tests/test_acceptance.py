@@ -31,9 +31,9 @@ from snndetect.energy import (
     estimate_energy,
     reference_profiles,
 )
-from snndetect.ensembles import EnsembleConfig, build_ensemble
+from snndetect.ensembles import build_ensemble
 from snndetect.evaluation import GroundTruth, attach_metrics, compare_filters, sweep_tau
-from snndetect.neurons import LifParams, lif_rate, lif_step_arrays
+from snndetect.neurons import lif_rate, lif_step_arrays
 from snndetect.pipeline import (
     FilterConfig,
     build_filter_ensembles,
@@ -62,7 +62,7 @@ def build_case(sensor_noise, reduction, n_layers, junction_period=8, seed=42):
 
 @pytest.fixture(scope="module")
 def big_ensemble():
-    return build_ensemble(EnsembleConfig(n_neurons=500, radius=1100.0), seed=42)
+    return build_ensemble(500, 1100.0, 42)
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +81,18 @@ def test_c01_lif_rate_curve_oracle():
     # 20 random drives in (1, 10]; spike counting over 5 s at the production
     # timestep must match the closed form within 2% wherever rates >= 20 Hz
     start = time.monotonic()
-    p = LifParams()
     rng = np.random.default_rng(1)
     js = rng.uniform(1.0, 10.0, 20)
-    expected = np.array([lif_rate(j, p) for j in js])
+    expected = np.array([lif_rate(j) for j in js])
     keep = expected >= 20.0
     assert keep.sum() >= 15  # nearly all draws fire fast enough to score
 
     dt, duration = 0.001, 5.0
-    v = np.full(js.size, p.e_l)
+    v = np.zeros(js.size)
     refr = np.zeros(js.size)
     counts = np.zeros(js.size)
     for _ in range(int(duration / dt)):
-        v, refr, spiked = lif_step_arrays(v, refr, js, dt, p)
+        v, refr, spiked = lif_step_arrays(v, refr, js, dt)
         counts += spiked
     empirical = counts / duration
     rel = np.abs(empirical[keep] - expected[keep]) / expected[keep]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from snndetect.classifier import (
     train_classifier,
 )
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
-from snndetect.ensembles import EnsembleConfig, build_ensemble
+from snndetect.ensembles import build_ensemble
 from snndetect.errors import ConfigError, DataError, NumericError
 from snndetect.pipeline import FilterConfig
 from snndetect.simulator import simulate_cascade
@@ -220,10 +221,12 @@ def test_encoding_reads_the_last_cascade_stage():
 
 
 def test_input_between_intercepts_gives_silent_features():
-    # every intercept is well away from zero, so a zero input drives nothing
-    ens = build_ensemble(
-        EnsembleConfig(n_neurons=60, radius=1100.0, intercept_range=(0.5, 0.9)), seed=3
-    )
+    # every intercept is well away from zero, so a zero input drives nothing;
+    # the default tunings are moved there, each keeping its max rate
+    base = build_ensemble(60, 1100.0, 3)
+    intercepts = np.random.default_rng(3).uniform(0.5, 0.9, size=60)
+    gains = (base.gains + base.biases - 1.0) / (1.0 - intercepts)
+    ens = replace(base, intercepts=intercepts, gains=gains, biases=1.0 - gains * intercepts)
     s = gen_healthy(GenParams(noise_std=0.0, junction_spike_amplitude=0.0,
                               baseline_level=1e-6, seed=1))
     inputs = np.repeat(s.values, CFG.presentation_steps)

@@ -329,9 +329,9 @@ def test_populations_built_once_per_command(workdir, monkeypatch):
     calls = []
     real = pipeline.build_ensemble
 
-    def counting(config=None, seed=0):
+    def counting(n_neurons, radius, seed):
         calls.append(seed)
-        return real(config, seed)
+        return real(n_neurons, radius, seed)
 
     monkeypatch.setattr(pipeline, "build_ensemble", counting)
     data = workdir / "data"
@@ -442,3 +442,31 @@ def test_undecodable_input_exits_2(workdir, tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", ["1e400", "1e20"])
+def test_layer_outside_int64_names_the_row(workdir, tmp_path, capsys, cell):
+    csv = tmp_path / "huge.csv"
+    csv.write_text(f"layer,value\n600,5\n{cell},6\n")
+    code = main(["raster", "--input", str(csv), "--config", str(workdir / "config.json"),
+                 "--outdir", str(workdir / "huge")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: row 3: layer '{cell}'") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("policy", [("--k", "inf"), ("--k", "1e308"),
+                                    ("--policy", "fixed", "--threshold", "inf")])
+def test_non_finite_threshold_exits_2(workdir, capsys, policy):
+    # noise 60 puts the calibration MAD near 4%, so 1e308 x MAD overflows
+    data = workdir / "noisy"
+    assert main(["gen-data", "--outdir", str(data), "--seed", "42", "--window", "600:640",
+                 "--defect-start", "620", "--defect-layers", "5", "--noise-std", "60"]) == 0
+    out = workdir / "inf-threshold"
+    code = main(["detect", "--defective", str(data / "defective.csv"),
+                 "--healthy", str(data / "healthy.csv"), "--config", str(workdir / "config.json"),
+                 *policy, "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()

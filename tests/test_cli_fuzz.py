@@ -1,11 +1,13 @@
-"""Fuzz of the CLI error contract over the JSON inputs a user hands in.
+"""Fuzz of the CLI error contract over the documents a user hands in.
 
 Valid `--config`, `--truth` and classify-manifest documents get some of
 their values, at any depth, swapped for a wrong type, a bool, null, a
-list, a negative number or 1e400 (or dropped). Whatever comes in, main()
-returns 0 or 2, and a nonzero exit writes a one-line `error: ` message
-rather than a traceback. Valid sizes stay tiny (32 neurons, 20 layers, 2
-steps per layer), so each example runs in milliseconds.
+list, a negative number or 1e400 (or dropped). Valid layer CSVs get cells
+swapped for non-integral, huge, inf/nan, negative or empty ones, rows
+duplicated, or cells dropped. Whatever comes in, main() returns 0 or 2,
+and a nonzero exit writes a one-line `error: ` message rather than a
+traceback. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps per
+layer), so each example runs in milliseconds.
 """
 
 import copy
@@ -31,6 +33,11 @@ MANIFEST = {"window": [605, 615], "samples": [
     {"path": "data/healthy.csv", "label": 0, "sample_id": "h"},
     {"path": "data/defective.csv", "label": 1, "sample_id": "d"},
 ]}
+LAYER_ROWS = [[str(layer), "1000.0"] for layer in range(600, 620)]
+BAD_CELL = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "1e20", "-1e400", "612.5", "x", "-3"]),
+    st.floats().map(repr), st.integers(-2**70, 2**70).map(str),
+)
 FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
 
 
@@ -61,6 +68,26 @@ def mutated(draw, doc, drop=True):
         else:
             parent[path[-1]] = draw(BAD)
     return json.dumps(doc).replace(json.dumps(HUGE), "1e400")
+
+
+@st.composite
+def mutated_csv(draw):
+    """A 20-layer layer/value CSV with one to three cells, rows or cells spoiled."""
+    rows = copy.deepcopy(LAYER_ROWS)
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "duplicate", "drop"]))
+        if kind == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(BAD_CELL)
+        elif kind == "duplicate":
+            rows.insert(r, list(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            rows[r] = rows[r][:1]
+    return csv_text(rows)
+
+
+def csv_text(rows):
+    return "layer,value\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +143,21 @@ def test_manifest_documents(fx, text):
             "--epochs", "5")
 
 
+@FUZZ
+@given(text=mutated_csv())
+@example(text="layer,value\n600,5\n1e400,6\n")
+@example(text="layer,value\n600,5\n1e20,6\n")
+@example(text="layer,value\n")
+@example(text="")
+def test_layer_csv_documents(fx, text):
+    data = fx / "data"
+    run_cli(fx, "fuzz-layers.csv", text, "detect", "--defective", str(fx / "fuzz-layers.csv"),
+            "--healthy", str(data / "healthy.csv"), "--config", str(fx / "config.json"),
+            "--truth", str(data / "truth.json"))
+    run_cli(fx, "fuzz-layers.csv", text, "raster", "--input", str(fx / "fuzz-layers.csv"),
+            "--config", str(fx / "config.json"))
+
+
 def test_the_unmutated_documents_run(fx):
     assert run_cli(fx, "ok-config.json", json.dumps(CONFIG),
                    *detect_args(fx, fx / "ok-config.json", fx / "data" / "truth.json")) == 0
@@ -124,3 +166,5 @@ def test_the_unmutated_documents_run(fx):
     assert run_cli(fx, "ok-manifest.json", json.dumps(MANIFEST), "classify", "--manifest",
                    str(fx / "ok-manifest.json"), "--config", str(fx / "config.json"),
                    "--epochs", "5") == 0
+    assert run_cli(fx, "ok-layers.csv", csv_text(LAYER_ROWS), "raster", "--input",
+                   str(fx / "ok-layers.csv"), "--config", str(fx / "config.json")) == 0

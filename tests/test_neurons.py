@@ -5,154 +5,147 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snndetect.errors import ConfigError
-from snndetect.neurons import LifParams, LifState, lif_rate, lif_step
-
-P = LifParams()
+from snndetect.neurons import TAU_RC, TAU_REF, drive_for_rate, lif_rate, lif_step_arrays
 
 # frozen expectation for j=2, tau_rc=0.02, tau_ref=0.002:
 # 1 / (0.002 + 0.02 * ln 2)
 RATE_J2 = 63.04000219064139
 
 
-def fine_step_rate(j, duration=1.0, dt=1e-6, p=P):
+def fine_step_rate(j, duration=1.0, dt=1e-6):
     """Independent oracle: forward-Euler stepping of the membrane equation
     at a fine timestep, counting spikes per second."""
-    v = p.e_l
+    v = 0.0
     refr = 0.0
     count = 0
-    drive = j * (p.v_th - p.e_l)
-    inv_tau = dt / p.tau_rc
+    inv_tau = dt / TAU_RC
     steps = int(round(duration / dt))
     for _ in range(steps):
         if refr > 0:
             refr -= dt
             continue
-        v += inv_tau * (-(v - p.e_l) + drive)
-        if v >= p.v_th:
+        v += inv_tau * (-v + j)
+        if v >= 1.0:
             count += 1
-            v = p.e_l
-            refr = p.tau_ref
+            v = 0.0
+            refr = TAU_REF
     return count / duration
 
 
+def step(v, refr, j, dt=0.001):
+    """One neuron through one lif_step_arrays call: (v, refr, spiked)."""
+    v, refr, spiked = lif_step_arrays(np.array([v]), np.array([refr]), np.array([j]), dt)
+    return float(v[0]), float(refr[0]), bool(spiked[0])
+
+
 def test_rate_at_threshold_is_zero():
-    assert lif_rate(1.0, P) == 0.0
-    assert lif_rate(0.3, P) == 0.0
-    assert lif_rate(-5.0, P) == 0.0
+    assert lif_rate(1.0) == 0.0
+    assert lif_rate(0.3) == 0.0
+    assert lif_rate(-5.0) == 0.0
 
 
 def test_rate_approaches_refractory_ceiling():
-    assert lif_rate(1e12, P) == pytest.approx(1.0 / P.tau_ref, rel=1e-3)
-    assert lif_rate(50.0, P) < 1.0 / P.tau_ref
+    assert lif_rate(1e12) == pytest.approx(1.0 / TAU_REF, rel=1e-3)
+    assert lif_rate(50.0) < 1.0 / TAU_REF
 
 
 def test_rate_closed_form_matches_fine_simulation():
-    assert lif_rate(2.0, P) == pytest.approx(RATE_J2, rel=1e-9)
+    assert lif_rate(2.0) == pytest.approx(RATE_J2, rel=1e-9)
     empirical = fine_step_rate(2.0)
     assert empirical == pytest.approx(RATE_J2, rel=0.01)
 
 
 def test_rate_rejects_non_finite():
     with pytest.raises(ValueError):
-        lif_rate(float("nan"), P)
+        lif_rate(float("nan"))
     with pytest.raises(ValueError):
-        lif_rate(np.array([2.0, float("inf")]), P)
+        lif_rate(np.array([2.0, float("inf")]))
 
 
 def test_rate_vectorized_matches_scalar():
     js = np.array([0.5, 1.0, 1.5, 4.0])
-    rates = lif_rate(js, P)
+    rates = lif_rate(js)
     assert rates.shape == js.shape
     for j, r in zip(js, rates):
-        assert r == lif_rate(float(j), P)
+        assert r == lif_rate(float(j))
 
 
 @given(st.floats(min_value=1.0001, max_value=1e3), st.floats(min_value=1e-4, max_value=1e3))
 def test_rate_strictly_increasing_above_threshold(j, delta):
-    assert lif_rate(j + delta, P) > lif_rate(j, P)
+    assert lif_rate(j + delta) > lif_rate(j)
 
 
 def test_step_pure_leak_decay_is_exact():
     dt = 0.003
-    state = LifState(v=0.7)
-    new, spiked = lif_step(state, 0.0, dt, P)
+    v, _, spiked = step(0.7, 0.0, 0.0, dt)
     assert not spiked
-    assert new.v == pytest.approx(0.7 * math.exp(-dt / P.tau_rc), abs=1e-15)
+    assert v == pytest.approx(0.7 * math.exp(-dt / TAU_RC), abs=1e-15)
 
 
 def test_step_spike_resets_to_rest():
-    state = LifState(v=0.999)
-    new, spiked = lif_step(state, 50.0, 0.001, P)
+    v, refr, spiked = step(0.999, 0.0, 50.0)
     assert spiked
-    assert new.v == P.e_l
-    assert new.refractory_remaining > 0
+    assert v == 0.0
+    assert refr > 0
 
 
 def test_step_spike_count_matches_closed_form_rate():
-    state = LifState(v=P.e_l)
-    count = 0
+    v, refr, count = 0.0, 0.0, 0
     for _ in range(1000):
-        state, spiked = lif_step(state, 2.0, 0.001, P)
+        v, refr, spiked = step(v, refr, 2.0)
         count += spiked
     assert abs(count - RATE_J2 * 1.0) <= 1.0
 
 
 def test_step_refractory_holds_integration():
-    state = LifState(v=0.5, refractory_remaining=0.01)
-    new, spiked = lif_step(state, 5.0, 0.001, P)
+    v, refr, spiked = step(0.5, 0.01, 5.0)
     assert not spiked
-    assert new.v == pytest.approx(0.5)
-    assert new.refractory_remaining == pytest.approx(0.009)
+    assert v == pytest.approx(0.5)
+    assert refr == pytest.approx(0.009)
 
 
 def test_step_inter_spike_intervals_respect_refractory():
     dt = 0.001
-    state = LifState()
+    v, refr = 0.0, 0.0
     spike_steps = []
     for k in range(3000):
-        state, spiked = lif_step(state, 9.0, dt, P)
+        v, refr, spiked = step(v, refr, 9.0, dt)
         if spiked:
             spike_steps.append(k)
     assert len(spike_steps) > 100
     isis = np.diff(spike_steps) * dt
-    assert isis.min() >= P.tau_ref - dt / 2
+    assert isis.min() >= TAU_REF - dt / 2
 
 
 def test_step_voltage_never_ends_above_threshold():
-    state = LifState()
+    v, refr = 0.0, 0.0
     rng = np.random.default_rng(0)
     for _ in range(500):
-        state, _ = lif_step(state, float(rng.uniform(-3, 6)), 0.001, P)
-        assert state.v <= P.v_th
-
-
-def test_step_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        lif_step(LifState(), float("nan"), 0.001, P)
-    with pytest.raises(ValueError):
-        lif_step(LifState(), 1.0, 0.0, P)
+        v, refr, _ = step(v, refr, float(rng.uniform(-3, 6)))
+        assert v <= 1.0
 
 
 def test_exact_threshold_drive_never_fires():
     # at j = 1 the voltage converges to the threshold without crossing it;
     # rounding must not make it fire
-    state = LifState()
+    v, refr = 0.0, 0.0
     for _ in range(3000):
-        state, spiked = lif_step(state, 1.0, 0.001, P)
+        v, refr, spiked = step(v, refr, 1.0)
         assert not spiked
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"tau_rc": 0.0},
-        {"tau_rc": -1.0},
-        {"tau_ref": -1e-3},
-        {"v_th": 0.0, "e_l": 0.0},
-        {"g_l": 0.0},
-        {"i_spk": 0.0},
+        {"rate": 0.0},
+        {"rate": -1.0},
+        {"rate": 1.0 / TAU_REF},  # the refractory ceiling itself
+        {"rate": 600.0},
+        {"rate": float("nan")},
+        {"rate": np.array([300.0, float("inf")])},
     ],
 )
 def test_params_validation(kwargs):
+    # the rate is the one parameter a caller hands the fixed neuron model
     with pytest.raises(ConfigError):
-        LifParams(**kwargs)
+        drive_for_rate(**kwargs)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from snndetect.ensembles import EnsembleConfig, build_ensemble, tuning_curves
+from snndetect.ensembles import build_ensemble, tuning_curves
 from snndetect.errors import ConfigError
-from snndetect.neurons import lif_step_arrays
+from snndetect.neurons import TAU_REF, lif_step_arrays
 from snndetect.simulator import simulate_cascade
 from snndetect.synapses import Lowpass
 
@@ -12,7 +12,7 @@ DT = 0.001
 
 @pytest.fixture(scope="module")
 def ens():
-    return build_ensemble(EnsembleConfig(), seed=42)
+    return build_ensemble(500, 1100.0, 42)
 
 
 def settled_value(e, x, tau=0.005, duration=0.4, tail=0.15):
@@ -58,7 +58,7 @@ def test_raster_invariants(ens):
     for i in np.unique(raster.neuron_ids)[:50]:
         t = raster.times[raster.neuron_ids == i]
         if t.size > 1:
-            assert np.diff(t).min() >= ens.lif.tau_ref - DT / 2
+            assert np.diff(t).min() >= TAU_REF - DT / 2
 
 
 def test_empirical_rates_match_tuning_curves(ens):
@@ -83,8 +83,8 @@ def test_decoded_response_monotone_and_flat_beyond_radius(ens):
 
 
 def test_cascade_raster_offsets():
-    e1 = build_ensemble(EnsembleConfig(n_neurons=40), seed=1)
-    e2 = build_ensemble(EnsembleConfig(n_neurons=30), seed=2)
+    e1 = build_ensemble(40, 1100.0, 1)
+    e2 = build_ensemble(30, 1100.0, 2)
     res = simulate_cascade([e1, e2], np.full(500, 600.0), DT, [0.004, 0.004, 0.004])
     assert res.raster.n_neurons == 70
     assert res.raster.neuron_ids.max() >= 40  # second stage spiked too
@@ -106,7 +106,7 @@ def test_config_errors(ens):
         simulate_cascade([ens], np.zeros(10), 0.0, [0.003, 0.003])
     with pytest.raises(ValueError):
         simulate_cascade([ens], np.array([1.0, np.nan]), DT, [0.003, 0.003])
-    bad = build_ensemble(EnsembleConfig(n_neurons=20), seed=3)
+    bad = build_ensemble(20, 1100.0, 3)
     object.__setattr__(bad, "decoders", np.zeros(5))
     with pytest.raises(ConfigError):
         simulate_cascade([bad], np.zeros(10), DT, [0.003, 0.003])
@@ -126,25 +126,25 @@ def reference_cascade(ensembles, inputs, dt, taus):
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     in_syn = Lowpass(taus[0], dt)
     out_syns = [Lowpass(taus[s + 1], dt, n) for s, n in enumerate(sizes)]
-    v = [np.full(n, e.lif.e_l) for e, n in zip(ensembles, sizes)]
+    v = [np.zeros(n) for n in sizes]
     refr = [np.zeros(n) for n in sizes]
     decoded, ids, times = [], [], []
     for k, value in enumerate(inputs):
         x = in_syn.step(value)
         for s, e in enumerate(ensembles):
             drive = e.gains * e.encoders * min(max(x / e.radius, -1.0), 1.0) + e.biases
-            v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt, e.lif)
+            v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt)
             idx = np.nonzero(spiked)[0]
             ids.extend(idx + offsets[s])
             times.extend([k * dt] * idx.size)
-            x = e.decoders @ out_syns[s].step(spiked * (e.lif.i_spk / dt))
+            x = e.decoders @ out_syns[s].step(spiked * (1.0 / dt))
         decoded.append(x)
     return np.array(decoded), np.array(ids, dtype=np.int64), np.array(times)
 
 
 @pytest.mark.parametrize("sizes", [(60,), (40, 30)])
 def test_lanes_match_reference_loop_bit_for_bit(sizes):
-    ensembles = [build_ensemble(EnsembleConfig(n_neurons=n), seed=s) for s, n in enumerate(sizes)]
+    ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
     inputs = lane_signals(2, 150)
     taus = np.array([[0.002] * (len(sizes) + 1), [0.006] * (len(sizes) + 1)])
     res = simulate_cascade(ensembles, inputs, DT, taus)
@@ -171,7 +171,7 @@ def assert_same_run(batched, single):
 @pytest.mark.parametrize("per_lane_taus", [False, True])
 @pytest.mark.parametrize("sizes", [(60,), (40, 30)])
 def test_each_lane_equals_its_single_run(sizes, per_lane_taus):
-    ensembles = [build_ensemble(EnsembleConfig(n_neurons=n), seed=s) for s, n in enumerate(sizes)]
+    ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
     inputs = lane_signals(4, 120)
     links = len(sizes) + 1
     if per_lane_taus:
@@ -199,7 +199,7 @@ def test_padded_lane_prefix_is_exact(ens):
 
 
 def test_batched_raster_lays_lanes_side_by_side():
-    e = build_ensemble(EnsembleConfig(n_neurons=40), seed=1)
+    e = build_ensemble(40, 1100.0, 1)
     inputs = np.stack([np.full(200, 600.0), np.full(200, -600.0)])
     res = simulate_cascade([e], inputs, DT, [0.004, 0.004])
     raster = res.raster
