@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_real
 from .pipeline import FilterConfig, SignalSeries, run_filter
 
 PROB_EPS = 1e-12
@@ -170,6 +170,7 @@ def train_classifier(
         raise ConfigError(f"inconsistent feature lengths: {sorted(dims)}")
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    check_real("lr", lr)
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
 

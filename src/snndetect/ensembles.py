@@ -16,6 +16,7 @@ out of the decoded signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class Ensemble:
         return self.gains * self.encoders * x_norm + self.biases
 
 
+@lru_cache(maxsize=32, typed=True)
 def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
     """Sample tunings and solve identity decoders; deterministic per seed.
 
@@ -56,6 +58,9 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
     uniform over INTERCEPT_RANGE and MAX_RATE_RANGE. Gain and bias follow
     from the two calibration constraints (threshold at the intercept, max
     rate at the end of the range).
+
+    Builds are memoised per (n_neurons, radius, seed) within a process:
+    equal arguments return the same Ensemble, whose arrays are read-only.
     """
     rng = np.random.default_rng(seed)
     encoders = rng.choice(np.array([-1.0, 1.0]), size=n_neurons)
@@ -68,10 +73,7 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
 
     xs = np.linspace(-radius, radius, DECODE_POINTS)
     a = _rates(gains * encoders, biases, xs / radius).T  # points x neurons
-    return Ensemble(
-        n_neurons=n_neurons,
-        radius=radius,
-        seed=seed,
+    arrays = dict(
         encoders=encoders,
         gains=gains,
         biases=biases,
@@ -79,6 +81,9 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
         max_rates=max_rates,
         decoders=solve_decoders(a, xs),
     )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return Ensemble(n_neurons=n_neurons, radius=radius, seed=seed, **arrays)
 
 
 def _rates(gain_enc: np.ndarray, biases: np.ndarray, x_norm: np.ndarray) -> np.ndarray:

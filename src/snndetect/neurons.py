@@ -56,27 +56,39 @@ def lif_step_arrays(
     refr: np.ndarray,
     j: np.ndarray,
     dt: float,
+    spiked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized one-step LIF update; returns (v_next, refr_next, spiked).
+    """Vectorized one-step LIF update, in place; returns (v, refr, spiked).
 
     Integrates the exact exponential solution over the part of the step not
     consumed by the refractory period. A threshold crossing inside the step
     is located analytically, and the refractory clock starts at the crossing
     rather than at the step edge, so spike timing does not inherit the step
-    quantization. Inputs are not modified.
+    quantization. `v` and `refr` are overwritten with the next state and the
+    spike mask is written into `spiked`, a bool array of the same shape
+    (allocated when omitted); `j` is not modified.
     """
-    delta = np.minimum(np.maximum(dt - refr, 0.0), dt)
-    v_next = j + (v - j) * np.exp(-delta / TAU_RC)
+    decay = np.subtract(dt, refr)
+    np.maximum(decay, 0.0, out=decay)
+    np.minimum(decay, dt, out=decay)  # the integrated part of the step
+    np.negative(decay, out=decay)
+    decay /= TAU_RC
+    np.exp(decay, out=decay)
+    v -= j
+    v *= decay
+    v += j
     # floor at the rest level: without it, strongly inhibited neurons charge
     # far below rest and take tens of ms to recover when the drive returns,
     # smearing the response past sudden signal steps
-    v_next = np.maximum(v_next, 0.0)
-    refr_next = np.maximum(refr - dt, 0.0)
-    spiked = v_next > 1.0
-    if spiked.any():
+    np.maximum(v, 0.0, out=v)
+    refr -= dt
+    np.maximum(refr, 0.0, out=refr)
+    spiked = np.greater(v, 1.0, out=spiked)
+    hit = np.flatnonzero(spiked)
+    if hit.size:
         # time between the crossing and the end of the step
-        overshoot = (v_next[spiked] - 1.0) / (j[spiked] - 1.0)
+        overshoot = (v.take(hit) - 1.0) / (j.take(hit) - 1.0)
         t_after = -TAU_RC * np.log1p(-overshoot)
-        refr_next[spiked] = np.maximum(TAU_REF - t_after, 0.0)
-        v_next[spiked] = 0.0
-    return v_next, refr_next, spiked
+        refr.put(hit, np.maximum(TAU_REF - t_after, 0.0))
+        v.put(hit, 0.0)
+    return v, refr, spiked

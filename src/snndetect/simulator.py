@@ -28,6 +28,8 @@ from .errors import ConfigError
 from .neurons import lif_step_arrays
 from .synapses import Lowpass
 
+SPIKE_BLOCK_BYTES = 1 << 20  # bound on the unpacked spike masks held between packs
+
 
 @dataclass(frozen=True)
 class SpikeRaster:
@@ -142,37 +144,48 @@ def simulate_cascade(
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     n_total = int(bounds[-1])
 
+    # every buffer is allocated here and updated in place by the loop
     in_syn = Lowpass(taus[:, 0], dt, lanes)
     out_syns = [Lowpass(taus[:, s + 1], dt, (lanes, sizes[s])) for s in range(n_stages)]
     gain_enc = [e.gains * e.encoders for e in ensembles]
-    radii = [e.radius for e in ensembles]
-    biases = [e.biases for e in ensembles]
     spike_scale = 1.0 / dt  # unit spike current
-    v = [np.zeros((lanes, sizes[s])) for s in range(n_stages)]
-    refr = [np.zeros((lanes, sizes[s])) for s in range(n_stages)]
+    v = [np.zeros((lanes, n)) for n in sizes]
+    refr = [np.zeros((lanes, n)) for n in sizes]
+    # the drive of a stage, reused for its scaled spikes once the LIF step is done
+    drive = [np.empty((lanes, n)) for n in sizes]
+    x_norm = np.empty(lanes)
+    x_mid = np.empty(lanes)  # decoded output of a stage that feeds the next
 
     columns = np.ascontiguousarray(inputs.reshape(lanes, n_steps).T)
     decoded = np.empty((lanes, n_steps))
     rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
-    spiked_all = np.zeros((lanes, n_total), dtype=bool) if n_stages > 1 else None
+    # spike masks of `block` steps, all stages side by side, packed once per block
+    block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, lanes * n_total)))
+    spiked = np.empty((block, lanes, n_total), dtype=bool)
 
     for k in range(n_steps):
+        i = k % block
         x = in_syn.step(columns[k])
         for s, e in enumerate(ensembles):
-            x_norm = np.minimum(np.maximum(x / radii[s], -1.0), 1.0)
-            drive = gain_enc[s] * x_norm[:, None] + biases[s]
-            v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt)
-            if spiked_all is not None:
-                spiked_all[:, bounds[s] : bounds[s + 1]] = spiked
-            r = out_syns[s].step(spiked * spike_scale)
-            # one dot product per lane: a single (lanes x n) @ (n,) product
-            # sums in a different order and drifts from the one-lane run
-            x = np.array([e.decoders @ rb for rb in r])
-        decoded[:, k] = x
-        spikes[k] = np.packbits(spiked if spiked_all is None else spiked_all, axis=-1)
+            np.divide(x, e.radius, out=x_norm)
+            np.maximum(x_norm, -1.0, out=x_norm)
+            np.minimum(x_norm, 1.0, out=x_norm)
+            np.multiply(gain_enc[s], x_norm[:, None], out=drive[s])
+            drive[s] += e.biases
+            mask = spiked[i, :, bounds[s] : bounds[s + 1]]
+            lif_step_arrays(v[s], refr[s], drive[s], dt, mask)
+            np.copyto(drive[s], mask)
+            drive[s] *= spike_scale
+            r = out_syns[s].step(drive[s])
+            # one dot product per lane row: vecdot runs the same per-row dot
+            # as a one-lane run, where a single (lanes x n) @ (n,) product
+            # sums in a different order and drifts from it
+            x = np.vecdot(r, e.decoders, out=decoded[:, k] if s == n_stages - 1 else x_mid)
         if rates is not None:
             rates[:, k] = r
+        if i == block - 1 or k == n_steps - 1:
+            spikes[k - i : k + 1] = np.packbits(spiked[: i + 1], axis=-1)
 
     if inputs.ndim == 1:
         decoded = decoded[0]

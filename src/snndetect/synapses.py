@@ -59,5 +59,7 @@ class Lowpass:
         self.y = np.zeros(shape)
 
     def step(self, x):
-        self.y = self.y * self.decay + x * self.gain
+        """Advance one step in place; returns the state array `y` itself."""
+        self.y *= self.decay
+        self.y += x * self.gain
         return self.y

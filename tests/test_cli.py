@@ -470,3 +470,46 @@ def test_non_finite_threshold_exits_2(workdir, capsys, policy):
     assert code == 2
     assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+def _float_flag_argv(workdir, command, flag, value):
+    """A command line of `command` with `flag` set to `value`, over the workdir fixtures."""
+    data = workdir / "data"
+    pair = ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv")]
+    config = ["--config", str(workdir / "config.json")]
+    if command == "classify":
+        manifest = workdir / "lr-manifest.json"
+        manifest.write_text(json.dumps({"window": [620, 628], "samples": [
+            {"path": "data/healthy.csv", "label": 0},
+            {"path": "data/defective.csv", "label": 1},
+        ]}))
+        rest = ["--manifest", str(manifest), "--epochs", "3", *config]
+    elif command == "sweep":
+        rest = [*pair, "--truth", str(data / "truth.json"), *config]
+    elif command == "detect":
+        rest = [*pair, *config] + (["--policy", "fixed"] if flag == "--threshold" else [])
+    else:  # gen-data and energy build their own inputs
+        rest = []
+    return [command, *rest, flag, value, "--outdir", str(workdir / "non-finite")]
+
+
+FLOAT_FLAGS = [
+    ("detect", "--k"), ("detect", "--threshold"), ("sweep", "--taus"),
+    ("gen-data", "--reduction"), ("gen-data", "--noise-std"),
+    ("gen-data", "--junction-amplitude"), ("gen-data", "--baseline-level"),
+    ("gen-data", "--dip-fraction"), ("energy", "--noise-std"), ("classify", "--lr"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
+def test_float_flags_reject_non_finite(workdir, capsys, command, flag, value):
+    # every float flag is checked for finiteness before anything is written;
+    # classify --lr nan/inf used to train to NaN losses and exit 0
+    code = main(_float_flag_argv(workdir, command, flag, value))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    out = workdir / "non-finite"
+    assert not out.exists() or not any(out.iterdir())
+

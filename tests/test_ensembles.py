@@ -6,6 +6,8 @@ from snndetect.errors import ConfigError, NumericError
 from snndetect.neurons import lif_rate, lif_step_arrays
 from snndetect.pipeline import FilterConfig
 
+ARRAYS = ("encoders", "gains", "biases", "intercepts", "max_rates", "decoders")
+
 
 @pytest.fixture(scope="module")
 def ens():
@@ -27,11 +29,24 @@ def simulated_rate(j, duration=2.0, dt=0.001):
 
 
 def test_build_is_deterministic(ens):
-    other = build_ensemble(500, 1100.0, 42)
-    for attr in ("encoders", "gains", "biases", "intercepts", "max_rates", "decoders"):
+    other = build_ensemble.__wrapped__(500, 1100.0, 42)  # a fresh build, past the memo
+    assert other is not ens
+    for attr in ARRAYS:
         np.testing.assert_array_equal(getattr(ens, attr), getattr(other, attr))
     different = build_ensemble(500, 1100.0, 43)
     assert not np.array_equal(ens.gains, different.gains)
+
+
+def test_builds_are_memoised_and_read_only():
+    e = build_ensemble(80, 1100.0, 5)
+    assert build_ensemble(80, 1100.0, 5) is e
+    other = build_ensemble(80, 1100.0, 6)
+    assert other is not e and not np.array_equal(other.gains, e.gains)
+    for attr in ARRAYS:
+        arr = getattr(e, attr)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_tuning_constraints_hold_exactly(ens):

@@ -134,6 +134,56 @@ def test_exact_threshold_drive_never_fires():
         assert not spiked
 
 
+def reference_step(v, refr, j, dt):
+    """The out-of-place LIF update the in-place one replaced, kept as its oracle."""
+    delta = np.minimum(np.maximum(dt - refr, 0.0), dt)
+    v_next = j + (v - j) * np.exp(-delta / TAU_RC)
+    v_next = np.maximum(v_next, 0.0)
+    refr_next = np.maximum(refr - dt, 0.0)
+    spiked = v_next > 1.0
+    if spiked.any():
+        overshoot = (v_next[spiked] - 1.0) / (j[spiked] - 1.0)
+        t_after = -TAU_RC * np.log1p(-overshoot)
+        refr_next[spiked] = np.maximum(TAU_REF - t_after, 0.0)
+        v_next[spiked] = 0.0
+    return v_next, refr_next, spiked
+
+
+@pytest.mark.parametrize("case", ["random", "refractory", "threshold"])
+def test_in_place_step_matches_the_out_of_place_reference(case):
+    rng = np.random.default_rng(5)
+    shape, dt = (3, 200), 0.001
+    v = rng.uniform(0.0, 1.0, shape)
+    refr = np.zeros(shape)
+    j = rng.uniform(-3.0, 8.0, shape)
+    if case == "refractory":
+        # below, at and above one step of refractory time left
+        refr = rng.choice([0.0, 0.5 * dt, dt, 1.5 * dt, TAU_REF], size=shape)
+    elif case == "threshold":
+        j[:, ::2] = 1.0  # the voltage creeps up to the threshold and must never cross
+        v[:, ::4] = 1.0
+    j_before = j.copy()
+    want_v, want_refr = v.copy(), refr.copy()
+    # a strided view, as the simulator hands in a stage's columns of a wider block
+    spiked = np.ones((shape[0], shape[1] + 50), dtype=bool)[:, 20 : 20 + shape[1]]
+    fired = 0
+    for _ in range(300):
+        want_v, want_refr, want_spiked = reference_step(want_v, want_refr, j, dt)
+        out = lif_step_arrays(v, refr, j, dt, spiked)
+        assert out[0] is v and out[1] is refr and out[2] is spiked
+        np.testing.assert_array_equal(v, want_v)
+        np.testing.assert_array_equal(refr, want_refr)
+        np.testing.assert_array_equal(spiked, want_spiked)
+        fired += int(spiked.sum())
+    np.testing.assert_array_equal(j, j_before)
+    assert fired > 1000
+    # without a mask buffer the step allocates one and computes the same
+    want = reference_step(v.copy(), refr.copy(), j, dt)
+    got = lif_step_arrays(v, refr, j, dt)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from snndetect import simulator
 from snndetect.ensembles import build_ensemble, tuning_curves
 from snndetect.errors import ConfigError
 from snndetect.neurons import TAU_REF, lif_step_arrays
@@ -106,8 +109,7 @@ def test_config_errors(ens):
         simulate_cascade([ens], np.zeros(10), 0.0, [0.003, 0.003])
     with pytest.raises(ValueError):
         simulate_cascade([ens], np.array([1.0, np.nan]), DT, [0.003, 0.003])
-    bad = build_ensemble(20, 1100.0, 3)
-    object.__setattr__(bad, "decoders", np.zeros(5))
+    bad = replace(build_ensemble(20, 1100.0, 3), decoders=np.zeros(5))
     with pytest.raises(ConfigError):
         simulate_cascade([bad], np.zeros(10), DT, [0.003, 0.003])
 
@@ -121,14 +123,15 @@ def lane_signals(lanes, steps):
 
 def reference_cascade(ensembles, inputs, dt, taus):
     """One series at a time with scalar synapses and per-step spike events:
-    the straightforward loop the lane-batched simulator must reproduce."""
+    the straightforward loop the lane-batched simulator must reproduce.
+    Returns decoded values, the last stage's rates, spike ids and times."""
     sizes = [e.n_neurons for e in ensembles]
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     in_syn = Lowpass(taus[0], dt)
     out_syns = [Lowpass(taus[s + 1], dt, n) for s, n in enumerate(sizes)]
     v = [np.zeros(n) for n in sizes]
     refr = [np.zeros(n) for n in sizes]
-    decoded, ids, times = [], [], []
+    decoded, rates, ids, times = [], [], [], []
     for k, value in enumerate(inputs):
         x = in_syn.step(value)
         for s, e in enumerate(ensembles):
@@ -137,23 +140,35 @@ def reference_cascade(ensembles, inputs, dt, taus):
             idx = np.nonzero(spiked)[0]
             ids.extend(idx + offsets[s])
             times.extend([k * dt] * idx.size)
-            x = e.decoders @ out_syns[s].step(spiked * (1.0 / dt))
+            r = out_syns[s].step(spiked * (1.0 / dt))
+            x = e.decoders @ r
         decoded.append(x)
-    return np.array(decoded), np.array(ids, dtype=np.int64), np.array(times)
+        rates.append(r.copy())  # the synapse state is updated in place
+    return np.array(decoded), np.array(rates), np.array(ids, dtype=np.int64), np.array(times)
 
 
-@pytest.mark.parametrize("sizes", [(60,), (40, 30)])
-def test_lanes_match_reference_loop_bit_for_bit(sizes):
+@pytest.mark.parametrize("sizes", [(60,), (40, 30), (40, 30, 25)])
+def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
     inputs = lane_signals(2, 150)
     taus = np.array([[0.002] * (len(sizes) + 1), [0.006] * (len(sizes) + 1)])
-    res = simulate_cascade(ensembles, inputs, DT, taus)
-    for b in range(2):
-        decoded, ids, times = reference_cascade(ensembles, inputs[b], DT, taus[b])
-        lane = res.lane(b)
-        np.testing.assert_array_equal(lane.decoded, decoded)
-        np.testing.assert_array_equal(lane.raster.neuron_ids, ids)
-        np.testing.assert_array_equal(lane.raster.times, times)
+    refs = [reference_cascade(ensembles, inputs[b], DT, taus[b]) for b in range(2)]
+    # one spike block for the whole run, then blocks of 7 steps: 150 is not
+    # a multiple of 7, so the last block is partial
+    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * sum(sizes)):
+        monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
+        for record_rates in (False, True):
+            res = simulate_cascade(ensembles, inputs, DT, taus, record_rates=record_rates)
+            for b, (decoded, rates, ids, times) in enumerate(refs):
+                lane = res.lane(b)
+                np.testing.assert_array_equal(lane.decoded, decoded)
+                np.testing.assert_array_equal(lane.raster.neuron_ids, ids)
+                np.testing.assert_array_equal(lane.raster.times, times)
+                if record_rates:
+                    np.testing.assert_array_equal(lane.rates, rates)
+                else:
+                    assert lane.rates is None
+    assert ids.size > 100 and np.any(ids >= sum(sizes[:-1]))  # the last stage fires too
 
 
 def assert_same_run(batched, single):
@@ -216,3 +231,11 @@ def test_lane_shape_errors(ens):
         simulate_cascade([ens], np.zeros((2, 10)), DT, np.full((3, 2), 0.003))  # 3 rows, 2 lanes
     with pytest.raises(ValueError):
         simulate_cascade([ens], np.zeros((2, 3, 4)), DT, [0.003, 0.003])
+
+
+def test_empty_runs_keep_their_shapes():
+    e = build_ensemble(20, 1100.0, 1)
+    no_lanes = simulate_cascade([e], np.zeros((0, 5)), DT, [0.002, 0.002])
+    assert no_lanes.decoded.shape == (0, 5) and no_lanes.spikes.shape == (5, 0, 3)
+    no_steps = simulate_cascade([e], np.zeros(0), DT, [0.002, 0.002])
+    assert no_steps.decoded.shape == (0,) and no_steps.spikes.shape == (0, 1, 3)
