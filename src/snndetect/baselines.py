@@ -4,15 +4,22 @@ All four are linear with unit DC gain. The Butterworth filter runs
 forward-backward so no filter introduces phase lag: a lagging filter
 would shift the detected dip onto the wrong layer. Edges use reflect
 padding (no repeated edge sample) to avoid spurious boundary dips.
+
+Savitzky-Golay and Butterworth are plain numpy. Their arithmetic follows
+the usual reference implementation step for step (least-squares window
+weights; prewarped bilinear design, steady-state initial conditions and
+a forward-backward pass), and tests/test_baselines.py checks them
+against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int, check_real
 from .pipeline import SignalSeries
 
 KINDS = ("savitzky_golay", "butterworth", "moving_average", "gaussian")
@@ -31,19 +38,22 @@ class BaselineFilterSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown filter kind {self.kind!r}, expected one of {KINDS}")
         if self.kind in ("moving_average", "savitzky_golay"):
-            if self.window is None or self.window < 3 or self.window % 2 == 0:
+            check_int("window", self.window)
+            if self.window < 3 or self.window % 2 == 0:
                 raise ConfigError(f"window must be odd and >= 3, got {self.window}")
         if self.kind == "savitzky_golay":
-            if self.polyorder is None or not (0 <= self.polyorder < self.window):
+            check_int("polyorder", self.polyorder)
+            if not (0 <= self.polyorder < self.window):
                 raise ConfigError(f"polyorder must satisfy 0 <= polyorder < window, got {self.polyorder}")
         if self.kind == "butterworth":
-            if self.cutoff is None or not (0.0 < self.cutoff < 1.0):
+            check_real("cutoff", self.cutoff)
+            if not (0.0 < self.cutoff < 1.0):
                 raise ConfigError(f"normalized cutoff must lie in (0, 1), got {self.cutoff}")
-            if self.order < 1:
-                raise ConfigError(f"order must be >= 1, got {self.order}")
+            check_int("order", self.order, minimum=1)
         if self.kind == "gaussian":
-            if self.sigma is None or not self.sigma > 0:
-                raise ConfigError(f"sigma must be positive, got {self.sigma}")
+            check_real("sigma", self.sigma)
+            if not (self.sigma > 0 and math.isfinite(4.0 * self.sigma)):
+                raise ConfigError(f"sigma must be positive with a finite half-width 4*sigma, got {self.sigma}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineFilterSpec":
@@ -64,11 +74,58 @@ def default_specs() -> list[BaselineFilterSpec]:
 
 
 def _reflect_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    half = kernel.size // 2
-    if values.size <= half:
-        raise DataError(f"series length {values.size} is too short for kernel size {kernel.size}")
-    padded = np.pad(values, half, mode="reflect")
-    return np.convolve(padded, kernel, mode="valid")
+    half = kernel.size // 2  # callers keep half < values.size
+    return np.convolve(np.pad(values, half, mode="reflect"), kernel, mode="valid")
+
+
+def _savgol_kernel(window: int, polyorder: int) -> np.ndarray:
+    """Weights of the least-squares polynomial's value at the window centre,
+    in convolution order (offsets reversed)."""
+    half = window // 2
+    offsets = np.arange(half, -half - 1, -1, dtype=float)
+    vander = offsets ** np.arange(polyorder + 1).reshape(-1, 1)
+    target = np.zeros(polyorder + 1)
+    target[0] = 1.0
+    return np.linalg.lstsq(vander, target, rcond=None)[0]
+
+
+def _butter(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Digital low-pass Butterworth `b`, `a`: the analog prototype's poles,
+    prewarped to `cutoff` and mapped by the bilinear transform at fs = 2."""
+    warped = float(4.0 * np.tan(np.pi * cutoff / 2.0))
+    poles = warped * -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=float) / (2 * order))
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
+    b = gain * np.poly(-np.ones(order))
+    a = np.poly((4.0 + poles) / (4.0 - poles))
+    return b, a
+
+
+def _lfilter(b: list[float], a: list[float], x: np.ndarray, z: list[float]) -> np.ndarray:
+    """One direct-form II transposed pass from state `z` (a[0] == 1)."""
+    y = np.empty_like(x)
+    last = len(z) - 1
+    for k, xk in enumerate(x.tolist()):
+        yk = z[0] + b[0] * xk
+        for i in range(last):
+            z[i] = z[i + 1] + xk * b[i + 1] - yk * a[i + 1]
+        z[last] = xk * b[last + 1] - yk * a[last + 1]
+        y[k] = yk
+    return y
+
+
+def _filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-phase forward-backward filtering over even (reflect) extension,
+    each pass started from the step response's steady state."""
+    m = a.size - 1
+    companion = np.eye(m, k=-1)
+    companion[0] = -a[1:]
+    zi = np.linalg.solve(np.eye(m) - companion.T, b[1:] - a[1:] * b[0])
+    padlen = min(3 * (m + 1), x.size - 1)
+    ext = np.pad(x, padlen, mode="reflect")
+    bl, al = b.tolist(), a.tolist()
+    y = _lfilter(bl, al, ext, (zi * ext[0]).tolist())
+    y = _lfilter(bl, al, y[::-1], (zi * y[-1]).tolist())[::-1]
+    return y[padlen:y.size - padlen]
 
 
 def apply_baseline_filter(series: SignalSeries, spec: BaselineFilterSpec) -> SignalSeries:
@@ -81,21 +138,17 @@ def apply_baseline_filter(series: SignalSeries, spec: BaselineFilterSpec) -> Sig
         kernel = np.full(spec.window, 1.0 / spec.window)
         y = _reflect_convolve(x, kernel)
     elif spec.kind == "gaussian":
+        if 4.0 * spec.sigma > x.size - 1:  # the kernel's half-width reaches past the series
+            raise DataError(f"series length {x.size} is too short for a gaussian of sigma {spec.sigma}")
         half = int(np.ceil(4.0 * spec.sigma))
         offsets = np.arange(-half, half + 1)
         kernel = np.exp(-0.5 * (offsets / spec.sigma) ** 2)
         kernel /= kernel.sum()
         y = _reflect_convolve(x, kernel)
     elif spec.kind == "butterworth":
-        from scipy import signal as sps  # on first use: the import costs over a second
-
-        b, a = sps.butter(spec.order, spec.cutoff, btype="low")
-        padlen = min(3 * max(len(a), len(b)), x.size - 1)
-        y = sps.filtfilt(b, a, x, padtype="even", padlen=padlen)
-    else:  # savitzky_golay; scipy's "mirror" matches numpy's reflect padding
-        from scipy import signal as sps
-
-        y = sps.savgol_filter(x, spec.window, spec.polyorder, mode="mirror")
+        y = _filtfilt(*_butter(spec.order, spec.cutoff), x)
+    else:  # savitzky_golay
+        y = _reflect_convolve(x, _savgol_kernel(spec.window, spec.polyorder))
 
     return SignalSeries(
         sensor=series.sensor,

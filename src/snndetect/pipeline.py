@@ -21,9 +21,6 @@ from .ensembles import Ensemble, build_ensemble
 from .errors import ConfigError, DataError, NumericError, check_int, check_real
 from .simulator import SimResult, simulate_cascade
 
-SENSORS = ("PD1", "PD2", "BD")
-PATCH_LOCATIONS = ("BL", "BR", "TL", "TR")
-
 CONFIG_KEYS = ("neurons", "radius", "dt", "presentation_time", "tau_in", "tau_out", "seed", "stages")
 
 

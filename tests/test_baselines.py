@@ -79,11 +79,26 @@ def test_spec_validation():
         BaselineFilterSpec(kind="butterworth", cutoff=0.0)
     with pytest.raises(ConfigError):
         BaselineFilterSpec(kind="gaussian", sigma=0.0)
+    for bad in (
+        dict(kind="moving_average", window=5.0),
+        dict(kind="savitzky_golay", window=5, polyorder=2.5),
+        dict(kind="butterworth", cutoff=0.5, order=2.5),
+        dict(kind="butterworth", cutoff=0.5, order=True),
+        dict(kind="butterworth", cutoff=float("nan")),
+        dict(kind="gaussian", sigma=True),
+        dict(kind="gaussian", sigma=1e308),  # its half-width 4*sigma overflows
+    ):
+        with pytest.raises(ConfigError):
+            BaselineFilterSpec(**bad)
 
 
 def test_series_shorter_than_window_errors():
     with pytest.raises(DataError):
         apply_baseline_filter(series([1.0, 2.0]), SPECS["moving_average"])
+    for sigma in (1e300, 10.0):  # a gaussian's half-width 4*sigma must be < the length
+        with pytest.raises(DataError):
+            apply_baseline_filter(series(np.ones(40)), BaselineFilterSpec(kind="gaussian", sigma=sigma))
+    apply_baseline_filter(series(np.ones(40)), BaselineFilterSpec(kind="gaussian", sigma=9.75))
 
 
 def test_layers_preserved():
@@ -91,3 +106,74 @@ def test_layers_preserved():
     out = apply_baseline_filter(s, SPECS["gaussian"])
     np.testing.assert_array_equal(out.layers, s.layers)
     assert out.metadata["filtered"] == "gaussian"
+
+
+# scipy.signal is the oracle for the numpy Savitzky-Golay and Butterworth
+# filters; numpy and scipy may order their sums differently, so values agree
+# to ORACLE_RTOL rather than bit for bit
+ORACLE_RTOL = 1e-12
+ORACLE_LENGTHS = range(1, 201)
+
+
+def scipy_filter(s, spec):
+    from scipy import signal as sps
+    x = s.values
+    if spec.kind == "savitzky_golay":
+        y = sps.savgol_filter(x, spec.window, spec.polyorder, mode="mirror")
+    elif spec.kind == "butterworth":
+        b, a = sps.butter(spec.order, spec.cutoff, btype="low")
+        y = sps.filtfilt(b, a, x, padtype="even", padlen=min(3 * (spec.order + 1), x.size - 1))
+    else:
+        return apply_baseline_filter(s, spec)
+    return SignalSeries(sensor=s.sensor, condition=s.condition, layers=s.layers, values=y,
+                        metadata={**dict(s.metadata), "filtered": spec.kind})
+
+
+@pytest.mark.parametrize("window,polyorder", [(3, 0), (5, 2), (5, 4), (7, 3), (9, 2)])
+def test_savgol_matches_scipy(window, polyorder):
+    pytest.importorskip("scipy.signal")
+    spec = BaselineFilterSpec(kind="savitzky_golay", window=window, polyorder=polyorder)
+    rng = np.random.default_rng(window * 10 + polyorder)
+    for n in ORACLE_LENGTHS:
+        s = series(rng.uniform(500.0, 1500.0, n))
+        if n < window:
+            with pytest.raises(DataError):
+                apply_baseline_filter(s, spec)
+            continue
+        np.testing.assert_allclose(apply_baseline_filter(s, spec).values,
+                                   scipy_filter(s, spec).values, rtol=ORACLE_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_butterworth_matches_scipy(order):
+    pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(order)
+    for cutoff in (0.05, 0.2, 0.5, 0.9):
+        spec = BaselineFilterSpec(kind="butterworth", cutoff=cutoff, order=order)
+        for n in ORACLE_LENGTHS:
+            s = series(rng.uniform(500.0, 1500.0, n))
+            np.testing.assert_allclose(apply_baseline_filter(s, spec).values,
+                                       scipy_filter(s, spec).values, rtol=ORACLE_RTOL, atol=0)
+
+
+def test_compare_rows_match_scipy(monkeypatch):
+    # the C4 acceptance case (66% drop over 7 layers, sensor noise 20) under cpu-pd1-66
+    pytest.importorskip("scipy.signal")
+    from snndetect import evaluation
+    from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
+    from snndetect.presets import get_preset
+
+    window = (570, 650)
+    defect = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=66.0)
+    defective = gen_defective(GenParams(layer_range=window, noise_std=20.0, junction_period=8,
+                                        seed=42), defect)
+    healthy = gen_healthy(GenParams(layer_range=window, noise_std=20.0, junction_period=8, seed=43))
+    truth = evaluation.GroundTruth(defect_layers=frozenset(defect.layers), window=window)
+    cfg = get_preset("cpu-pd1-66", seed=7)
+
+    rows = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth)
+    monkeypatch.setattr(evaluation, "apply_baseline_filter", scipy_filter)
+    oracle = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth)
+    assert [(r.name, r.precision, r.recall, r.f1) for r in rows] == \
+        [(r.name, r.precision, r.recall, r.f1) for r in oracle]
+    assert all(r.error is None for r in rows)

@@ -348,8 +348,8 @@ def test_populations_built_once_per_command(workdir, monkeypatch):
     assert calls == [3, 4]  # one population per cascade stage
 
 
-def test_scipy_loaded_only_by_compare(workdir):
-    # importing the CLI must not pay for scipy.signal; compare loads it on use
+def test_no_subcommand_loads_scipy(workdir):
+    # scipy is a test-only oracle: every subcommand, run in one process, leaves it unloaded
     import os
     import subprocess
     import sys
@@ -357,26 +357,65 @@ def test_scipy_loaded_only_by_compare(workdir):
     import snndetect
 
     data = workdir / "data"
+    pair = ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv")]
+    cfg = ["--config", str(workdir / "config.json")]
+    truth = ["--truth", str(data / "truth.json")]
+    manifest = workdir / "manifest.json"
+    manifest.write_text(json.dumps({"window": [605, 635], "samples": [
+        {"path": str(data / "healthy.csv"), "label": 0, "sample_id": "h"},
+        {"path": str(data / "defective.csv"), "label": 1, "sample_id": "d"},
+    ]}))
+    out = workdir / "all"
+    commands = [
+        ["gen-data", "--outdir", str(out / "gen"), "--seed", "3",
+         "--window", "600:640", "--defect-start", "620", "--defect-layers", "5"],
+        ["detect", *pair, *truth, *cfg, "--outdir", str(out / "detect")],
+        ["sweep", *pair, *truth, *cfg, "--taus", "0.002,0.004", "--outdir", str(out / "sweep")],
+        ["compare", *pair, *truth, *cfg, "--outdir", str(out / "compare")],
+        ["raster", "--input", str(data / "defective.csv"), *cfg, "--outdir", str(out / "raster")],
+        ["energy", "--preset", "cpu-pd1-66", "--seed", "3", "--outdir", str(out / "energy")],
+        ["classify", "--manifest", str(manifest), *cfg, "--epochs", "2",
+         "--outdir", str(out / "classify")],
+    ]
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from snndetect.cli import main\n"
-        "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported eagerly'\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(snndetect.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = workdir / "cmp"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "compare",
-         "--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv"),
-         "--truth", str(data / "truth.json"), "--config", str(workdir / "config.json"),
-         "--outdir", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = [l for l in (out / "compare.csv").read_text().splitlines()[2:] if l]
+    rows = [l for l in (out / "compare" / "compare.csv").read_text().splitlines()[2:] if l]
     assert [r.split(",")[0] for r in rows] == [
         "savitzky_golay", "butterworth", "moving_average", "gaussian", "snn"]
+
+
+@pytest.mark.parametrize("baseline", [
+    {"kind": "gaussian", "sigma": 1e308},
+    {"kind": "gaussian", "sigma": True},
+    {"kind": "moving_average", "window": 5.0},
+    {"kind": "savitzky_golay", "window": 5, "polyorder": 2.5},
+    {"kind": "butterworth", "cutoff": 0.5, "order": 2.5},
+    {"kind": "butterworth", "cutoff": 0.5, "order": True},
+], ids=["sigma-1e308", "sigma-true", "window-5.0", "polyorder-2.5", "order-2.5", "order-true"])
+def test_baseline_spec_rejected_by_type(workdir, tmp_path, capsys, baseline):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "baseline": baseline}))
+    data = workdir / "data"
+    code = main([
+        "compare", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+        "--config", str(path), "--outdir", str(workdir / "typed-baseline"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (workdir / "typed-baseline" / "compare.csv").exists()
 
 
 @pytest.mark.parametrize("truth", [
