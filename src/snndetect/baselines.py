@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_int, check_real
+from .errors import ConfigError, DataError, NumericError, check_int, check_real
 from .pipeline import SignalSeries
 
 KINDS = ("savitzky_golay", "butterworth", "moving_average", "gaussian")
@@ -50,6 +50,7 @@ class BaselineFilterSpec:
             if not (0.0 < self.cutoff < 1.0):
                 raise ConfigError(f"normalized cutoff must lie in (0, 1), got {self.cutoff}")
             check_int("order", self.order, minimum=1)
+            _butter(self.order, self.cutoff)  # rejects an unstable design before any run
         if self.kind == "gaussian":
             check_real("sigma", self.sigma)
             if not (self.sigma > 0 and math.isfinite(4.0 * self.sigma)):
@@ -91,12 +92,23 @@ def _savgol_kernel(window: int, polyorder: int) -> np.ndarray:
 
 def _butter(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Digital low-pass Butterworth `b`, `a`: the analog prototype's poles,
-    prewarped to `cutoff` and mapped by the bilinear transform at fs = 2."""
+    prewarped to `cutoff` and mapped by the bilinear transform at fs = 2.
+
+    The exact poles lie inside the unit circle, but at high order and low
+    cutoff the rounded coefficients of `a` put roots on or outside it, and
+    filtering with them diverges; such a design raises NumericError.
+    """
     warped = float(4.0 * np.tan(np.pi * cutoff / 2.0))
     poles = warped * -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=float) / (2 * order))
     gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
     b = gain * np.poly(-np.ones(order))
     a = np.poly((4.0 + poles) / (4.0 - poles))
+    radius = float(np.abs(np.roots(a)).max())
+    if radius >= 1.0:
+        raise NumericError(
+            f"butterworth of order {order} at cutoff {cutoff} is unstable: its denominator "
+            f"has a root with |z| = {radius:.3g} >= 1; lower the order or raise the cutoff"
+        )
     return b, a
 
 

@@ -134,9 +134,13 @@ def cross_entropy(probs, labels) -> float:
     p = np.asarray(probs, dtype=float)
     y = np.asarray(labels, dtype=float)
     _validate_probs_labels(p, y)
-    true_p = (p * y).sum(axis=1)
+    return _mean_nll((p * y).sum(axis=1))
+
+
+def _mean_nll(true_p: np.ndarray) -> float:
+    """The cross-entropy of already valid true-class probabilities."""
     if np.any(true_p <= 0):
-        warnings.warn("zero probability on a true class; clamping at 1e-12", stacklevel=2)
+        warnings.warn("zero probability on a true class; clamping at 1e-12", stacklevel=3)
     return float(-np.mean(np.log(np.maximum(true_p, PROB_EPS))))
 
 
@@ -185,9 +189,12 @@ def train_classifier(
     w = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
     history: list[float] = []
+    # softmax rows and one-hot labels are valid by construction, so each
+    # epoch reads the true-class probabilities without re-validating them
+    true_class = (np.arange(n), np.asarray(labels))
     for epoch in range(epochs):
         probs = softmax(xs @ w.T + b, axis=1)
-        loss = cross_entropy(probs, y)
+        loss = _mean_nll(probs[true_class])
         history.append(loss)
         if loss > 10.0 * history[0]:
             raise NumericError(

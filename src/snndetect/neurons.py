@@ -66,13 +66,15 @@ def lif_step_arrays(
     rather than at the step edge, so spike timing does not inherit the step
     quantization. `v` and `refr` are overwritten with the next state and the
     spike mask is written into `spiked`, a bool array of the same shape
-    (allocated when omitted); `j` is not modified.
+    (allocated when omitted); `j` is not modified. `refr` may hold any
+    value: the integrated part of the step is clamped to [0, dt]. Beyond
+    the decay factor, the only temporaries are the gathered entries of the
+    neurons that spiked.
     """
     decay = np.subtract(dt, refr)
     np.maximum(decay, 0.0, out=decay)
     np.minimum(decay, dt, out=decay)  # the integrated part of the step
-    np.negative(decay, out=decay)
-    decay /= TAU_RC
+    np.divide(decay, -TAU_RC, out=decay)
     np.exp(decay, out=decay)
     v -= j
     v *= decay
@@ -86,9 +88,18 @@ def lif_step_arrays(
     spiked = np.greater(v, 1.0, out=spiked)
     hit = np.flatnonzero(spiked)
     if hit.size:
-        # time between the crossing and the end of the step
-        overshoot = (v.take(hit) - 1.0) / (j.take(hit) - 1.0)
-        t_after = -TAU_RC * np.log1p(-overshoot)
-        refr.put(hit, np.maximum(TAU_REF - t_after, 0.0))
+        # the time between the crossing and the end of the step,
+        # -TAU_RC * log1p(-overshoot), sets the refractory time left
+        t = v.take(hit)
+        t -= 1.0
+        jh = j.take(hit)
+        jh -= 1.0
+        t /= jh  # the overshoot
+        np.negative(t, out=t)
+        np.log1p(t, out=t)
+        t *= -TAU_RC
+        np.subtract(TAU_REF, t, out=t)
+        np.maximum(t, 0.0, out=t)
+        refr.put(hit, t)
         v.put(hit, 0.0)
     return v, refr, spiked

@@ -271,7 +271,7 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
         raise DataError("series have no overlapping layers")
     dv = defective.values[di]
     hv = healthy.values[hi]
-    guard = 1e-9 * np.median(np.abs(hv))
+    guard = 1e-9 * _median(np.abs(hv))
     defined = np.abs(hv) > guard
     dev = 100.0 * (dv[defined] - hv[defined]) / hv[defined]
     return DeviationSeries(
@@ -279,6 +279,17 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
         values=dev,
         undefined=tuple(int(l) for l in common[~defined]),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, without the numpy.ma import that
+    np.median makes on first use: the middle value, or (a + b) / 2 of the
+    two middle values; NaN when any value is NaN."""
+    s = np.sort(values)  # NaNs sort last
+    if np.isnan(s[-1]):
+        return s[-1]
+    mid = s.size // 2
+    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 @dataclass(frozen=True)
@@ -376,7 +387,7 @@ def flag_anomalies(dev: DeviationSeries, policy: FixedPolicy | AdaptivePolicy) -
                 f"calibration range {policy.calibration} contains no deviation layers"
             )
         calibration = (int(dev.layers[mask][0]), int(dev.layers[mask][-1]))
-        mad = float(np.median(np.abs(cal - np.median(cal))))
+        mad = float(_median(np.abs(cal - _median(cal))))
         theta = policy.k * mad
         if theta == 0.0:
             theta = policy.min_threshold_pct

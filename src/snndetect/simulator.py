@@ -114,6 +114,11 @@ def simulate_cascade(
     entries), shared by every lane, or one such row per lane
     (lanes x links). Neuron ids in the raster are offset per stage in chain
     order. Fully deterministic: no randomness enters the loop.
+
+    The input link depends on the input alone, so it is filtered and
+    clipped at the first radius for the whole series before the step loop.
+    The loop then makes one LIF update and one output-synapse step per
+    stage and step, on buffers allocated once per call.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim not in (1, 2) or not np.all(np.isfinite(inputs)):
@@ -144,40 +149,52 @@ def simulate_cascade(
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     n_total = int(bounds[-1])
 
-    # every buffer is allocated here and updated in place by the loop
+    # the input synapse sees only the input, so its whole output is filtered
+    # up front and stage 0's clipped input is three whole-array calls
     in_syn = Lowpass(taus[:, 0], dt, lanes)
+    columns = inputs.reshape(lanes, n_steps).T
+    x_in = np.empty((n_steps, lanes))
+    for k in range(n_steps):
+        x_in[k] = in_syn.step(columns[k])
+    np.divide(x_in, ensembles[0].radius, out=x_in)
+    np.maximum(x_in, -1.0, out=x_in)
+    np.minimum(x_in, 1.0, out=x_in)
+
+    # every loop buffer is allocated here and updated in place by the loop;
+    # the unit spike current 1/dt is folded into each output synapse's gain,
+    # so a synapse takes the bool spike mask as it is
     out_syns = [Lowpass(taus[:, s + 1], dt, (lanes, sizes[s])) for s in range(n_stages)]
+    for syn in out_syns:
+        syn.gain = syn.gain * (1.0 / dt)
     gain_enc = [e.gains * e.encoders for e in ensembles]
-    spike_scale = 1.0 / dt  # unit spike current
     v = [np.zeros((lanes, n)) for n in sizes]
     refr = [np.zeros((lanes, n)) for n in sizes]
-    # the drive of a stage, reused for its scaled spikes once the LIF step is done
     drive = [np.empty((lanes, n)) for n in sizes]
     x_norm = np.empty(lanes)
     x_mid = np.empty(lanes)  # decoded output of a stage that feeds the next
 
-    columns = np.ascontiguousarray(inputs.reshape(lanes, n_steps).T)
     decoded = np.empty((lanes, n_steps))
     rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
     # spike masks of `block` steps, all stages side by side, packed once per block
     block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, lanes * n_total)))
     spiked = np.empty((block, lanes, n_total), dtype=bool)
+    masks = [[spiked[i, :, bounds[s] : bounds[s + 1]] for s in range(n_stages)]
+             for i in range(block)]
 
+    in_cols, norm_col = x_in[:, :, None], x_norm[:, None]
     for k in range(n_steps):
         i = k % block
-        x = in_syn.step(columns[k])
         for s, e in enumerate(ensembles):
-            np.divide(x, e.radius, out=x_norm)
-            np.maximum(x_norm, -1.0, out=x_norm)
-            np.minimum(x_norm, 1.0, out=x_norm)
-            np.multiply(gain_enc[s], x_norm[:, None], out=drive[s])
+            if s:
+                np.divide(x, e.radius, out=x_norm)
+                np.maximum(x_norm, -1.0, out=x_norm)
+                np.minimum(x_norm, 1.0, out=x_norm)
+            np.multiply(gain_enc[s], norm_col if s else in_cols[k], out=drive[s])
             drive[s] += e.biases
-            mask = spiked[i, :, bounds[s] : bounds[s + 1]]
+            mask = masks[i][s]
             lif_step_arrays(v[s], refr[s], drive[s], dt, mask)
-            np.copyto(drive[s], mask)
-            drive[s] *= spike_scale
-            r = out_syns[s].step(drive[s])
+            r = out_syns[s].step(mask)
             # one dot product per lane row: vecdot runs the same per-row dot
             # as a one-lane run, where a single (lanes x n) @ (n,) product
             # sums in a different order and drifts from it

@@ -1,8 +1,10 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
 from snndetect.baselines import KINDS, BaselineFilterSpec, apply_baseline_filter, default_specs
-from snndetect.errors import ConfigError, DataError
+from snndetect.errors import ConfigError, DataError, NumericError
 from snndetect.pipeline import SignalSeries
 
 
@@ -154,6 +156,26 @@ def test_butterworth_matches_scipy(order):
             s = series(rng.uniform(500.0, 1500.0, n))
             np.testing.assert_allclose(apply_baseline_filter(s, spec).values,
                                        scipy_filter(s, spec).values, rtol=ORACLE_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("order", [16, 20, 40])
+def test_unstable_butterworth_is_rejected(order):
+    # at cutoff 0.05 the rounded denominators of these orders have a root
+    # outside the unit circle (|z| about 1.08, 1.23, 2.05)
+    with pytest.raises(NumericError, match=f"order {order} at cutoff 0.05 is unstable"):
+        BaselineFilterSpec(kind="butterworth", cutoff=0.05, order=order)
+
+
+def test_order_twelve_butterworth_stays_within_the_series():
+    # the highest order below 16 that these tests pin at cutoff 0.05 (|z| about 0.98)
+    from snndetect.datagen import GenParams, gen_healthy
+
+    s = gen_healthy(GenParams(seed=42))
+    spec = BaselineFilterSpec(kind="butterworth", cutoff=0.05, order=12)
+    y = apply_baseline_filter(s, spec).values
+    assert s.values.min() < y.min() and y.max() < s.values.max()
+    if importlib.util.find_spec("scipy") is not None:
+        np.testing.assert_allclose(y, scipy_filter(s, spec).values, rtol=ORACLE_RTOL, atol=0)
 
 
 def test_compare_rows_match_scipy(monkeypatch):

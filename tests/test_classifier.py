@@ -145,6 +145,74 @@ def test_divergent_learning_rate_aborts():
         train_classifier(samples, epochs=200, lr=1e3)
 
 
+def reference_training(samples, epochs, lr):
+    """The epoch loop with every loss taken through the validating
+    cross_entropy; returns (history, weights, biases)."""
+    labels = [s.label for s in samples]
+    x = np.stack([s.feature for s in samples])
+    y = one_hot(labels, max(labels) + 1)
+    scale = x.std(axis=0)
+    scale[scale == 0] = 1.0
+    xs = (x - x.mean(axis=0)) / scale
+    w = np.zeros((y.shape[1], xs.shape[1]))
+    b = np.zeros(y.shape[1])
+    history = []
+    for epoch in range(epochs):
+        probs = softmax(xs @ w.T + b, axis=1)
+        loss = cross_entropy(probs, y)
+        history.append(loss)
+        if loss > 10.0 * history[0]:
+            raise NumericError(f"training diverged at epoch {epoch}")
+        grad = (probs - y) / len(samples)
+        w -= lr * (grad.T @ xs)
+        b -= lr * grad.sum(axis=0)
+    return history, w, b
+
+
+def conflicting_samples(n=8):
+    # one sample labelled against n near-copies: a large step puts exactly
+    # zero probability on its true class without diverging
+    samples = [SampleFeature(f"a{i}", np.array([1.0 + 0.01 * i, 0.0]), 0) for i in range(n)]
+    samples += [SampleFeature(f"b{i}", np.array([0.0, 1.0 + 0.01 * i]), 1) for i in range(n)]
+    return samples + [SampleFeature("odd", np.array([1.0, 0.0]), 1)]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", ["separable", "lr-0", "zero-probability"])
+def test_training_equals_the_cross_entropy_loop(case):
+    # tolerance 0: history, weights and biases are bit-equal
+    if case == "zero-probability":
+        samples, epochs, lr = conflicting_samples(), 10, 1e3
+    else:
+        samples = separable_samples(np.random.default_rng(4))
+        epochs, lr = 300, 0.0 if case == "lr-0" else 0.05
+    model = train_classifier(samples, epochs=epochs, lr=lr)
+    history, w, b = reference_training(samples, epochs, lr)
+    assert model.training_history == history
+    np.testing.assert_array_equal(model.weights, w)
+    np.testing.assert_array_equal(model.biases, b)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_training_diverges_at_the_cross_entropy_loop_epoch():
+    samples = [
+        SampleFeature("a", np.array([1.0, 0.0]), 0),
+        SampleFeature("b", np.array([1.001, 0.0]), 1),
+        SampleFeature("c", np.array([0.0, 1.0]), 1),
+    ]
+    with pytest.raises(NumericError) as ref:
+        reference_training(samples, 200, 1e3)
+    with pytest.raises(NumericError) as got:
+        train_classifier(samples, epochs=200, lr=1e3)
+    assert str(got.value).startswith(f"{ref.value}:")
+
+
+def test_zero_probability_warns_during_training():
+    with pytest.warns(UserWarning, match="zero probability on a true class"):
+        model = train_classifier(conflicting_samples(), epochs=10, lr=1e3)
+    assert all(math.isfinite(l) for l in model.training_history)
+
+
 def test_training_validation():
     f = SampleFeature("a", np.ones(4), 0)
     with pytest.raises(ConfigError):

@@ -395,6 +395,35 @@ def test_no_subcommand_loads_scipy(workdir):
         "savitzky_golay", "butterworth", "moving_average", "gaussian", "snn"]
 
 
+def test_cold_detect_loads_neither_numpy_ma_nor_scipy(workdir):
+    # np.median imports numpy.ma on first use, about 20 ms of a cold run;
+    # the pipeline's own median keeps a fresh detect process clear of it
+    import os
+    import subprocess
+    import sys
+
+    import snndetect
+
+    data = workdir / "data"
+    argv = ["detect", "--defective", str(data / "defective.csv"),
+            "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+            "--config", str(workdir / "config.json"), "--outdir", str(workdir / "cold")]
+    script = (
+        "import json, sys\n"
+        "from snndetect.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m == 'numpy.ma' or m.startswith(('numpy.ma.', 'scipy')))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(snndetect.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (workdir / "cold" / "report.json").exists()
+
+
 @pytest.mark.parametrize("baseline", [
     {"kind": "gaussian", "sigma": 1e308},
     {"kind": "gaussian", "sigma": True},
@@ -416,6 +445,29 @@ def test_baseline_spec_rejected_by_type(workdir, tmp_path, capsys, baseline):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (workdir / "typed-baseline" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("order,code", [(12, 0), (16, 2), (20, 2), (40, 2)])
+def test_unstable_butterworth_config_exits_2(workdir, tmp_path, capsys, order, code):
+    path = tmp_path / "butter.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "baseline": {
+        "kind": "butterworth", "cutoff": 0.05, "order": order}}))
+    data = workdir / "data"
+    out = workdir / f"butter-{order}"
+    assert main([
+        "compare", "--defective", str(data / "defective.csv"),
+        "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+        "--config", str(path), "--outdir", str(out),
+    ]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"order {order} at cutoff 0.05" in err
+        assert not (out / "compare.csv").exists()
+    else:
+        assert err == ""
+        rows = (out / "compare.csv").read_text().splitlines()
+        assert rows[2].startswith("butterworth,") and "nan" not in rows[2]
 
 
 @pytest.mark.parametrize("truth", [
