@@ -5,7 +5,10 @@
 
 gen-data writes three fixture pairs (33/66/100% reduction) and a classify
 manifest over them; detect, sweep, compare, raster, energy and classify
-then run under the cpu-pd1-66 and fpga-pd1-66 presets into OUTDIR. One
+then run under the cpu-pd1-66 and fpga-pd1-66 presets into OUTDIR, and
+energy and classify once more under a `--config` of three stages. Those
+stages hold 167/167/166 neurons, so two stage boundaries fall inside a
+packed spike byte. One
 `sha256  relpath` line is printed per file. snndetect is imported from
 PYTHONPATH, so pointing it at another checkout's src/ lists that
 checkout's digests; `diff` two listings to see which artifacts moved.
@@ -49,6 +52,10 @@ def digests(out: Path) -> None:
         run("raster", "--input", data / "defective.csv", *net)
         run("energy", *net)
         run("classify", "--manifest", out / "manifest.json", *net)
+    (out / "stages-3.json").write_text(json.dumps({"stages": 3}))
+    net = ("--config", out / "stages-3.json", "--seed", 7, "--outdir", out / "stages-3")
+    run("energy", *net)
+    run("classify", "--manifest", out / "manifest.json", *net)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out), sep="  ")
 

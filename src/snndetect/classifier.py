@@ -134,14 +134,20 @@ def cross_entropy(probs, labels) -> float:
     p = np.asarray(probs, dtype=float)
     y = np.asarray(labels, dtype=float)
     _validate_probs_labels(p, y)
-    return _mean_nll((p * y).sum(axis=1))
+    true_p = (p * y).sum(axis=1)
+    _warn_on_zero(true_p)
+    return float(_mean_nll(true_p))
 
 
-def _mean_nll(true_p: np.ndarray) -> float:
-    """The cross-entropy of already valid true-class probabilities."""
+def _mean_nll(true_p: np.ndarray) -> np.ndarray:
+    """The cross-entropy of each row of already valid true-class
+    probabilities (samples along the last axis)."""
+    return -np.mean(np.log(np.maximum(true_p, PROB_EPS)), axis=-1)
+
+
+def _warn_on_zero(true_p: np.ndarray) -> None:
     if np.any(true_p <= 0):
         warnings.warn("zero probability on a true class; clamping at 1e-12", stacklevel=3)
-    return float(-np.mean(np.log(np.maximum(true_p, PROB_EPS))))
 
 
 def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
@@ -158,8 +164,9 @@ def train_classifier(
     """Full-batch gradient descent on the cross-entropy of a softmax readout.
 
     Weights start at zero (the problem is convex), so the first recorded
-    loss is exactly ln(n_classes). Training aborts if the loss exceeds ten
-    times its initial value, which indicates a runaway learning rate.
+    loss is exactly ln(n_classes). Training fails if a loss is not within
+    ten times its initial value (a runaway learning rate, or NaN); the
+    epochs run to the end and the losses are scored after the loop.
     """
     if len(samples) < 2:
         raise ConfigError("need at least two samples to train")
@@ -188,22 +195,33 @@ def train_classifier(
     n, d = xs.shape
     w = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
-    history: list[float] = []
     # softmax rows and one-hot labels are valid by construction, so each
-    # epoch reads the true-class probabilities without re-validating them
+    # epoch keeps its true-class probabilities and one pass after the loop
+    # scores them all; the rows grow with the loop, so no epochs x samples
+    # block is allocated up front
     true_class = (np.arange(n), np.asarray(labels))
-    for epoch in range(epochs):
-        probs = softmax(xs @ w.T + b, axis=1)
-        loss = _mean_nll(probs[true_class])
-        history.append(loss)
-        if loss > 10.0 * history[0]:
-            raise NumericError(
-                f"training diverged at epoch {epoch}: loss {loss:.4g} vs "
-                f"initial {history[0]:.4g} (lr={lr})"
-            )
-        grad = (probs - y) / n
-        w -= lr * (grad.T @ xs)
-        b -= lr * grad.sum(axis=0)
+    rows = []
+    # a runaway step overflows to inf and NaN; the check after the loop
+    # reports it, so numpy's warnings are not printed on the way
+    with np.errstate(all="ignore"):
+        for _ in range(epochs):
+            probs = softmax(xs @ w.T + b, axis=1)
+            rows.append(probs[true_class])
+            grad = (probs - y) / n
+            w -= lr * (grad.T @ xs)
+            b -= lr * grad.sum(axis=0)
+
+    true_p = np.stack(rows)
+    losses = _mean_nll(true_p)
+    bad = np.flatnonzero(~(losses <= 10.0 * losses[0]))  # NaN is never <=
+    last = int(bad[0]) if bad.size else epochs - 1
+    _warn_on_zero(true_p[: last + 1])
+    if bad.size:
+        raise NumericError(
+            f"training diverged at epoch {last}: loss {losses[last]:.4g} vs "
+            f"initial {losses[0]:.4g} (lr={lr})"
+        )
+    history = losses.tolist()
 
     return ClassifierModel(
         weights=w, biases=b, feature_mean=mean, feature_scale=scale,

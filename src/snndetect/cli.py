@@ -98,9 +98,12 @@ def _fmt(v) -> str:
 
 
 def _csv_text(meta: dict, columns: list[str], rows) -> str:
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(columns)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _csv_lines(meta, columns, (",".join(_fmt(c) for c in row) for row in rows))
+
+
+def _csv_lines(meta: dict, columns: list[str], lines) -> str:
+    header = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(columns)]
+    return "\n".join([*header, *lines]) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -292,12 +295,13 @@ def _cmd_raster(args) -> int:
     cfg, meta, _ = _resolve_config(args)
     series = load_layer_series(args.input, condition="defective")
     _, sim = run_filter(series, cfg)
-    _atomic_write(
-        out / "raster.csv",
-        _csv_text(meta, ["neuron", "time"], zip(sim.raster.neuron_ids, sim.raster.times)),
-    )
-    print(f"{len(sim.raster.neuron_ids)} spikes from {sim.raster.n_neurons} neurons "
-          f"over {sim.raster.duration:.3g} s")
+    raster = sim.raster
+    # one format call per row on Python ints and floats: str(int) and
+    # repr(float), which is what _fmt writes for each cell
+    rows = map("{},{!r}".format, raster.neuron_ids.tolist(), raster.times.tolist())
+    _atomic_write(out / "raster.csv", _csv_lines(meta, ["neuron", "time"], rows))
+    print(f"{len(raster.neuron_ids)} spikes from {raster.n_neurons} neurons "
+          f"over {raster.duration:.3g} s")
     return 0
 
 
@@ -369,7 +373,7 @@ def _cmd_energy(args) -> int:
         for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
     ]
     counts = {
-        sample_id: count_ops(sim.raster, topology, steps=len(sim.decoded))
+        sample_id: count_ops(sim.spike_counts(), topology, steps=len(sim.decoded))
         for (sample_id, _, _), (_, sim) in zip(ENERGY_SAMPLES, run_filter(samples, cfg))
     }
 

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .simulator import SpikeRaster
 
 HARDWARE_ORDER = ("CPU", "GPU", "FPGA", "Loihi", "SpiNNaker2")
 
@@ -88,20 +87,25 @@ class HardwareEnergyProfile:
             raise ConfigError("energy constants must be non-negative")
 
 
-def count_ops(raster: SpikeRaster, topology: NetworkTopology, steps: int) -> OpCounts:
-    """Tally operations from one run: spikes priced by fan-out, plus one
-    state update per neuron per timestep."""
-    if topology.n_neurons != raster.n_neurons:
+def count_ops(spike_counts, topology: NetworkTopology, steps: int) -> OpCounts:
+    """Tally operations from one run: each neuron's spikes priced by its
+    fan-out, plus one state update per neuron per timestep.
+
+    `spike_counts` holds one spike total per neuron of the topology, as
+    SimResult.spike_counts returns them.
+    """
+    counts = np.asarray(spike_counts)
+    if counts.shape != (topology.n_neurons,):
         raise DataError(
-            f"topology has {topology.n_neurons} neurons but raster has {raster.n_neurons}"
+            f"topology has {topology.n_neurons} neurons but got spike counts "
+            f"of shape {counts.shape}"
         )
-    if raster.neuron_ids.size and raster.neuron_ids.max() >= topology.n_neurons:
-        raise DataError("raster references neuron ids outside the topology")
+    if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
+        raise DataError("spike counts must be non-negative integers")
     if steps < 0:
         raise DataError(f"steps must be >= 0, got {steps}")
-    synops = int(topology.fan_out[raster.neuron_ids].sum()) if raster.neuron_ids.size else 0
     return OpCounts(
-        synaptic_ops=synops,
+        synaptic_ops=int(topology.fan_out @ counts),
         neuron_updates=topology.n_neurons * steps,
         inference_steps=steps,
     )

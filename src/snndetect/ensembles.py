@@ -43,12 +43,6 @@ class Ensemble:
     max_rates: np.ndarray
     decoders: np.ndarray
 
-    def drive(self, x: float) -> np.ndarray:
-        """Normalized per-neuron drive for a raw input value (receptive
-        field clipped at the radius)."""
-        x_norm = np.clip(x / self.radius, -1.0, 1.0)
-        return self.gains * self.encoders * x_norm + self.biases
-
 
 @lru_cache(maxsize=32, typed=True)
 def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:

@@ -48,9 +48,6 @@ class SignalSeries:
         if not np.all(np.isfinite(values)):
             raise DataError("series values must be finite")
 
-    def value_map(self) -> dict[int, float]:
-        return {int(l): float(v) for l, v in zip(self.layers, self.values)}
-
     def layer_index(self, layer: int) -> int:
         idx = np.searchsorted(self.layers, layer)
         if idx >= self.layers.size or self.layers[idx] != layer:

@@ -11,8 +11,9 @@ A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
 and, optionally, its own synaptic time constants, so a whole tau sweep
 is one step loop. Lanes never interact; each lane of a batched run is
-bit-for-bit the run of that lane alone. Spikes are kept as packed bits
-and turned into (neuron, time) events only when a raster is read.
+bit-for-bit the run of that lane alone. Spikes are kept as packed bits;
+per-neuron totals are counted straight from them, and (neuron, time)
+events are built only when a raster is read.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class SpikeRaster:
         if len(self.neuron_ids) != len(self.times):
             raise ConfigError("neuron_ids and times must have equal length")
 
-    def spike_counts(self) -> np.ndarray:
-        """Total spikes per neuron."""
-        return np.bincount(self.neuron_ids, minlength=self.n_neurons)
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -78,6 +75,16 @@ class SimResult:
             dt=self.dt,
             rates=None if rates is None else rates[cut],
         )
+
+    def spike_counts(self) -> np.ndarray:
+        """Total spikes per neuron, in the raster's id order.
+
+        Counted from the packed bits without building events: equal to
+        np.bincount(raster.neuron_ids, minlength=raster.n_neurons).
+        """
+        lanes = self.spikes.shape[1]
+        bits = np.unpackbits(self.spikes, axis=-1, count=self.n_neurons)
+        return bits.sum(axis=0, dtype=np.int64).reshape(lanes * self.n_neurons)
 
     @cached_property
     def raster(self) -> SpikeRaster:

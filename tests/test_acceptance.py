@@ -287,7 +287,7 @@ def test_c08_energy_model():
         params = GenParams(layer_range=WINDOW, noise_std=20.0, seed=100 + i)
         spec = DefectSpec(start_layer=613, n_layers=n_layers, power_reduction_percent=reduction)
         _, sim = run_filter(gen_defective(params, spec), cfg)
-        counts[sample_id] = count_ops(sim.raster, topology, steps=len(sim.decoded))
+        counts[sample_id] = count_ops(sim.spike_counts(), topology, steps=len(sim.decoded))
 
     profiles = reference_profiles(counts["S2V7"])
     reference_row = [estimate_energy(counts["S2V7"], profiles[n]) for n in HARDWARE_ORDER]

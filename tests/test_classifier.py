@@ -207,6 +207,15 @@ def test_training_diverges_at_the_cross_entropy_loop_epoch():
     assert str(got.value).startswith(f"{ref.value}:")
 
 
+def test_nan_loss_counts_as_divergence():
+    # a finite but huge step overflows the logits of 50 features to a NaN
+    # loss, which never compares greater than the bound
+    samples = [SampleFeature(f"s{i}", np.random.default_rng(i).uniform(0, 100, 50), i % 2)
+               for i in range(4)]
+    with pytest.raises(NumericError, match=r"diverged at epoch 1: loss nan"):
+        train_classifier(samples, epochs=3, lr=1e308)
+
+
 def test_zero_probability_warns_during_training():
     with pytest.warns(UserWarning, match="zero probability on a true class"):
         model = train_classifier(conflicting_samples(), epochs=10, lr=1e3)

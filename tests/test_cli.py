@@ -584,6 +584,18 @@ def _float_flag_argv(workdir, command, flag, value):
     return [command, *rest, flag, value, "--outdir", str(workdir / "non-finite")]
 
 
+def test_classify_nan_loss_exits_2(workdir, capsys):
+    # a finite but huge step overflows the logits, so the loss turns NaN;
+    # NaN never compares greater than the divergence bound, and this run
+    # used to exit 0 with NaN rows in loss.csv
+    code = main(_float_flag_argv(workdir, "classify", "--lr", "1e308"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: training diverged at epoch 1: loss nan")
+    assert "Traceback" not in err
+    assert not (workdir / "non-finite" / "loss.csv").exists()
+
+
 FLOAT_FLAGS = [
     ("detect", "--k"), ("detect", "--threshold"), ("sweep", "--taus"),
     ("gen-data", "--reduction"), ("gen-data", "--noise-std"),

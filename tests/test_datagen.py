@@ -40,7 +40,7 @@ def test_full_reduction_leaves_junction_term():
     p = GenParams(noise_std=0.0, junction_period=8, seed=1)
     d = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=100.0)
     s = gen_defective(p, d)
-    vals = s.value_map()
+    vals = dict(zip(s.layers.tolist(), s.values.tolist()))
     assert vals[613] == 0.0  # baseline fully removed
     assert vals[616] == 600.0  # 616 is a junction layer (616 % 8 == 0)
 
@@ -48,7 +48,8 @@ def test_full_reduction_leaves_junction_term():
 def test_twothirds_reduction_dip_level():
     p = GenParams(noise_std=0.0, junction_period=10, seed=1)
     d = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=66.0)
-    vals = gen_defective(p, d).value_map()
+    s = gen_defective(p, d)
+    vals = dict(zip(s.layers.tolist(), s.values.tolist()))
     for layer in range(613, 620):
         assert vals[layer] == pytest.approx(340.0)
     assert vals[612] == pytest.approx(1000.0)

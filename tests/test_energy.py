@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from snndetect.cli import ENERGY_SAMPLES
 from snndetect.energy import (
     HARDWARE_ORDER,
     REFERENCE_ENERGY_UJ,
@@ -14,23 +15,20 @@ from snndetect.energy import (
     profiles_to_json,
     reference_profiles,
 )
+from snndetect.datagen import DefectSpec, GenParams, gen_defective
 from snndetect.errors import ConfigError, DataError
-from snndetect.simulator import SpikeRaster
+from snndetect.pipeline import run_filter
+from snndetect.presets import get_preset
 
 
-def raster(ids, times, n_neurons, dt=0.001, duration=1.0):
-    return SpikeRaster(
-        neuron_ids=np.asarray(ids, dtype=np.int64),
-        times=np.asarray(times, dtype=float),
-        n_neurons=n_neurons,
-        duration=duration,
-        dt=dt,
-    )
+def counts(ids, n_neurons):
+    """Per-neuron spike totals of a list of spiking neuron ids."""
+    return np.bincount(np.asarray(ids, dtype=np.int64), minlength=n_neurons)
 
 
 def test_empty_raster_counts():
     topo = NetworkTopology.chain([20])
-    c = count_ops(raster([], [], 20), topo, steps=100)
+    c = count_ops(counts([], 20), topo, steps=100)
     assert c.synaptic_ops == 0
     assert c.neuron_updates == 2000
     assert c.inference_steps == 100
@@ -38,25 +36,24 @@ def test_empty_raster_counts():
 
 def test_uniform_fanout_counts_spikes():
     topo = NetworkTopology.chain([5])
-    c = count_ops(raster([0, 1, 2, 3, 4, 0, 1, 2, 3, 4], [0.001 * k for k in range(10)], 5),
-                  topo, steps=50)
+    c = count_ops(counts([0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 5), topo, steps=50)
     assert c.synaptic_ops == 10
 
 
 def test_chain_topology_fanouts():
     topo = NetworkTopology.chain([3, 2])
     np.testing.assert_array_equal(topo.fan_out, [2, 2, 2, 1, 1])
-    c = count_ops(raster([0, 3], [0.0, 0.001], 5), topo, steps=10)
+    c = count_ops(counts([0, 3], 5), topo, steps=10)
     assert c.synaptic_ops == 3  # one stage-1 spike (fan-out 2) + one stage-2 spike
 
 
 def test_counts_match_independent_recount(tmp_path):
-    # oracle: serialize the raster, re-parse it, and re-sum fan-outs per spike
+    # oracle: serialize the spikes, re-parse them, and re-sum fan-outs per spike
     rng = np.random.default_rng(6)
     ids = rng.integers(0, 30, 500)
     times = np.sort(rng.uniform(0, 1, 500))
     topo = NetworkTopology.chain([20, 10])
-    c = count_ops(raster(ids, times, 30), topo, steps=1000)
+    c = count_ops(counts(ids, 30), topo, steps=1000)
 
     path = tmp_path / "raster.csv"
     path.write_text("neuron,time\n" + "\n".join(f"{i},{t!r}" for i, t in zip(ids, times)) + "\n")
@@ -67,14 +64,32 @@ def test_counts_match_independent_recount(tmp_path):
     assert c.synaptic_ops == total
 
 
+@pytest.mark.parametrize("preset", ["cpu-pd1-66", "fpga-pd1-66"])
+def test_counts_equal_a_raster_recount_on_the_energy_samples(preset):
+    # the six samples the energy command prices, in one batched run
+    cfg = get_preset(preset, seed=7)
+    topo = NetworkTopology.chain(cfg.stage_sizes())
+    samples = [
+        gen_defective(GenParams(layer_range=(570, 650), noise_std=20.0, seed=cfg.seed + i),
+                      DefectSpec(start_layer=613, n_layers=n_layers,
+                                 power_reduction_percent=reduction))
+        for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
+    ]
+    for _, sim in run_filter(samples, cfg):
+        c = count_ops(sim.spike_counts(), topo, steps=len(sim.decoded))
+        assert c.synaptic_ops == int(topo.fan_out[sim.raster.neuron_ids].sum()) > 0
+
+
 def test_count_ops_validation():
     topo = NetworkTopology.chain([3])
     with pytest.raises(DataError):
-        count_ops(raster([0], [0.0], 5), topo, steps=10)  # n_neurons mismatch
+        count_ops(counts([0], 5), topo, steps=10)  # one count per neuron
     with pytest.raises(DataError):
-        count_ops(raster([7], [0.0], 3), topo, steps=10)  # id out of range
+        count_ops(np.array([1, -1, 0]), topo, steps=10)  # negative count
     with pytest.raises(DataError):
-        count_ops(raster([0], [0.0], 3), topo, steps=-1)
+        count_ops(np.array([1.0, 0.0, 0.0]), topo, steps=10)  # not integer counts
+    with pytest.raises(DataError):
+        count_ops(counts([0], 3), topo, steps=-1)
 
 
 def test_zero_counts_price_at_static():

@@ -68,7 +68,7 @@ def test_empirical_rates_match_tuning_curves(ens):
     x = 0.55 * ens.radius
     duration = 2.0
     res = simulate_cascade([ens], np.full(int(duration / DT), x), DT, [0.003, 0.003])
-    counts = res.raster.spike_counts()
+    counts = res.spike_counts()
     predicted = tuning_curves(ens, [x])[:, 0]
     active = predicted >= 20.0
     empirical = counts / duration
@@ -239,3 +239,36 @@ def test_empty_runs_keep_their_shapes():
     assert no_lanes.decoded.shape == (0, 5) and no_lanes.spikes.shape == (5, 0, 3)
     no_steps = simulate_cascade([e], np.zeros(0), DT, [0.002, 0.002])
     assert no_steps.decoded.shape == (0,) and no_steps.spikes.shape == (0, 1, 3)
+
+
+# ------------------------------------------------------------ spike counts
+
+def assert_counts_match_raster(res):
+    raster = res.raster
+    expected = np.bincount(raster.neuron_ids, minlength=raster.n_neurons)
+    np.testing.assert_array_equal(res.spike_counts(), expected)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 16])
+@pytest.mark.parametrize("sizes", [(500,), (250, 250), (40, 30, 25)])
+def test_spike_counts_equal_the_raster_bincount(sizes, lanes):
+    # the stage boundaries at 250 and 70 fall inside a packed byte
+    ensembles = [build_ensemble(n, 1100.0, s + 1) for s, n in enumerate(sizes)]
+    taus = [0.003] * (len(sizes) + 1)
+    res = simulate_cascade(ensembles, lane_signals(lanes, 120), DT, taus)
+    assert res.spike_counts().shape == (lanes * sum(sizes),)
+    assert res.spike_counts().sum() > 0
+    assert_counts_match_raster(res)
+    assert_counts_match_raster(res.lane(lanes - 1, 70))
+
+
+def test_spike_counts_of_one_signal_and_of_no_steps():
+    ensembles = [build_ensemble(40, 1100.0, 1), build_ensemble(30, 1100.0, 2)]
+    taus = [0.003, 0.003, 0.003]
+    one = simulate_cascade(ensembles, lane_signals(1, 150)[0], DT, taus)
+    assert one.decoded.ndim == 1
+    assert_counts_match_raster(one)
+    for inputs in (np.zeros(0), np.zeros((2, 0))):
+        empty = simulate_cascade(ensembles, inputs, DT, taus)
+        assert_counts_match_raster(empty)
+        assert not empty.spike_counts().any()
