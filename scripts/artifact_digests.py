@@ -8,10 +8,14 @@ manifest over them; detect, sweep, compare, raster, energy and classify
 then run under the cpu-pd1-66 and fpga-pd1-66 presets into OUTDIR, and
 energy and classify once more under a `--config` of three stages. Those
 stages hold 167/167/166 neurons, so two stage boundaries fall inside a
-packed spike byte. One
-`sha256  relpath` line is printed per file. snndetect is imported from
-PYTHONPATH, so pointing it at another checkout's src/ lists that
-checkout's digests; `diff` two listings to see which artifacts moved.
+packed spike byte. detect runs once more without `--truth` under a fixed
+threshold, so its report has no metrics, and compare once more under a
+`--config` whose `baseline` list holds a 5-layer and a 101-layer moving
+average; the 101-layer window is longer than the 81-layer series, so its
+row is an error row of `nan`s. One `sha256  relpath` line is printed per
+file. snndetect is imported from PYTHONPATH, so pointing it at another
+checkout's src/ lists that checkout's digests; `diff` two listings to see
+which artifacts moved.
 """
 
 import hashlib
@@ -56,6 +60,12 @@ def digests(out: Path) -> None:
     net = ("--config", out / "stages-3.json", "--seed", 7, "--outdir", out / "stages-3")
     run("energy", *net)
     run("classify", "--manifest", out / "manifest.json", *net)
+    net = ("--preset", "cpu-pd1-66", "--seed", 7, "--outdir", out / "no-truth")
+    run("detect", *pair[:4], "--policy", "fixed", "--threshold", 20, *net)
+    (out / "baseline.json").write_text(json.dumps({"baseline": [
+        {"kind": "moving_average", "window": 5}, {"kind": "moving_average", "window": 101}]}))
+    run("compare", *pair, "--config", out / "baseline.json", "--seed", 7,
+        "--outdir", out / "baseline")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out), sep="  ")
 

@@ -10,41 +10,11 @@ dips, which a threshold policy turns into flagged layers.
 
 __version__ = "0.1.0"
 
-from .baselines import BaselineFilterSpec, apply_baseline_filter, default_specs
-from .classifier import (
-    ClassifierModel,
-    SampleFeature,
-    cross_entropy,
-    encode_sample,
-    predict,
-    softmax,
-    train_classifier,
-)
+# the library API README documents; everything else is imported from its module
+from .classifier import encode_sample
 from .datagen import DefectSpec, GenParams, gen_defective, gen_healthy
-from .energy import (
-    HardwareEnergyProfile,
-    NetworkTopology,
-    OpCounts,
-    count_ops,
-    estimate_energy,
-    reference_profiles,
-)
-from .ensembles import Ensemble, build_ensemble, solve_decoders, tuning_curves
-from .errors import ConfigError, DataError, NumericError, SnnDetectError
-from .evaluation import GroundTruth, SweepResult, compare_filters, f1_score, sweep_tau
-from .neurons import lif_rate
-from .pipeline import (
-    AdaptivePolicy,
-    DetectionReport,
-    DeviationSeries,
-    FilterConfig,
-    FixedPolicy,
-    SignalSeries,
-    flag_anomalies,
-    load_layer_series,
-    percent_deviation,
-    snn_filter,
-)
-from .presets import get_preset, preset_names
-from .simulator import SimResult, SpikeRaster, simulate_cascade
-from .synapses import SynapseState, synapse_step
+from .energy import NetworkTopology, count_ops, estimate_energy, reference_profiles
+from .ensembles import Ensemble, build_ensemble
+from .evaluation import GroundTruth, evaluate
+from .pipeline import FilterConfig, flag_anomalies, percent_deviation, snn_filter
+from .simulator import SimResult, simulate_cascade

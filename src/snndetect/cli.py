@@ -32,15 +32,15 @@ from .energy import (
     reference_profiles,
 )
 from .errors import ConfigError, DataError, SnnDetectError, check_int
-from .evaluation import GroundTruth, attach_metrics, compare_filters, sweep_tau
+from .evaluation import GroundTruth, compare_filters, evaluate, sweep_tau
 from .pipeline import (
     AdaptivePolicy,
     FilterConfig,
     FixedPolicy,
     SignalSeries,
-    detect,
     load_layer_series,
     run_filter,
+    snn_filter,
 )
 from .presets import get_preset
 
@@ -145,11 +145,13 @@ def _resolve_config(args) -> tuple[FilterConfig, dict, list[BaselineFilterSpec] 
             raise DataError(f"{path}: invalid JSON: {err}") from err
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a JSON object")
-        raw_baseline = data.pop("baseline", None)
-        if raw_baseline is not None:
-            if isinstance(raw_baseline, dict):
-                raw_baseline = [raw_baseline]
-            baseline_specs = [BaselineFilterSpec.from_dict(b) for b in raw_baseline]
+        if "baseline" in data:
+            raw = data.pop("baseline")
+            raw = [raw] if isinstance(raw, dict) else raw
+            if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
+                raise ConfigError(f"{path}: 'baseline' must be an object or a list of "
+                                  f"objects, got {raw!r}")
+            baseline_specs = [BaselineFilterSpec.from_dict(b) for b in raw]
         cfg = FilterConfig.from_dict(data)
         label = "custom"
     elif args.preset:
@@ -163,25 +165,33 @@ def _resolve_config(args) -> tuple[FilterConfig, dict, list[BaselineFilterSpec] 
     return cfg, _meta(cfg.seed, label), baseline_specs
 
 
-def _load_pair(args) -> tuple[SignalSeries, SignalSeries]:
-    defective = load_layer_series(args.defective, condition="defective")
-    healthy = load_layer_series(args.healthy, condition="healthy")
-    return defective, healthy
-
-
-def _resolve_policy(args, truth: GroundTruth | None):
+def _resolve_scoring(args):
+    """The config, meta, baseline specs, (defective, healthy) pair, truth and
+    policy of a detect, sweep or compare run."""
+    cfg, meta, baseline_specs = _resolve_config(args)
+    pair = [load_layer_series(args.defective, condition="defective"),
+            load_layer_series(args.healthy, condition="healthy")]
+    truth = GroundTruth.from_json(args.truth) if args.truth else None
     if args.policy == "fixed":
         if args.threshold is None:
             raise ConfigError("--policy fixed requires --threshold")
-        return FixedPolicy(threshold_pct=args.threshold)
-    if args.calibration is not None:
-        return AdaptivePolicy(k=args.k, calibration=args.calibration)
-    if truth is not None:
-        return truth.default_policy(k=args.k)
-    return AdaptivePolicy(k=args.k)
+        policy = FixedPolicy(threshold_pct=args.threshold)
+    elif args.calibration is not None:
+        policy = AdaptivePolicy(k=args.k, calibration=args.calibration)
+    elif truth is not None:
+        policy = truth.default_policy(k=args.k)
+    else:
+        policy = AdaptivePolicy(k=args.k)
+    return cfg, meta, baseline_specs, pair, truth, policy
 
 
-def _add_policy_args(sp) -> None:
+def _add_scoring_args(sp, truth_required: bool) -> None:
+    """The inputs, outputs, network and policy flags of detect, sweep and compare."""
+    sp.add_argument("--defective", required=True)
+    sp.add_argument("--healthy", required=True)
+    sp.add_argument("--truth", required=truth_required, default=None)
+    sp.add_argument("--outdir", default=None)
+    _add_network_args(sp)
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
     sp.add_argument("--k", type=float, default=6.0, help="adaptive threshold multiplier")
     sp.add_argument("--threshold", type=float, default=None, help="fixed threshold (percent)")
@@ -229,16 +239,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_detect(args) -> int:
     out = _outdir(args)
-    cfg, meta, _ = _resolve_config(args)
-    defective, healthy = _load_pair(args)
-    truth = GroundTruth.from_json(args.truth) if args.truth else None
-    policy = _resolve_policy(args, truth)
-
-    report = detect(defective, healthy, cfg, policy)
+    cfg, meta, _, pair, truth, policy = _resolve_scoring(args)
+    report = evaluate(snn_filter(pair, cfg), policy, truth)
     dev = report.deviations
-    if truth is not None:
-        report = attach_metrics(report, truth)
-
     doc = {**meta, "config": cfg.to_dict(), **report.to_dict()}
     _atomic_write(out / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _atomic_write(
@@ -255,15 +258,9 @@ def _cmd_detect(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = _outdir(args)
-    cfg, meta, _ = _resolve_config(args)
-    defective, healthy = _load_pair(args)
-    truth = GroundTruth.from_json(args.truth)
-    policy = _resolve_policy(args, truth)
-    result = sweep_tau(defective, healthy, args.taus, cfg, truth, policy)
-    rows = [
-        (pt.tau, pt.precision, pt.recall, pt.f1, pt.flagged_count)
-        for pt in result.points
-    ]
+    cfg, meta, _, pair, truth, policy = _resolve_scoring(args)
+    result = sweep_tau(*pair, args.taus, cfg, truth, policy)
+    rows = [(pt.key, pt.precision, pt.recall, pt.f1, pt.flagged) for pt in result.points]
     _atomic_write(
         out / "sweep.csv",
         _csv_text(meta, ["tau", "precision", "recall", "f1", "flagged"], rows),
@@ -274,19 +271,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     out = _outdir(args)
-    cfg, meta, baseline_specs = _resolve_config(args)
-    defective, healthy = _load_pair(args)
-    truth = GroundTruth.from_json(args.truth)
-    policy = _resolve_policy(args, truth)
+    cfg, meta, baseline_specs, pair, truth, policy = _resolve_scoring(args)
     specs = baseline_specs if baseline_specs is not None else default_specs()
-    rows = compare_filters(defective, healthy, specs, cfg, truth, policy)
+    rows = compare_filters(*pair, specs, cfg, truth, policy)
     _atomic_write(
         out / "compare.csv",
         _csv_text(meta, ["filter", "precision", "recall", "f1"],
-                  [(r.name, r.precision, r.recall, r.f1) for r in rows]),
+                  [(r.key, r.precision, r.recall, r.f1) for r in rows]),
     )
     for r in rows:
-        print(f"{r.name:16s} f1={r.f1:.3f}" + (f"  [{r.error}]" if r.error else ""))
+        print(f"{r.key:16s} f1={r.f1:.3f}" + (f"  [{r.error}]" if r.error else ""))
     return 0
 
 
@@ -423,31 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gen_data)
 
     sp = sub.add_parser("detect", help="filter, deviate, and flag anomalous layers")
-    sp.add_argument("--defective", required=True)
-    sp.add_argument("--healthy", required=True)
-    sp.add_argument("--truth", default=None)
-    sp.add_argument("--outdir", default=None)
-    _add_network_args(sp)
-    _add_policy_args(sp)
+    _add_scoring_args(sp, truth_required=False)
     sp.set_defaults(func=_cmd_detect)
 
     sp = sub.add_parser("sweep", help="score detection across synaptic time constants")
-    sp.add_argument("--defective", required=True)
-    sp.add_argument("--healthy", required=True)
-    sp.add_argument("--truth", required=True)
+    _add_scoring_args(sp, truth_required=True)
     sp.add_argument("--taus", type=_parse_taus, required=True)
-    sp.add_argument("--outdir", default=None)
-    _add_network_args(sp)
-    _add_policy_args(sp)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("compare", help="score classical filters against the spiking filter")
-    sp.add_argument("--defective", required=True)
-    sp.add_argument("--healthy", required=True)
-    sp.add_argument("--truth", required=True)
-    sp.add_argument("--outdir", default=None)
-    _add_network_args(sp)
-    _add_policy_args(sp)
+    _add_scoring_args(sp, truth_required=True)
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("raster", help="export the spike raster of a filter run")

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_real
 
 HARDWARE_ORDER = ("CPU", "GPU", "FPGA", "Loihi", "SpiNNaker2")
 
@@ -83,8 +83,12 @@ class HardwareEnergyProfile:
     e_static_per_inference: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.e_synop, self.e_update, self.e_static_per_inference) < 0:
-            raise ConfigError("energy constants must be non-negative")
+        for attr in ("e_synop", "e_update", "e_static_per_inference"):
+            label = f"{attr} of profile {self.name!r}"
+            value = getattr(self, attr)
+            check_real(label, value)
+            if value < 0:
+                raise ConfigError(f"{label} must be non-negative, got {value}")
 
 
 def count_ops(spike_counts, topology: NetworkTopology, steps: int) -> OpCounts:

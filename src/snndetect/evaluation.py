@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .baselines import BaselineFilterSpec, apply_baseline_filter
 from .errors import ConfigError, DataError, SnnDetectError, check_int
@@ -106,34 +106,53 @@ def window_flags(report: DetectionReport, truth: GroundTruth) -> set[int]:
     return {l for l in report.flagged_layers if lo <= l <= hi}
 
 
-def attach_metrics(report: DetectionReport, truth: GroundTruth) -> DetectionReport:
-    """The report with its window flags scored against the truth."""
+def evaluate(
+    filtered: Sequence[SignalSeries],
+    policy: FixedPolicy | AdaptivePolicy,
+    truth: GroundTruth | None = None,
+) -> DetectionReport:
+    """Deviate a filtered (defective, healthy) pair and flag it under the
+    policy; given a truth, score the flags inside its window as the
+    report's metrics."""
+    report = flag_anomalies(percent_deviation(*filtered), policy)
+    if truth is None:
+        return report
     p, r, f1 = f1_score(window_flags(report, truth), truth)
     return replace(report, metrics=DetectionMetrics(precision=p, recall=r, f1=f1))
 
 
-def _evaluate_pair(
-    filtered: Sequence[SignalSeries],
-    policy: FixedPolicy | AdaptivePolicy,
-    truth: GroundTruth,
-) -> DetectionReport:
-    """Deviate a filtered (defective, healthy) pair, flag, and score it."""
-    return attach_metrics(flag_anomalies(percent_deviation(*filtered), policy), truth)
-
-
 @dataclass(frozen=True)
-class SweepPoint:
-    tau: float
+class ScoreRow:
+    """One scored filter: a time constant of a sweep or a filter name of a comparison."""
+
+    key: float | str
     precision: float
     recall: float
     f1: float
-    flagged_count: int
+    flagged: int  # flags inside the truth window
     error: str | None = None
+
+
+def _score_row(
+    key: float | str,
+    filter_pair: Callable[[], Sequence[SignalSeries]],
+    policy: FixedPolicy | AdaptivePolicy,
+    truth: GroundTruth,
+) -> ScoreRow:
+    """The scored row of one filtered pair; a pipeline failure while
+    filtering or scoring becomes the row's error instead of aborting."""
+    try:
+        report = evaluate(filter_pair(), policy, truth)
+    except SnnDetectError as err:
+        nan = float("nan")
+        return ScoreRow(key, nan, nan, nan, 0, str(err))
+    m = report.metrics
+    return ScoreRow(key, m.precision, m.recall, m.f1, len(window_flags(report, truth)))
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    points: tuple[SweepPoint, ...]
+    points: tuple[ScoreRow, ...]
     best_tau: float
 
 
@@ -166,31 +185,15 @@ def sweep_tau(
         filtered = snn_filter([defective, healthy] * len(taus), cfgs)
     except SnnDetectError as err:  # one run carries every point
         raise DataError(f"every sweep point failed: {err}") from err
-    points = []
-    for i, tau in enumerate(taus):
-        try:
-            report = _evaluate_pair(filtered[2 * i : 2 * i + 2], policy, truth)
-        except SnnDetectError as err:
-            points.append(SweepPoint(tau, float("nan"), float("nan"), float("nan"), 0, str(err)))
-            continue
-        m = report.metrics
-        points.append(SweepPoint(tau, m.precision, m.recall, m.f1,
-                                 len(window_flags(report, truth))))
-
+    points = tuple(
+        _score_row(tau, lambda i=i: filtered[2 * i : 2 * i + 2], policy, truth)
+        for i, tau in enumerate(taus)
+    )
     scored = [pt for pt in points if pt.error is None]
     if not scored:
         raise DataError(f"every sweep point failed; the first: {points[0].error}")
     best = max(scored, key=lambda pt: pt.f1)  # max() keeps the first (smallest tau) on ties
-    return SweepResult(points=tuple(points), best_tau=best.tau)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    precision: float
-    recall: float
-    f1: float
-    error: str | None = None
+    return SweepResult(points=points, best_tau=best.key)
 
 
 def compare_filters(
@@ -200,21 +203,14 @@ def compare_filters(
     cfg: FilterConfig,
     truth: GroundTruth,
     policy: FixedPolicy | AdaptivePolicy | None = None,
-) -> list[ComparisonRow]:
+) -> list[ScoreRow]:
     """One scored row per classical filter plus one for the spiking filter."""
     policy = policy if policy is not None else truth.default_policy()
-
-    def score(filter_pair, name: str) -> ComparisonRow:
-        try:
-            m = _evaluate_pair(filter_pair(), policy, truth).metrics
-            return ComparisonRow(name, m.precision, m.recall, m.f1)
-        except SnnDetectError as err:
-            return ComparisonRow(name, float("nan"), float("nan"), float("nan"), str(err))
-
     rows = [
-        score(lambda spec=spec: [apply_baseline_filter(s, spec) for s in (defective, healthy)],
-              spec.kind)
+        _score_row(spec.kind,
+                   lambda spec=spec: [apply_baseline_filter(s, spec) for s in (defective, healthy)],
+                   policy, truth)
         for spec in specs
     ]
-    rows.append(score(lambda: snn_filter([defective, healthy], cfg), "snn"))
+    rows.append(_score_row("snn", lambda: snn_filter([defective, healthy], cfg), policy, truth))
     return rows

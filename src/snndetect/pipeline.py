@@ -405,13 +405,3 @@ def flag_anomalies(dev: DeviationSeries, policy: FixedPolicy | AdaptivePolicy) -
         fallback_used=fallback,
     )
 
-
-def detect(
-    defective: SignalSeries,
-    healthy: SignalSeries,
-    cfg: FilterConfig,
-    policy: FixedPolicy | AdaptivePolicy | None = None,
-) -> DetectionReport:
-    """Full pipeline: filter both series (two lanes of one run), deviate, flag."""
-    policy = policy if policy is not None else AdaptivePolicy()
-    return flag_anomalies(percent_deviation(*snn_filter([defective, healthy], cfg)), policy)

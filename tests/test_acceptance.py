@@ -32,13 +32,11 @@ from snndetect.energy import (
     reference_profiles,
 )
 from snndetect.ensembles import build_ensemble
-from snndetect.evaluation import GroundTruth, attach_metrics, compare_filters, sweep_tau
+from snndetect.evaluation import GroundTruth, compare_filters, evaluate, sweep_tau
 from snndetect.neurons import lif_rate, lif_step_arrays
 from snndetect.pipeline import (
     FilterConfig,
     build_filter_ensembles,
-    flag_anomalies,
-    percent_deviation,
     run_filter,
     snn_filter,
 )
@@ -159,8 +157,8 @@ def test_c04_end_to_end_detection(case_pd1_66, noisy_sweep):
     start = time.monotonic()
     defective, healthy, truth = case_pd1_66
     cfg = get_preset("cpu-pd1-66", seed=7)
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
-    report = attach_metrics(flag_anomalies(dev, truth.default_policy()), truth)
+    filtered = [snn_filter(defective, cfg), snn_filter(healthy, cfg)]
+    report = evaluate(filtered, truth.default_policy(), truth)
     assert report.metrics.f1 == 1.0
 
     best_f1 = max(pt.f1 for pt in noisy_sweep.points if pt.error is None)
@@ -172,7 +170,7 @@ def test_c04_end_to_end_detection(case_pd1_66, noisy_sweep):
 
 
 def test_c05_tau_sweep_shape(noisy_sweep):
-    by_tau = {pt.tau: pt.f1 for pt in noisy_sweep.points}
+    by_tau = {pt.key: pt.f1 for pt in noisy_sweep.points}
     best_f1 = max(pt.f1 for pt in noisy_sweep.points if pt.error is None)
     assert by_tau[1e-4] < best_f1
     assert by_tau[0.1] < best_f1
@@ -180,7 +178,7 @@ def test_c05_tau_sweep_shape(noisy_sweep):
     defective, healthy, truth = build_case(sensor_noise=20.0, reduction=66.0, n_layers=1)
     one_layer = sweep_tau(defective, healthy, SWEEP_TAUS, FilterConfig(seed=7), truth)
     one_best = max(pt.f1 for pt in one_layer.points if pt.error is None)
-    one_by_tau = {pt.tau: pt.f1 for pt in one_layer.points}
+    one_by_tau = {pt.key: pt.f1 for pt in one_layer.points}
     assert one_by_tau[0.1] < one_best
     print(f"\n[acceptance] C5 sweep shape: PASS (noisy: {by_tau[1e-4]:.2f}/{by_tau[0.1]:.2f} "
           f"< {best_f1:.2f}; 1-layer: {one_by_tau[0.1]:.2f} < {one_best:.2f})")
@@ -391,5 +389,5 @@ def test_c10_baseline_filters(case_pd1_66):
     assert len(rows) == 5
     for row in rows:
         assert row.f1 >= 0.7, row
-    summary = ", ".join(f"{r.name}={r.f1:.3f}" for r in rows)
+    summary = ", ".join(f"{r.key}={r.f1:.3f}" for r in rows)
     print(f"\n[acceptance] C10 baseline filters: PASS ({summary})")

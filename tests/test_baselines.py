@@ -196,6 +196,6 @@ def test_compare_rows_match_scipy(monkeypatch):
     rows = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth)
     monkeypatch.setattr(evaluation, "apply_baseline_filter", scipy_filter)
     oracle = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth)
-    assert [(r.name, r.precision, r.recall, r.f1) for r in rows] == \
-        [(r.name, r.precision, r.recall, r.f1) for r in oracle]
+    assert [(r.key, r.precision, r.recall, r.f1) for r in rows] == \
+        [(r.key, r.precision, r.recall, r.f1) for r in oracle]
     assert all(r.error is None for r in rows)

@@ -431,7 +431,10 @@ def test_cold_detect_loads_neither_numpy_ma_nor_scipy(workdir):
     {"kind": "savitzky_golay", "window": 5, "polyorder": 2.5},
     {"kind": "butterworth", "cutoff": 0.5, "order": 2.5},
     {"kind": "butterworth", "cutoff": 0.5, "order": True},
-], ids=["sigma-1e308", "sigma-true", "window-5.0", "polyorder-2.5", "order-2.5", "order-true"])
+    5, True, 1.5, None, "moving_average", [5],
+], ids=["sigma-1e308", "sigma-true", "window-5.0", "polyorder-2.5", "order-2.5", "order-true",
+        "baseline-int", "baseline-true", "baseline-float", "baseline-null", "baseline-string",
+        "baseline-list-of-int"])
 def test_baseline_spec_rejected_by_type(workdir, tmp_path, capsys, baseline):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps({**FAST_CONFIG, "baseline": baseline}))
@@ -616,3 +619,20 @@ def test_float_flags_reject_non_finite(workdir, capsys, command, flag, value):
     out = workdir / "non-finite"
     assert not out.exists() or not any(out.iterdir())
 
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "true", "-1e-12"])
+def test_energy_profile_constant_must_be_finite_non_negative_number(
+        workdir, capsys, constant):
+    profiles = workdir / "bad-profiles.json"
+    profiles.write_text('{"CPU": {"e_synop": %s}}' % constant)
+    out = workdir / "bad-energy"
+    code = main([
+        "energy", "--outdir", str(out), "--profiles", str(profiles),
+        "--config", str(workdir / "config.json"),
+        "--window", "600:640", "--defect-start", "620",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "e_synop of profile 'CPU'" in err
+    assert not (out / "energy.csv").exists()

@@ -1,18 +1,22 @@
 """Fuzz of the CLI error contract over the documents a user hands in.
 
-Valid `--config`, `--truth` and classify-manifest documents get some of
+Valid `--config`, `--truth`, classify-manifest and `--profiles` documents,
+and the `baseline` entry of a `--config` that compare reads, get some of
 their values, at any depth, swapped for a wrong type, a bool, null, a
 list, a negative number or 1e400 (or dropped). Valid layer CSVs get cells
 swapped for non-integral, huge, inf/nan, negative or empty ones, rows
 duplicated, or cells dropped. Whatever comes in, main() returns 0 or 2,
 and a nonzero exit writes a one-line `error: ` message rather than a
-traceback. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps per
-layer), so each example runs in milliseconds.
+traceback; a profiles document exits 0 exactly when every energy
+constant in it is a finite number >= 0. Valid sizes stay tiny (32
+neurons, 20 layers, 2 steps per layer), so each example runs in
+milliseconds.
 """
 
 import copy
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -33,6 +37,9 @@ MANIFEST = {"window": [605, 615], "samples": [
     {"path": "data/healthy.csv", "label": 0, "sample_id": "h"},
     {"path": "data/defective.csv", "label": 1, "sample_id": "d"},
 ]}
+BASELINE = [{"kind": "moving_average", "window": 5}, {"kind": "gaussian", "sigma": 1.0}]
+PROFILES = {"CPU": {"e_synop": 0.0, "e_update": 0.0, "e_static_per_inference": 1.7e-5},
+            "Loihi": {"e_synop": 8e-12, "e_update": 0.0, "e_static_per_inference": 0.0}}
 LAYER_ROWS = [[str(layer), "1000.0"] for layer in range(600, 620)]
 BAD_CELL = st.one_of(
     st.sampled_from(["", "nan", "inf", "-inf", "1e400", "1e20", "-1e400", "612.5", "x", "-3"]),
@@ -144,6 +151,41 @@ def test_manifest_documents(fx, text):
 
 
 @FUZZ
+@given(text=mutated(BASELINE))
+@example(text="5")
+def test_baseline_documents(fx, text):
+    data = fx / "data"
+    config = json.dumps(CONFIG)[:-1] + ', "baseline": ' + text + "}"
+    run_cli(fx, "fuzz-baseline.json", config, "compare", "--defective",
+            str(data / "defective.csv"), "--healthy", str(data / "healthy.csv"),
+            "--config", str(fx / "fuzz-baseline.json"), "--truth", str(data / "truth.json"))
+
+
+def valid_profiles(text):
+    """Whether a profiles document maps names to finite energy constants >= 0."""
+    doc = json.loads(text)
+
+    def constant(value):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and value >= 0)
+
+    return isinstance(doc, dict) and all(
+        isinstance(p, dict) and set(p) <= set(PROFILES["CPU"]) and all(map(constant, p.values()))
+        for p in doc.values())
+
+
+@FUZZ
+@given(text=mutated(PROFILES))
+@example(text='{"CPU": {"e_synop": NaN}}')
+@example(text='{"CPU": {"e_static_per_inference": true}}')
+def test_profiles_documents(fx, text):
+    code = run_cli(fx, "fuzz-profiles.json", text, "energy", "--profiles",
+                   str(fx / "fuzz-profiles.json"), "--config", str(fx / "config.json"),
+                   "--window", "600:619", "--defect-start", "612")
+    assert code == (0 if valid_profiles(text) else 2), text
+
+
+@FUZZ
 @given(text=mutated_csv())
 @example(text="layer,value\n600,5\n1e400,6\n")
 @example(text="layer,value\n600,5\n1e20,6\n")
@@ -166,5 +208,13 @@ def test_the_unmutated_documents_run(fx):
     assert run_cli(fx, "ok-manifest.json", json.dumps(MANIFEST), "classify", "--manifest",
                    str(fx / "ok-manifest.json"), "--config", str(fx / "config.json"),
                    "--epochs", "5") == 0
+    assert run_cli(fx, "ok-baseline.json", json.dumps({**CONFIG, "baseline": BASELINE}),
+                   "compare", "--defective", str(fx / "data" / "defective.csv"),
+                   "--healthy", str(fx / "data" / "healthy.csv"),
+                   "--config", str(fx / "ok-baseline.json"),
+                   "--truth", str(fx / "data" / "truth.json")) == 0
+    assert run_cli(fx, "ok-profiles.json", json.dumps(PROFILES), "energy", "--profiles",
+                   str(fx / "ok-profiles.json"), "--config", str(fx / "config.json"),
+                   "--window", "600:619", "--defect-start", "612") == 0
     assert run_cli(fx, "ok-layers.csv", csv_text(LAYER_ROWS), "raster", "--input",
                    str(fx / "ok-layers.csv"), "--config", str(fx / "config.json")) == 0

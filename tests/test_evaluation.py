@@ -9,8 +9,10 @@ import snndetect.evaluation as evaluation
 from snndetect.baselines import default_specs
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.errors import ConfigError, DataError, SnnDetectError
-from snndetect.evaluation import GroundTruth, compare_filters, f1_score, sweep_tau, window_flags
-from snndetect.pipeline import FilterConfig, FixedPolicy, detect
+from snndetect.evaluation import (
+    GroundTruth, compare_filters, evaluate, f1_score, sweep_tau, window_flags,
+)
+from snndetect.pipeline import FilterConfig, FixedPolicy, snn_filter
 
 WINDOW = (570, 650)
 
@@ -158,10 +160,10 @@ def test_sweep_points_equal_single_tau_detection():
     taus = [0.001, 0.003, 0.008]
     result = sweep_tau(defective, healthy, taus, cfg, truth)
     for tau, pt in zip(taus, result.points):
-        report = detect(defective, healthy, replace(cfg, tau_in=tau, tau_out=tau),
-                        truth.default_policy())
+        report = evaluate(snn_filter([defective, healthy], replace(cfg, tau_in=tau, tau_out=tau)),
+                          truth.default_policy())
         flags = window_flags(report, truth)
-        assert (pt.precision, pt.recall, pt.f1, pt.flagged_count) == (
+        assert (pt.precision, pt.recall, pt.f1, pt.flagged) == (
             *f1_score(flags, truth), len(flags))
 
 
@@ -194,7 +196,7 @@ def test_compare_noiseless_all_perfect():
     rows = compare_filters(defective, healthy, default_specs(), cfg, truth,
                            policy=FixedPolicy(threshold_pct=30.0))
     assert len(rows) == len(default_specs()) + 1
-    assert [r.name for r in rows][-1] == "snn"
+    assert [r.key for r in rows][-1] == "snn"
     for row in rows:
         assert row.f1 == 1.0, row
 

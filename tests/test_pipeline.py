@@ -8,13 +8,13 @@ from dataclasses import replace
 
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.errors import ConfigError, DataError
+from snndetect.evaluation import evaluate
 from snndetect.pipeline import (
     AdaptivePolicy,
     DeviationSeries,
     FilterConfig,
     FixedPolicy,
     SignalSeries,
-    detect,
     flag_anomalies,
     load_layer_series,
     percent_deviation,
@@ -255,7 +255,7 @@ def test_run_filter_lane_configs_may_differ_only_in_taus():
 def test_detect_pair_with_mismatched_layers_equals_separate_runs(stages):
     cfg = FilterConfig(neurons=120, seed=7, stages=stages)
     defective, healthy, _ = lane_series()
-    report = detect(defective, healthy, cfg, FixedPolicy(threshold_pct=20.0))
+    report = evaluate(snn_filter([defective, healthy], cfg), FixedPolicy(threshold_pct=20.0))
     dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
     np.testing.assert_array_equal(report.deviations.layers, dev.layers)
     np.testing.assert_array_equal(report.deviations.values, dev.values)
