@@ -162,10 +162,4 @@ def apply_baseline_filter(series: SignalSeries, spec: BaselineFilterSpec) -> Sig
     else:  # savitzky_golay
         y = _reflect_convolve(x, _savgol_kernel(spec.window, spec.polyorder))
 
-    return SignalSeries(
-        sensor=series.sensor,
-        condition=series.condition,
-        layers=series.layers,
-        values=y,
-        metadata={**dict(series.metadata), "filtered": spec.kind},
-    )
+    return SignalSeries(layers=series.layers, values=y)

@@ -112,33 +112,6 @@ def encode_sample(
     return features[0] if single else features
 
 
-def _validate_probs_labels(probs: np.ndarray, labels: np.ndarray) -> None:
-    if probs.ndim != 2 or probs.shape != labels.shape:
-        raise DataError(f"probs and labels must be matching 2-D arrays, got {probs.shape} vs {labels.shape}")
-    if np.any(probs < 0) or np.any(probs > 1 + 1e-9):
-        raise DataError("probabilities must lie in [0, 1]")
-    row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise DataError("probability rows must sum to 1 within 1e-6")
-    if not (np.all((labels == 0) | (labels == 1)) and np.all(labels.sum(axis=1) == 1)):
-        raise DataError("labels must be one-hot rows")
-
-
-def cross_entropy(probs, labels) -> float:
-    """Mean negative log-probability of the true classes.
-
-    Zero exactly when every true class gets probability 1; a zero
-    probability on a true class is clamped at 1e-12 with a warning rather
-    than returning infinity.
-    """
-    p = np.asarray(probs, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    _validate_probs_labels(p, y)
-    true_p = (p * y).sum(axis=1)
-    _warn_on_zero(true_p)
-    return float(_mean_nll(true_p))
-
-
 def _mean_nll(true_p: np.ndarray) -> np.ndarray:
     """The cross-entropy of each row of already valid true-class
     probabilities (samples along the last axis)."""

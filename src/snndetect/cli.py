@@ -28,7 +28,7 @@ from .energy import (
     count_ops,
     estimate_energy,
     profiles_from_json,
-    profiles_to_json,
+    profiles_to_dict,
     reference_profiles,
 )
 from .errors import ConfigError, DataError, SnnDetectError, check_int
@@ -169,8 +169,7 @@ def _resolve_scoring(args):
     """The config, meta, baseline specs, (defective, healthy) pair, truth and
     policy of a detect, sweep or compare run."""
     cfg, meta, baseline_specs = _resolve_config(args)
-    pair = [load_layer_series(args.defective, condition="defective"),
-            load_layer_series(args.healthy, condition="healthy")]
+    pair = [load_layer_series(args.defective), load_layer_series(args.healthy)]
     truth = GroundTruth.from_json(args.truth) if args.truth else None
     if args.policy == "fixed":
         if args.threshold is None:
@@ -211,7 +210,7 @@ def _cmd_gen_data(args) -> int:
     p_def = GenParams(
         layer_range=(lo, hi), baseline_level=args.baseline_level, noise_std=noise,
         junction_spike_amplitude=args.junction_amplitude, junction_period=args.junction_period,
-        seed=args.seed, sensor=args.sensor,
+        seed=args.seed,
     )
     p_heal = replace(p_def, seed=baseline_seed)
     spec = DefectSpec(
@@ -287,7 +286,7 @@ def _cmd_compare(args) -> int:
 def _cmd_raster(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
-    series = load_layer_series(args.input, condition="defective")
+    series = load_layer_series(args.input)
     _, sim = run_filter(series, cfg)
     raster = sim.raster
     # one format call per row on Python ints and floats: str(int) and
@@ -330,7 +329,7 @@ def _cmd_classify(args) -> int:
             raise DataError(f"{path}: bad sample entry {i}: {err}") from err
         check_int(f"label of sample entry {i}", label, 0)
         labels.append(label)
-        series.append(load_layer_series(sample_path, condition="defective"))
+        series.append(load_layer_series(sample_path))
     features = encode_sample(series, cfg, window, labels, ids)
 
     model = train_classifier(features, epochs=args.epochs, lr=args.lr)
@@ -386,7 +385,7 @@ def _cmd_energy(args) -> int:
         for sample_id, _, _ in ENERGY_SAMPLES
     ]
     _atomic_write(out / "energy.csv", _csv_text(meta, ["sample"] + names, rows))
-    profiles_doc = {**meta, "profiles": json.loads(profiles_to_json(profiles))}
+    profiles_doc = {**meta, "profiles": profiles_to_dict(profiles)}
     _atomic_write(out / "profiles.json", json.dumps(profiles_doc, indent=2, sort_keys=True) + "\n")
     for row in rows:
         cells = " ".join(f"{n}={v:.3f}" for n, v in zip(names, row[1:]))

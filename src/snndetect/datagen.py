@@ -31,7 +31,6 @@ class GenParams:
     junction_spike_amplitude: float = 600.0
     junction_period: int = 8
     seed: int = 0
-    sensor: str = "PD1"
 
     def __post_init__(self) -> None:
         check_int("seed", self.seed, 0)
@@ -88,13 +87,7 @@ def _raw_healthy(p: GenParams) -> tuple[np.ndarray, np.ndarray]:
 def gen_healthy(p: GenParams) -> SignalSeries:
     """Deterministic synthetic series for a build with no defects."""
     layers, values = _raw_healthy(p)
-    return SignalSeries(
-        sensor=p.sensor,
-        condition="healthy",
-        layers=layers,
-        values=np.clip(values, 0.0, None),
-        metadata={"seed": p.seed, "baseline_level": p.baseline_level, "noise_std": p.noise_std},
-    )
+    return SignalSeries(layers=layers, values=np.clip(values, 0.0, None))
 
 
 def gen_defective(p: GenParams, d: DefectSpec) -> SignalSeries:
@@ -112,17 +105,4 @@ def gen_defective(p: GenParams, d: DefectSpec) -> SignalSeries:
         )
     layers, values = _raw_healthy(p)
     dip = np.isin(layers, list(d.layers)) * p.baseline_level * d.dip_depth
-    return SignalSeries(
-        sensor=p.sensor,
-        condition="defective",
-        layers=layers,
-        values=np.clip(values - dip, 0.0, None),
-        metadata={
-            "seed": p.seed,
-            "baseline_level": p.baseline_level,
-            "noise_std": p.noise_std,
-            "power_reduction_percent": d.power_reduction_percent,
-            "defect_layer_count": d.n_layers,
-            "defect_start_layer": d.start_layer,
-        },
-    )
+    return SignalSeries(layers=layers, values=np.clip(values - dip, 0.0, None))

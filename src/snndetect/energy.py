@@ -11,16 +11,16 @@ be read as relative orderings, not absolute power figures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_real
+from .errors import ConfigError, DataError, NumericError, check_real
 
-HARDWARE_ORDER = ("CPU", "GPU", "FPGA", "Loihi", "SpiNNaker2")
-
-# muJ per inference on the reference run (66% reduction over 7 layers, PD1)
+# muJ per inference on the reference run (66% reduction over 7 layers, PD1),
+# in the order energy tables list the hardware
 REFERENCE_ENERGY_UJ = {
     "CPU": 17.2,
     "GPU": 0.6,
@@ -28,8 +28,9 @@ REFERENCE_ENERGY_UJ = {
     "Loihi": 0.821,
     "SpiNNaker2": 22.1,
 }
+HARDWARE_ORDER = tuple(REFERENCE_ENERGY_UJ)
 
-STATIC_DOMINATED = ("CPU", "GPU", "FPGA")
+# priced per synaptic op; every other reference hardware is priced per inference
 SYNOP_DOMINATED = ("Loihi", "SpiNNaker2")
 
 
@@ -66,10 +67,9 @@ class NetworkTopology:
 class OpCounts:
     synaptic_ops: int
     neuron_updates: int
-    inference_steps: int
 
     def __post_init__(self) -> None:
-        if min(self.synaptic_ops, self.neuron_updates, self.inference_steps) < 0:
+        if min(self.synaptic_ops, self.neuron_updates) < 0:
             raise ConfigError("operation counts must be non-negative")
 
 
@@ -111,43 +111,48 @@ def count_ops(spike_counts, topology: NetworkTopology, steps: int) -> OpCounts:
     return OpCounts(
         synaptic_ops=int(topology.fan_out @ counts),
         neuron_updates=topology.n_neurons * steps,
-        inference_steps=steps,
     )
 
 
 def estimate_energy(c: OpCounts, p: HardwareEnergyProfile) -> float:
-    """Energy per inference in microjoules."""
+    """Energy per inference in microjoules.
+
+    Finite constants can still overflow against the op counts; such a
+    result raises NumericError rather than pricing the run at infinity.
+    """
     joules = (
         c.synaptic_ops * p.e_synop
         + c.neuron_updates * p.e_update
         + p.e_static_per_inference
     )
-    return joules * 1e6
+    uj = joules * 1e6
+    if not math.isfinite(uj):
+        raise NumericError(f"profile {p.name!r} prices {c.synaptic_ops} synaptic ops and "
+                           f"{c.neuron_updates} neuron updates at {uj} uJ, which is not finite")
+    return uj
 
 
 def reference_profiles(reference: OpCounts) -> dict[str, HardwareEnergyProfile]:
     """Profiles calibrated so the reference run reproduces the shipped
     per-hardware energies exactly.
 
-    CPU/GPU/FPGA are static-per-inference; Loihi and SpiNNaker2 are priced
-    per synaptic op, so their estimates move with each sample's spiking.
+    SYNOP_DOMINATED hardware is priced per synaptic op, so its estimates
+    move with each sample's spiking; the rest is static-per-inference.
     """
     if reference.synaptic_ops <= 0:
         raise ConfigError("reference run produced no synaptic ops; cannot calibrate")
     profiles: dict[str, HardwareEnergyProfile] = {}
-    for name in STATIC_DOMINATED:
-        profiles[name] = HardwareEnergyProfile(
-            name=name, e_static_per_inference=REFERENCE_ENERGY_UJ[name] * 1e-6
-        )
-    for name in SYNOP_DOMINATED:
-        profiles[name] = HardwareEnergyProfile(
-            name=name, e_synop=REFERENCE_ENERGY_UJ[name] * 1e-6 / reference.synaptic_ops
-        )
+    for name, uj in REFERENCE_ENERGY_UJ.items():
+        if name in SYNOP_DOMINATED:
+            profiles[name] = HardwareEnergyProfile(name=name, e_synop=uj * 1e-6 / reference.synaptic_ops)
+        else:
+            profiles[name] = HardwareEnergyProfile(name=name, e_static_per_inference=uj * 1e-6)
     return profiles
 
 
-def profiles_to_json(profiles: Mapping[str, HardwareEnergyProfile]) -> str:
-    data = {
+def profiles_to_dict(profiles: Mapping[str, HardwareEnergyProfile]) -> dict:
+    """The JSON-ready name -> constants mapping that profiles_from_json reads."""
+    return {
         name: {
             "e_synop": p.e_synop,
             "e_update": p.e_update,
@@ -155,7 +160,6 @@ def profiles_to_json(profiles: Mapping[str, HardwareEnergyProfile]) -> str:
         }
         for name, p in profiles.items()
     }
-    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def profiles_from_json(text: str) -> dict[str, HardwareEnergyProfile]:

@@ -86,14 +86,6 @@ def _rates(gain_enc: np.ndarray, biases: np.ndarray, x_norm: np.ndarray) -> np.n
     return lif_rate(gain_enc[:, None] * x_norm[None, :] + biases[:, None])
 
 
-def tuning_curves(e: Ensemble, xs) -> np.ndarray:
-    """Steady-state rates (neurons x points) at the given raw input values."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("evaluation points must be finite")
-    return _rates(e.gains * e.encoders, e.biases, xs / e.radius)
-
-
 def solve_decoders(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Ridge-regularized least-squares weights that decode xs from the
     activities `a` (points x neurons) measured at xs.

@@ -11,7 +11,7 @@ power drop leaves behind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,17 +22,15 @@ from .errors import ConfigError, DataError, NumericError, check_int, check_real
 from .simulator import SimResult, simulate_cascade
 
 CONFIG_KEYS = ("neurons", "radius", "dt", "presentation_time", "tau_in", "tau_out", "seed", "stages")
+FALLBACK_THRESHOLD_PCT = 5.0  # the adaptive policy's threshold when the calibration MAD is zero
 
 
 @dataclass(frozen=True)
 class SignalSeries:
     """Per-layer mean sensor values for one build and one sensor channel."""
 
-    sensor: str
-    condition: str  # "healthy" | "defective"
     layers: np.ndarray
     values: np.ndarray
-    metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         layers = np.asarray(self.layers, dtype=np.int64)
@@ -55,7 +53,7 @@ class SignalSeries:
         return int(idx)
 
 
-def load_layer_series(path, condition: str = "healthy") -> SignalSeries:
+def load_layer_series(path) -> SignalSeries:
     """Parse a layer/value CSV into a validated, layer-sorted PD1 series.
 
     Lines starting with '#' are treated as comments. Errors name the
@@ -104,8 +102,7 @@ def load_layer_series(path, condition: str = "healthy") -> SignalSeries:
     rows.sort(key=lambda r: r[0])
     layers = np.array([r[0] for r in rows], dtype=np.int64)
     values = np.array([r[1] for r in rows])
-    return SignalSeries(sensor="PD1", condition=condition, layers=layers, values=values,
-                        metadata={"source": str(path)})
+    return SignalSeries(layers=layers, values=values)
 
 
 @dataclass(frozen=True)
@@ -208,18 +205,10 @@ def run_filter(
     result = simulate_cascade(ensembles, inputs, base.dt, taus, record_rates=record_rates)
 
     out = []
-    for b, (s, c) in enumerate(zip(lanes, cfgs)):
+    for b, s in enumerate(lanes):
         lane = result.lane(b, s.layers.size * m)
         idx = np.arange(1, s.layers.size + 1) * m - 1
-        filtered = SignalSeries(
-            sensor=s.sensor,
-            condition=s.condition,
-            layers=s.layers,
-            values=lane.decoded[idx],
-            metadata={**dict(s.metadata), "filtered": "snn", "filter_seed": c.seed,
-                      "stages": c.stages, "tau_in": c.tau_in, "tau_out": c.tau_out},
-        )
-        out.append((filtered, lane))
+        out.append((SignalSeries(layers=s.layers, values=lane.decoded[idx]), lane))
     return out[0] if single else out
 
 
@@ -308,20 +297,16 @@ class AdaptivePolicy:
     `calibration` is an inclusive (first, last) layer range known to be
     clean, typically the layers before the defect window; when omitted the
     first half of the deviation domain is used. A zero MAD falls back to
-    the fixed min_threshold_pct.
+    the fixed FALLBACK_THRESHOLD_PCT.
     """
 
     k: float = 6.0
     calibration: tuple[int, int] | None = None
-    min_threshold_pct: float = 5.0
 
     def __post_init__(self) -> None:
         check_real("k", self.k)
-        check_real("min_threshold_pct", self.min_threshold_pct)
         if not self.k > 0:
             raise ConfigError(f"k must be positive, got {self.k}")
-        if not self.min_threshold_pct > 0:
-            raise ConfigError(f"min_threshold_pct must be positive, got {self.min_threshold_pct}")
 
 
 @dataclass(frozen=True)
@@ -387,7 +372,7 @@ def flag_anomalies(dev: DeviationSeries, policy: FixedPolicy | AdaptivePolicy) -
         mad = float(_median(np.abs(cal - _median(cal))))
         theta = policy.k * mad
         if theta == 0.0:
-            theta = policy.min_threshold_pct
+            theta = FALLBACK_THRESHOLD_PCT
             fallback = True
         name = f"adaptive(k={policy.k})"
     else:

@@ -9,8 +9,8 @@ rate-equivalent (Hz) and match the units the decoders were solved in.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
-and, optionally, its own synaptic time constants, so a whole tau sweep
-is one step loop. Lanes never interact; each lane of a batched run is
+and its own row of synaptic time constants, so a whole tau sweep is one
+step loop. Lanes never interact; each lane of a batched run is
 bit-for-bit the run of that lane alone. Spikes are kept as packed bits;
 per-neuron totals are counted straight from them, and (neuron, time)
 events are built only when a raster is read.
@@ -51,9 +51,9 @@ class SpikeRaster:
 class SimResult:
     """Output of one run.
 
-    A run of a 1-D input has `decoded` of shape (steps,) and `rates` of
-    shape (steps x neurons); a lane-batched run adds a leading lane axis to
-    both. `spikes` holds one bit per neuron and step, packed along the
+    A run has `decoded` of shape (lanes, steps) and `rates` of shape
+    (lanes, steps, neurons); a single lane (see `lane`) drops the lane axis
+    from both. `spikes` holds one bit per neuron and step, packed along the
     neuron axis: (steps, lanes, ceil(neurons / 8)).
     """
 
@@ -65,15 +65,13 @@ class SimResult:
 
     def lane(self, b: int, steps: int | None = None) -> "SimResult":
         """Lane `b` as a single-lane result, cut to its first `steps` steps."""
-        decoded = self.decoded if self.decoded.ndim == 1 else self.decoded[b]
-        rates = self.rates if self.rates is None or self.rates.ndim == 2 else self.rates[b]
         cut = slice(None, steps)
         return SimResult(
-            decoded=decoded[cut],
+            decoded=self.decoded[b, cut],
             spikes=self.spikes[cut, b : b + 1],
             n_neurons=self.n_neurons,
             dt=self.dt,
-            rates=None if rates is None else rates[cut],
+            rates=None if self.rates is None else self.rates[b, cut],
         )
 
     def spike_counts(self) -> np.ndarray:
@@ -115,12 +113,12 @@ def simulate_cascade(
 ) -> SimResult:
     """Run a chain of populations over time-stepped input signals.
 
-    `inputs` is one signal (steps,) or one per lane (lanes, steps). `taus`
-    holds one synaptic time constant per connection: the input link, each
-    inter-population link, and the output link (len(ensembles) + 1
-    entries), shared by every lane, or one such row per lane
-    (lanes x links). Neuron ids in the raster are offset per stage in chain
-    order. Fully deterministic: no randomness enters the loop.
+    `inputs` holds one signal per lane, (lanes, steps). `taus` holds one
+    row of synaptic time constants per lane (lanes x links), one per
+    connection: the input link, each inter-population link, and the output
+    link (len(ensembles) + 1 links). Neuron ids in the raster are offset
+    per stage in chain order. Fully deterministic: no randomness enters the
+    loop.
 
     The input link depends on the input alone, so it is filtered and
     clipped at the first radius for the whole series before the step loop.
@@ -128,19 +126,19 @@ def simulate_cascade(
     stage and step, on buffers allocated once per call.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim not in (1, 2) or not np.all(np.isfinite(inputs)):
-        raise ValueError("inputs must be a finite 1-D signal or a (lanes, steps) array")
+    if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
+        raise ValueError("inputs must be a finite (lanes, steps) array")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     if len(ensembles) < 1:
         raise ConfigError("at least one population is required")
     n_stages = len(ensembles)
-    lanes, n_steps = (1, inputs.size) if inputs.ndim == 1 else inputs.shape
+    lanes, n_steps = inputs.shape
     taus = np.asarray(taus, dtype=float)
-    if taus.shape not in ((n_stages + 1,), (lanes, n_stages + 1)):
+    if taus.shape != (lanes, n_stages + 1):
         raise ConfigError(
-            f"expected {n_stages + 1} time constants for {n_stages} populations "
-            f"(or one row of them per lane), got shape {taus.shape}"
+            f"expected one row of {n_stages + 1} time constants per lane for "
+            f"{lanes} lanes and {n_stages} populations, got shape {taus.shape}"
         )
     if not np.all(taus > 0):
         raise ConfigError(f"time constants must be positive, got {taus.tolist()}")
@@ -151,7 +149,6 @@ def simulate_cascade(
                 f"{e.n_neurons} neurons"
             )
 
-    taus = np.broadcast_to(taus, (lanes, n_stages + 1))
     sizes = [e.n_neurons for e in ensembles]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     n_total = int(bounds[-1])
@@ -159,7 +156,7 @@ def simulate_cascade(
     # the input synapse sees only the input, so its whole output is filtered
     # up front and stage 0's clipped input is three whole-array calls
     in_syn = Lowpass(taus[:, 0], dt, lanes)
-    columns = inputs.reshape(lanes, n_steps).T
+    columns = inputs.T
     x_in = np.empty((n_steps, lanes))
     for k in range(n_steps):
         x_in[k] = in_syn.step(columns[k])
@@ -211,7 +208,4 @@ def simulate_cascade(
         if i == block - 1 or k == n_steps - 1:
             spikes[k - i : k + 1] = np.packbits(spiked[: i + 1], axis=-1)
 
-    if inputs.ndim == 1:
-        decoded = decoded[0]
-        rates = None if rates is None else rates[0]
     return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)

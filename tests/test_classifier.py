@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import cross_entropy
 
 from snndetect.classifier import (
     ClassifierModel,
     SampleFeature,
-    cross_entropy,
     encode_sample,
     one_hot,
     predict,
@@ -306,9 +306,9 @@ def test_input_between_intercepts_gives_silent_features():
     ens = replace(base, intercepts=intercepts, gains=gains, biases=1.0 - gains * intercepts)
     s = gen_healthy(GenParams(noise_std=0.0, junction_spike_amplitude=0.0,
                               baseline_level=1e-6, seed=1))
-    inputs = np.repeat(s.values, CFG.presentation_steps)
-    res = simulate_cascade([ens], inputs, CFG.dt, [CFG.tau_in, CFG.tau_out], record_rates=True)
-    np.testing.assert_allclose(res.rates.mean(axis=0), 0.0, atol=1e-9)
+    inputs = np.repeat(s.values, CFG.presentation_steps)[None]
+    res = simulate_cascade([ens], inputs, CFG.dt, [[CFG.tau_in, CFG.tau_out]], record_rates=True)
+    np.testing.assert_allclose(res.rates[0].mean(axis=0), 0.0, atol=1e-9)
 
 
 def test_dip_sample_feature_differs_from_healthy():

@@ -636,3 +636,20 @@ def test_energy_profile_constant_must_be_finite_non_negative_number(
     assert err.startswith("error: ") and "Traceback" not in err
     assert "e_synop of profile 'CPU'" in err
     assert not (out / "energy.csv").exists()
+
+
+def test_energy_that_overflows_is_an_error(workdir, capsys):
+    # a finite constant whose product with the op counts is not finite
+    profiles = workdir / "huge-profiles.json"
+    profiles.write_text('{"CPU": {"e_synop": 1e300}}')
+    out = workdir / "huge-energy"
+    code = main([
+        "energy", "--outdir", str(out), "--profiles", str(profiles),
+        "--config", str(workdir / "config.json"),
+        "--window", "600:640", "--defect-start", "620",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'CPU'" in err and "not finite" in err
+    assert not (out / "energy.csv").exists()

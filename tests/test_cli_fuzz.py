@@ -7,9 +7,11 @@ list, a negative number or 1e400 (or dropped). Valid layer CSVs get cells
 swapped for non-integral, huge, inf/nan, negative or empty ones, rows
 duplicated, or cells dropped. Whatever comes in, main() returns 0 or 2,
 and a nonzero exit writes a one-line `error: ` message rather than a
-traceback; a profiles document exits 0 exactly when every energy
-constant in it is a finite number >= 0. Valid sizes stay tiny (32
-neurons, 20 layers, 2 steps per layer), so each example runs in
+traceback. A profiles document with a constant that is not a finite
+number >= 0 exits 2; a valid one may also draw huge finite constants,
+and then it either exits 0 with every energy finite or exits 2 because
+an energy overflows, without writing energy.csv. Valid sizes stay tiny
+(32 neurons, 20 layers, 2 steps per layer), so each example runs in
 milliseconds.
 """
 
@@ -30,6 +32,8 @@ BAD = st.one_of(
     st.floats(-1e6, -1e-3), st.just(float("nan")), st.just(HUGE),
     st.lists(st.integers(-3, 3), max_size=3),
 )
+HUGE_FINITE = st.floats(1e250, 1.7e308)  # valid constants whose energies may overflow
+SAFE_CONSTANT = 1e200  # below this, no energy of the tiny runs here can overflow
 CONFIG = {"neurons": 32, "radius": 1100.0, "dt": 0.001, "presentation_time": 0.002,
           "tau_in": 0.002, "tau_out": 0.002, "seed": 1, "stages": 1}
 TRUTH = {"defect_layers": [612, 613, 614], "window": [600, 619]}
@@ -56,12 +60,12 @@ def _paths(doc, prefix=()):
 
 
 @st.composite
-def mutated(draw, doc, drop=True):
-    """JSON text of `doc` with one to three values replaced by bad ones (or dropped)."""
+def mutated(draw, doc, drop=True, bad=BAD):
+    """JSON text of `doc` with one to three values replaced by `bad` ones (or dropped)."""
     doc = copy.deepcopy(doc)
     for path in draw(st.lists(st.sampled_from(list(_paths(doc))), min_size=1, max_size=3)):
         if not path:
-            doc = draw(BAD)
+            doc = draw(bad)
             continue
         parent = doc
         try:
@@ -73,7 +77,7 @@ def mutated(draw, doc, drop=True):
         if drop and draw(st.booleans()):
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(BAD)
+            parent[path[-1]] = draw(bad)
     return json.dumps(doc).replace(json.dumps(HUGE), "1e400")
 
 
@@ -174,15 +178,36 @@ def valid_profiles(text):
         for p in doc.values())
 
 
+def energies(path):
+    """The energy cells of an energy.csv, past its meta and column lines."""
+    return [float(cell) for line in path.read_text().splitlines()[2:]
+            for cell in line.split(",")[1:]]
+
+
+def max_constant(text):
+    """The largest energy constant of a valid profiles document (0 if none)."""
+    return max((v for p in json.loads(text).values() for v in p.values()), default=0)
+
+
 @FUZZ
-@given(text=mutated(PROFILES))
+@given(text=mutated(PROFILES, bad=st.one_of(BAD, HUGE_FINITE)))
 @example(text='{"CPU": {"e_synop": NaN}}')
 @example(text='{"CPU": {"e_static_per_inference": true}}')
+@example(text='{"CPU": {"e_synop": 1e300}}')
+@example(text='{"CPU": {"e_static_per_inference": 1.7e308}}')
 def test_profiles_documents(fx, text):
+    energy_csv = fx / "out" / "energy.csv"
+    energy_csv.unlink(missing_ok=True)
     code = run_cli(fx, "fuzz-profiles.json", text, "energy", "--profiles",
                    str(fx / "fuzz-profiles.json"), "--config", str(fx / "config.json"),
                    "--window", "600:619", "--defect-start", "612")
-    assert code == (0 if valid_profiles(text) else 2), text
+    if not valid_profiles(text):
+        assert code == 2, text
+    elif code == 0:
+        assert all(map(math.isfinite, energies(energy_csv))), text
+    else:
+        assert not energy_csv.exists(), text
+        assert max_constant(text) >= SAFE_CONSTANT, text
 
 
 @FUZZ

@@ -91,16 +91,6 @@ def test_values_clipped_at_zero():
     assert np.all(s.values >= 0.0)
 
 
-def test_metadata_recorded():
-    p = GenParams(seed=2)
-    d = DefectSpec(start_layer=615, n_layers=3, power_reduction_percent=33.0)
-    s = gen_defective(p, d)
-    assert s.condition == "defective"
-    assert s.metadata["power_reduction_percent"] == 33.0
-    assert s.metadata["defect_layer_count"] == 3
-    assert s.metadata["defect_start_layer"] == 615
-
-
 def test_for_sensor_noise_defaults(tmp_path):
     # gen-data fills in the sensor's noise level unless --noise-std is given
     for sensor in ("PD2", "PD1"):

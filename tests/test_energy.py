@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +14,11 @@ from snndetect.energy import (
     count_ops,
     estimate_energy,
     profiles_from_json,
-    profiles_to_json,
+    profiles_to_dict,
     reference_profiles,
 )
 from snndetect.datagen import DefectSpec, GenParams, gen_defective
-from snndetect.errors import ConfigError, DataError
+from snndetect.errors import ConfigError, DataError, NumericError
 from snndetect.pipeline import run_filter
 from snndetect.presets import get_preset
 
@@ -31,7 +33,6 @@ def test_empty_raster_counts():
     c = count_ops(counts([], 20), topo, steps=100)
     assert c.synaptic_ops == 0
     assert c.neuron_updates == 2000
-    assert c.inference_steps == 100
 
 
 def test_uniform_fanout_counts_spikes():
@@ -94,12 +95,12 @@ def test_count_ops_validation():
 
 def test_zero_counts_price_at_static():
     p = HardwareEnergyProfile(name="CPU", e_static_per_inference=17.2e-6)
-    assert estimate_energy(OpCounts(0, 0, 0), p) == pytest.approx(17.2)
+    assert estimate_energy(OpCounts(0, 0), p) == pytest.approx(17.2)
 
 
 def test_synop_pricing_hand_value():
     p = HardwareEnergyProfile(name="x", e_synop=0.8e-12)
-    assert estimate_energy(OpCounts(10**6, 0, 0), p) == pytest.approx(0.8)
+    assert estimate_energy(OpCounts(10**6, 0), p) == pytest.approx(0.8)
 
 
 @given(
@@ -110,11 +111,19 @@ def test_synop_pricing_hand_value():
 def test_energy_monotone_in_counts(s1, s2, u):
     p = HardwareEnergyProfile(name="x", e_synop=1e-12, e_update=1e-12, e_static_per_inference=1e-9)
     lo, hi = sorted((s1, s2))
-    assert estimate_energy(OpCounts(lo, u, 0), p) <= estimate_energy(OpCounts(hi, u, 0), p)
+    assert estimate_energy(OpCounts(lo, u), p) <= estimate_energy(OpCounts(hi, u), p)
+
+
+def test_overflowing_energy_is_a_numeric_error():
+    # each constant is finite, but the product with the op counts is not
+    p = HardwareEnergyProfile(name="CPU", e_synop=1e300)
+    with pytest.raises(NumericError, match="CPU"):
+        estimate_energy(OpCounts(60000, 0), p)
+    assert estimate_energy(OpCounts(0, 0), p) == 0.0
 
 
 def test_reference_profiles_reproduce_reference_row():
-    ref = OpCounts(synaptic_ops=57855, neuron_updates=405000, inference_steps=810)
+    ref = OpCounts(synaptic_ops=57855, neuron_updates=405000)
     profiles = reference_profiles(ref)
     for name in HARDWARE_ORDER:
         assert estimate_energy(ref, profiles[name]) == pytest.approx(
@@ -123,17 +132,17 @@ def test_reference_profiles_reproduce_reference_row():
 
 
 def test_reference_profiles_ordering_is_stable_under_activity_changes():
-    ref = OpCounts(synaptic_ops=60000, neuron_updates=405000, inference_steps=810)
+    ref = OpCounts(synaptic_ops=60000, neuron_updates=405000)
     profiles = reference_profiles(ref)
     for scale in (0.8, 0.95, 1.0, 1.05, 1.2):
-        c = OpCounts(int(ref.synaptic_ops * scale), ref.neuron_updates, ref.inference_steps)
+        c = OpCounts(int(ref.synaptic_ops * scale), ref.neuron_updates)
         e = {n: estimate_energy(c, profiles[n]) for n in HARDWARE_ORDER}
         assert e["GPU"] < e["Loihi"] < e["FPGA"] < e["CPU"] < e["SpiNNaker2"]
 
 
 def test_event_driven_varies_dense_stays_flat():
-    ref = OpCounts(synaptic_ops=60000, neuron_updates=405000, inference_steps=810)
-    other = OpCounts(synaptic_ops=55000, neuron_updates=405000, inference_steps=810)
+    ref = OpCounts(synaptic_ops=60000, neuron_updates=405000)
+    other = OpCounts(synaptic_ops=55000, neuron_updates=405000)
     profiles = reference_profiles(ref)
     for name in ("CPU", "GPU", "FPGA"):
         assert estimate_energy(ref, profiles[name]) == estimate_energy(other, profiles[name])
@@ -143,17 +152,16 @@ def test_event_driven_varies_dense_stays_flat():
 
 def test_reference_profiles_need_spikes():
     with pytest.raises(ConfigError):
-        reference_profiles(OpCounts(0, 100, 10))
+        reference_profiles(OpCounts(0, 100))
 
 
 def test_profiles_json_round_trip():
-    ref = OpCounts(synaptic_ops=60000, neuron_updates=405000, inference_steps=810)
+    ref = OpCounts(synaptic_ops=60000, neuron_updates=405000)
     profiles = reference_profiles(ref)
-    again = profiles_from_json(profiles_to_json(profiles))
+    again = profiles_from_json(json.dumps(profiles_to_dict(profiles)))
     assert again == profiles
     # also accepts the wrapped document the CLI emits
-    import json as _json
-    wrapped = _json.dumps({"seed": 1, "profiles": _json.loads(profiles_to_json(profiles))})
+    wrapped = json.dumps({"seed": 1, "profiles": profiles_to_dict(profiles)})
     assert profiles_from_json(wrapped) == profiles
     with pytest.raises(DataError):
         profiles_from_json("[]")
@@ -167,6 +175,6 @@ def test_topology_validation():
     with pytest.raises(ConfigError):
         NetworkTopology.chain([])
     with pytest.raises(ConfigError):
-        OpCounts(-1, 0, 0)
+        OpCounts(-1, 0)
     with pytest.raises(ConfigError):
         HardwareEnergyProfile(name="x", e_synop=-1.0)

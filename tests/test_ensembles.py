@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import tuning_curves
 
-from snndetect.ensembles import build_ensemble, solve_decoders, tuning_curves
+from snndetect.ensembles import build_ensemble, solve_decoders
 from snndetect.errors import ConfigError, NumericError
 from snndetect.neurons import lif_rate, lif_step_arrays
 from snndetect.pipeline import FilterConfig

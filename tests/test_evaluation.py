@@ -117,13 +117,16 @@ def test_sweep_noiseless_perfect_across_small_taus():
 
 def test_sweep_records_row_errors(monkeypatch):
     # the sweep filters every point in one batched run, so the per-point
-    # failure is injected where each point's filtered pair is scored
+    # failure is injected where each point's filtered pair is scored; the
+    # points are scored in order, so the second call is the 0.002 point
     defective, healthy, truth = noiseless_case()
     cfg = FilterConfig(seed=7)
     real = evaluation.percent_deviation
+    calls = []
 
     def flaky(filtered_def, filtered_heal):
-        if filtered_def.metadata["tau_in"] == 0.002:
+        calls.append(filtered_def)
+        if len(calls) == 2:
             raise SnnDetectError("injected failure")
         return real(filtered_def, filtered_heal)
 
@@ -136,6 +139,7 @@ def test_sweep_records_row_errors(monkeypatch):
     assert np.isnan(result.points[1].f1)
     assert result.points[0].error is None
     assert result.best_tau == 0.001
+    assert len(calls) == 2
 
 
 def test_sweep_all_rows_failing_raises(monkeypatch):

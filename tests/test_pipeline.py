@@ -24,9 +24,8 @@ from snndetect.pipeline import (
 from snndetect.presets import TAU_TABLE, get_preset, preset_names
 
 
-def series(layers, values, condition="healthy"):
-    return SignalSeries(sensor="PD1", condition=condition,
-                        layers=np.asarray(layers), values=np.asarray(values, float))
+def series(layers, values):
+    return SignalSeries(layers=np.asarray(layers), values=np.asarray(values, float))
 
 
 # ---------------------------------------------------------------- ingestion
@@ -218,7 +217,6 @@ def assert_same_filter_run(batched, single):
     (fb, rb), (fs, rs) = batched, single
     np.testing.assert_array_equal(fb.layers, fs.layers)
     np.testing.assert_array_equal(fb.values, fs.values)
-    assert fb.metadata == fs.metadata
     np.testing.assert_array_equal(rb.decoded, rs.decoded)
     np.testing.assert_array_equal(rb.raster.neuron_ids, rs.raster.neuron_ids)
     np.testing.assert_array_equal(rb.raster.times, rs.raster.times)
@@ -236,7 +234,6 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
     assert len(runs) == len(lanes)
     for s, c, batched in zip(lanes, cfgs if per_lane_taus else [base] * 3, runs):
         assert_same_filter_run(batched, run_filter(s, c, record_rates=True))
-        assert batched[0].metadata["tau_out"] == c.tau_out
 
 
 def test_run_filter_lane_configs_may_differ_only_in_taus():
@@ -272,7 +269,7 @@ def test_deviation_identity_is_zero():
 
 def test_deviation_hand_value():
     h = series([570], [1000.0])
-    d = series([570], [900.0], condition="defective")
+    d = series([570], [900.0])
     dev = percent_deviation(d, h)
     assert dev.values[0] == pytest.approx(-10.0)
 
@@ -283,7 +280,7 @@ def test_deviation_seven_layer_dip():
     dvals = [1000.0] * 81
     for l in range(613, 620):
         dvals[l - 570] = 400.0
-    d = series(layers, dvals, condition="defective")
+    d = series(layers, dvals)
     dev = percent_deviation(d, h)
     m = dev.as_dict()
     for l in range(613, 620):
@@ -293,14 +290,14 @@ def test_deviation_seven_layer_dip():
 
 def test_deviation_domain_is_intersection():
     h = series(range(570, 600), [1000.0] * 30)
-    d = series(range(590, 620), [900.0] * 30, condition="defective")
+    d = series(range(590, 620), [900.0] * 30)
     dev = percent_deviation(d, h)
     assert dev.layers.tolist() == list(range(590, 600))
 
 
 def test_deviation_near_zero_healthy_is_undefined():
     h = series([570, 571, 572], [1000.0, 0.0, 1000.0])
-    d = series([570, 571, 572], [900.0, 5.0, 900.0], condition="defective")
+    d = series([570, 571, 572], [900.0, 5.0, 900.0])
     dev = percent_deviation(d, h)
     assert dev.undefined == (571,)
     assert 571 not in dev.as_dict()
@@ -308,7 +305,7 @@ def test_deviation_near_zero_healthy_is_undefined():
 
 def test_deviation_requires_overlap():
     h = series([570], [1000.0])
-    d = series([571], [900.0], condition="defective")
+    d = series([571], [900.0])
     with pytest.raises(DataError):
         percent_deviation(d, h)
 
@@ -354,7 +351,7 @@ def test_adaptive_policy_mad_threshold():
 def test_adaptive_policy_zero_mad_falls_back():
     mapping = {l: 0.0 for l in range(570, 651)}
     mapping[615] = -30.0
-    policy = AdaptivePolicy(k=6.0, calibration=(570, 608), min_threshold_pct=5.0)
+    policy = AdaptivePolicy(k=6.0, calibration=(570, 608))
     report = flag_anomalies(dev_series(mapping), policy)
     assert report.fallback_used
     assert report.threshold_used == 5.0

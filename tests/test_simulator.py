@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import tuning_curves
 
 from snndetect import simulator
-from snndetect.ensembles import build_ensemble, tuning_curves
+from snndetect.ensembles import build_ensemble
 from snndetect.errors import ConfigError
 from snndetect.neurons import TAU_REF, lif_step_arrays
 from snndetect.simulator import simulate_cascade
@@ -18,16 +19,23 @@ def ens():
     return build_ensemble(500, 1100.0, 42)
 
 
+def one_lane(ensembles, signal, taus, record_rates=False):
+    """The run of one signal under one row of time constants, as lane 0."""
+    res = simulate_cascade(ensembles, np.asarray(signal, dtype=float)[None], DT, [taus],
+                           record_rates=record_rates)
+    return res.lane(0)
+
+
 def settled_value(e, x, tau=0.005, duration=0.4, tail=0.15):
     steps = int(duration / DT)
-    res = simulate_cascade([e], np.full(steps, float(x)), DT, [tau, tau])
+    res = one_lane([e], np.full(steps, float(x)), [tau, tau])
     return res.decoded[-int(tail / DT):].mean()
 
 
 def test_run_is_deterministic(ens):
     inputs = np.linspace(-800, 800, 300)
-    a = simulate_cascade([ens], inputs, DT, [0.003, 0.003])
-    b = simulate_cascade([ens], inputs, DT, [0.003, 0.003])
+    a = one_lane([ens], inputs, [0.003, 0.003])
+    b = one_lane([ens], inputs, [0.003, 0.003])
     np.testing.assert_array_equal(a.decoded, b.decoded)
     np.testing.assert_array_equal(a.raster.neuron_ids, b.raster.neuron_ids)
     np.testing.assert_array_equal(a.raster.times, b.raster.times)
@@ -50,7 +58,7 @@ def test_beyond_radius_saturates(ens):
 
 def test_raster_invariants(ens):
     steps = 2000
-    res = simulate_cascade([ens], np.full(steps, 0.6 * ens.radius), DT, [0.003, 0.003])
+    res = one_lane([ens], np.full(steps, 0.6 * ens.radius), [0.003, 0.003])
     raster = res.raster
     assert raster.duration == pytest.approx(steps * DT)
     assert np.all(raster.times >= 0)
@@ -67,7 +75,7 @@ def test_raster_invariants(ens):
 def test_empirical_rates_match_tuning_curves(ens):
     x = 0.55 * ens.radius
     duration = 2.0
-    res = simulate_cascade([ens], np.full(int(duration / DT), x), DT, [0.003, 0.003])
+    res = one_lane([ens], np.full(int(duration / DT), x), [0.003, 0.003])
     counts = res.spike_counts()
     predicted = tuning_curves(ens, [x])[:, 0]
     active = predicted >= 20.0
@@ -88,30 +96,35 @@ def test_decoded_response_monotone_and_flat_beyond_radius(ens):
 def test_cascade_raster_offsets():
     e1 = build_ensemble(40, 1100.0, 1)
     e2 = build_ensemble(30, 1100.0, 2)
-    res = simulate_cascade([e1, e2], np.full(500, 600.0), DT, [0.004, 0.004, 0.004])
+    res = one_lane([e1, e2], np.full(500, 600.0), [0.004, 0.004, 0.004])
     assert res.raster.n_neurons == 70
     assert res.raster.neuron_ids.max() >= 40  # second stage spiked too
     assert res.raster.neuron_ids.min() < 40
 
 
 def test_rates_recording_shape(ens):
-    res = simulate_cascade([ens], np.full(50, 100.0), DT, [0.003, 0.003], record_rates=True)
+    res = one_lane([ens], np.full(50, 100.0), [0.003, 0.003], record_rates=True)
     assert res.rates.shape == (50, ens.n_neurons)
     assert np.all(res.rates >= 0)
 
 
 def test_config_errors(ens):
     with pytest.raises(ConfigError):
-        simulate_cascade([ens], np.zeros(10), DT, [0.003])  # missing output tau
+        simulate_cascade([ens], np.zeros((1, 10)), DT, [[0.003]])  # missing output tau
     with pytest.raises(ConfigError):
-        simulate_cascade([ens], np.zeros(10), DT, [0.003, -0.001])
+        simulate_cascade([ens], np.zeros((1, 10)), DT, [[0.003, -0.001]])
     with pytest.raises(ConfigError):
-        simulate_cascade([ens], np.zeros(10), 0.0, [0.003, 0.003])
+        simulate_cascade([ens], np.zeros((1, 10)), 0.0, [[0.003, 0.003]])
     with pytest.raises(ValueError):
-        simulate_cascade([ens], np.array([1.0, np.nan]), DT, [0.003, 0.003])
+        simulate_cascade([ens], np.array([[1.0, np.nan]]), DT, [[0.003, 0.003]])
     bad = replace(build_ensemble(20, 1100.0, 3), decoders=np.zeros(5))
     with pytest.raises(ConfigError):
-        simulate_cascade([bad], np.zeros(10), DT, [0.003, 0.003])
+        simulate_cascade([bad], np.zeros((1, 10)), DT, [[0.003, 0.003]])
+    # inputs come as lanes and time constants as one row per lane
+    with pytest.raises(ValueError):
+        simulate_cascade([ens], np.zeros(10), DT, [[0.003, 0.003]])  # a 1-D input
+    with pytest.raises(ConfigError):
+        simulate_cascade([ens], np.zeros((2, 10)), DT, [0.003, 0.003])  # a shared tau row
 
 
 # ------------------------------------------------------------ lane batching
@@ -127,20 +140,20 @@ def reference_cascade(ensembles, inputs, dt, taus):
     Returns decoded values, the last stage's rates, spike ids and times."""
     sizes = [e.n_neurons for e in ensembles]
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-    in_syn = Lowpass(taus[0], dt)
-    out_syns = [Lowpass(taus[s + 1], dt, n) for s, n in enumerate(sizes)]
+    in_syn = Lowpass([taus[0]], dt, 1)
+    out_syns = [Lowpass([taus[s + 1]], dt, (1, n)) for s, n in enumerate(sizes)]
     v = [np.zeros(n) for n in sizes]
     refr = [np.zeros(n) for n in sizes]
     decoded, rates, ids, times = [], [], [], []
     for k, value in enumerate(inputs):
-        x = in_syn.step(value)
+        x = in_syn.step(value)[0]
         for s, e in enumerate(ensembles):
             drive = e.gains * e.encoders * min(max(x / e.radius, -1.0), 1.0) + e.biases
             v[s], refr[s], spiked = lif_step_arrays(v[s], refr[s], drive, dt)
             idx = np.nonzero(spiked)[0]
             ids.extend(idx + offsets[s])
             times.extend([k * dt] * idx.size)
-            r = out_syns[s].step(spiked * (1.0 / dt))
+            r = out_syns[s].step(spiked * (1.0 / dt))[0]
             x = e.decoders @ r
         decoded.append(x)
         rates.append(r.copy())  # the synapse state is updated in place
@@ -194,13 +207,11 @@ def test_each_lane_equals_its_single_run(sizes, per_lane_taus):
         taus[1, -1] = 0.003  # lanes may differ per link too
     else:
         taus = np.full((4, links), 0.002)
-    res = simulate_cascade(ensembles, inputs, DT, taus if per_lane_taus else taus[0],
-                           record_rates=True)
+    res = simulate_cascade(ensembles, inputs, DT, taus, record_rates=True)
     assert res.decoded.shape == (4, 120)
     assert res.rates.shape == (4, 120, sizes[-1])
     for b in range(4):
-        single = simulate_cascade(ensembles, inputs[b], DT, taus[b], record_rates=True)
-        assert_same_run(res.lane(b), single)
+        assert_same_run(res.lane(b), one_lane(ensembles, inputs[b], taus[b], record_rates=True))
 
 
 def test_padded_lane_prefix_is_exact(ens):
@@ -208,15 +219,14 @@ def test_padded_lane_prefix_is_exact(ens):
     # like the short input alone over its own steps
     short = lane_signals(1, 70)[0]
     padded = np.stack([np.concatenate([short, np.full(30, 900.0)]), lane_signals(2, 100)[1]])
-    res = simulate_cascade([ens], padded, DT, [0.003, 0.003], record_rates=True)
-    assert_same_run(res.lane(0, 70), simulate_cascade([ens], short, DT, [0.003, 0.003],
-                                                     record_rates=True))
+    res = simulate_cascade([ens], padded, DT, [[0.003, 0.003]] * 2, record_rates=True)
+    assert_same_run(res.lane(0, 70), one_lane([ens], short, [0.003, 0.003], record_rates=True))
 
 
 def test_batched_raster_lays_lanes_side_by_side():
     e = build_ensemble(40, 1100.0, 1)
     inputs = np.stack([np.full(200, 600.0), np.full(200, -600.0)])
-    res = simulate_cascade([e], inputs, DT, [0.004, 0.004])
+    res = simulate_cascade([e], inputs, DT, [[0.004, 0.004]] * 2)
     raster = res.raster
     assert raster.n_neurons == 80
     lanes = [res.lane(b).raster for b in range(2)]
@@ -230,14 +240,14 @@ def test_lane_shape_errors(ens):
     with pytest.raises(ConfigError):
         simulate_cascade([ens], np.zeros((2, 10)), DT, np.full((3, 2), 0.003))  # 3 rows, 2 lanes
     with pytest.raises(ValueError):
-        simulate_cascade([ens], np.zeros((2, 3, 4)), DT, [0.003, 0.003])
+        simulate_cascade([ens], np.zeros((2, 3, 4)), DT, [[0.003, 0.003]] * 2)
 
 
 def test_empty_runs_keep_their_shapes():
     e = build_ensemble(20, 1100.0, 1)
-    no_lanes = simulate_cascade([e], np.zeros((0, 5)), DT, [0.002, 0.002])
+    no_lanes = simulate_cascade([e], np.zeros((0, 5)), DT, np.zeros((0, 2)))
     assert no_lanes.decoded.shape == (0, 5) and no_lanes.spikes.shape == (5, 0, 3)
-    no_steps = simulate_cascade([e], np.zeros(0), DT, [0.002, 0.002])
+    no_steps = one_lane([e], np.zeros(0), [0.002, 0.002])
     assert no_steps.decoded.shape == (0,) and no_steps.spikes.shape == (0, 1, 3)
 
 
@@ -254,7 +264,7 @@ def assert_counts_match_raster(res):
 def test_spike_counts_equal_the_raster_bincount(sizes, lanes):
     # the stage boundaries at 250 and 70 fall inside a packed byte
     ensembles = [build_ensemble(n, 1100.0, s + 1) for s, n in enumerate(sizes)]
-    taus = [0.003] * (len(sizes) + 1)
+    taus = np.full((lanes, len(sizes) + 1), 0.003)
     res = simulate_cascade(ensembles, lane_signals(lanes, 120), DT, taus)
     assert res.spike_counts().shape == (lanes * sum(sizes),)
     assert res.spike_counts().sum() > 0
@@ -265,10 +275,10 @@ def test_spike_counts_equal_the_raster_bincount(sizes, lanes):
 def test_spike_counts_of_one_signal_and_of_no_steps():
     ensembles = [build_ensemble(40, 1100.0, 1), build_ensemble(30, 1100.0, 2)]
     taus = [0.003, 0.003, 0.003]
-    one = simulate_cascade(ensembles, lane_signals(1, 150)[0], DT, taus)
+    one = one_lane(ensembles, lane_signals(1, 150)[0], taus)
     assert one.decoded.ndim == 1
     assert_counts_match_raster(one)
-    for inputs in (np.zeros(0), np.zeros((2, 0))):
-        empty = simulate_cascade(ensembles, inputs, DT, taus)
+    for inputs in (np.zeros((1, 0)), np.zeros((2, 0))):
+        empty = simulate_cascade(ensembles, inputs, DT, [taus] * len(inputs))
         assert_counts_match_raster(empty)
         assert not empty.spike_counts().any()

@@ -50,8 +50,8 @@ def previous_cascade(ensembles, inputs, dt, taus, record_rates=False):
     """The previous lane-batched loop; returns (decoded, spikes, rates)."""
     inputs = np.asarray(inputs, dtype=float)
     n_stages = len(ensembles)
-    lanes, n_steps = (1, inputs.size) if inputs.ndim == 1 else inputs.shape
-    taus = np.broadcast_to(np.asarray(taus, dtype=float), (lanes, n_stages + 1))
+    lanes, n_steps = inputs.shape
+    taus = np.asarray(taus, dtype=float)
     sizes = [e.n_neurons for e in ensembles]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     n_total = int(bounds[-1])
@@ -66,7 +66,7 @@ def previous_cascade(ensembles, inputs, dt, taus, record_rates=False):
     x_norm = np.empty(lanes)
     x_mid = np.empty(lanes)
 
-    columns = np.ascontiguousarray(inputs.reshape(lanes, n_steps).T)
+    columns = np.ascontiguousarray(inputs.T)
     decoded = np.empty((lanes, n_steps))
     rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
@@ -93,9 +93,6 @@ def previous_cascade(ensembles, inputs, dt, taus, record_rates=False):
         if i == block - 1 or k == n_steps - 1:
             spikes[k - i : k + 1] = np.packbits(spiked[: i + 1], axis=-1)
 
-    if inputs.ndim == 1:
-        decoded = decoded[0]
-        rates = None if rates is None else rates[0]
     return decoded, spikes, rates
 
 
@@ -105,20 +102,18 @@ def ensembles():
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])
-@pytest.mark.parametrize("lanes", [None, 1, 3, 16], ids=["1-D", "1", "3", "16"])
+@pytest.mark.parametrize("lanes", [1, 3, 16], ids=["1", "3", "16"])
 def test_step_loop_equals_previous_loop(ensembles, stages, lanes, monkeypatch):
     chain = ensembles[:stages]
-    rng = np.random.default_rng(100 * stages + (lanes or 0))
+    rng = np.random.default_rng(100 * stages + lanes)
     # layer-like steps held for 10 time steps, wide enough that the filtered
     # input clips at the radius on both sides
-    levels = rng.uniform(-2500.0, 2500.0, (1 if lanes is None else lanes, STEPS // 10 + 1))
+    levels = rng.uniform(-2500.0, 2500.0, (lanes, STEPS // 10 + 1))
     inputs = np.repeat(levels, 10, axis=1)[:, :STEPS]
-    inputs = inputs[0] if lanes is None else inputs
-    rows = 1 if lanes is None else lanes
-    shared_taus = np.full(stages + 1, 0.002)
-    lane_taus = rng.uniform(0.0005, 0.012, (rows, stages + 1))
+    shared_taus = np.full((lanes, stages + 1), 0.002)
+    lane_taus = rng.uniform(0.0005, 0.012, (lanes, stages + 1))
     lo, hi = sum(SIZES[: stages - 1]), sum(SIZES[:stages])  # the last stage's neurons
-    small_block = 7 * rows * hi  # 7 steps per spike block
+    small_block = 7 * lanes * hi  # 7 steps per spike block
     last_stage_spikes = 0
     for block_bytes in (simulator.SPIKE_BLOCK_BYTES, small_block):
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)

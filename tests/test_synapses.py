@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import SynapseState, synapse_step
 
 from snndetect.errors import ConfigError
-from snndetect.synapses import Lowpass, SynapseState, synapse_step
+from snndetect.synapses import Lowpass
 
 
 def run_filter_sequence(xs, tau, dt, y0=0.0):
@@ -79,20 +80,22 @@ def test_zero_input_decays_monotonically(y0):
 
 def test_lowpass_vector_matches_scalar():
     tau, dt = 0.005, 0.001
-    lp = Lowpass(tau, dt, 3)
+    lp = Lowpass([tau], dt, (1, 3))
     xs = np.array([1.0, -2.0, 0.5])
     out = None
     for _ in range(10):
         out = lp.step(xs)
     scalar = run_filter_sequence([1.0] * 10, tau, dt)[-1]
-    assert out[0] == pytest.approx(scalar, abs=1e-15)
+    assert out[0, 0] == pytest.approx(scalar, abs=1e-15)
 
 
 def test_validation():
     with pytest.raises(ConfigError):
         SynapseState(tau_syn=0.0)
     with pytest.raises(ConfigError):
-        Lowpass(0.0, 0.001)
+        Lowpass([0.0], 0.001, 1)
+    with pytest.raises(ConfigError):
+        Lowpass(0.01, 0.001, 1)  # a scalar tau: one constant per lane only
     with pytest.raises(ValueError):
         synapse_step(SynapseState(tau_syn=0.01), float("nan"), 0.001)
     with pytest.raises(ValueError):
@@ -107,10 +110,10 @@ def test_lowpass_per_lane_time_constants():
     for _ in range(10):
         out = lp.step(xs)
     for b, tau in enumerate(taus):
-        alone = Lowpass(tau, dt, 2)
+        alone = Lowpass([tau], dt, (1, 2))
         for _ in range(10):
             ref = alone.step(xs[b])
-        np.testing.assert_array_equal(out[b], ref)
+        np.testing.assert_array_equal(out[b], ref[0])
     with pytest.raises(ConfigError):
         Lowpass([0.001, 0.002], dt, (3, 2))  # one constant per lane
     with pytest.raises(ConfigError):
