@@ -32,6 +32,11 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Raise ConfigError unless `value` is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Raise ConfigError unless `value` is a finite real number (not a bool)
+    within the float range."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -19,6 +19,20 @@ TAU_RC = 0.02  # membrane time constant (s)
 TAU_REF = 0.002  # absolute refractory period (s); caps rates below 1 / TAU_REF
 
 
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: a cheaper ufunc operand than a Python float."""
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+# the step's ufunc operands, converted once here rather than on every call
+_ZERO = _constant(0.0)
+_ONE = _constant(1.0)
+_NEG_TAU_RC = _constant(-TAU_RC)
+_TAU_REF = _constant(TAU_REF)
+
+
 def lif_rate(j):
     """Steady-state firing rate (Hz) for a constant normalized drive j.
 
@@ -55,7 +69,7 @@ def lif_step_arrays(
     v: np.ndarray,
     refr: np.ndarray,
     j: np.ndarray,
-    dt: float,
+    dt: float | np.ndarray,
     spiked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized one-step LIF update, in place; returns (v, refr, spiked).
@@ -66,15 +80,18 @@ def lif_step_arrays(
     rather than at the step edge, so spike timing does not inherit the step
     quantization. `v` and `refr` are overwritten with the next state and the
     spike mask is written into `spiked`, a bool array of the same shape
-    (allocated when omitted); `j` is not modified. `refr` may hold any
-    value: the integrated part of the step is clamped to [0, dt]. Beyond
-    the decay factor, the only temporaries are the gathered entries of the
-    neurons that spiked.
+    (allocated when omitted); `j` is not modified. `dt` may be a float or a
+    0-d float64 array; a loop that passes the 0-d array spares each ufunc
+    call the conversion of a Python scalar, with identical results. `refr`
+    may hold any value: the integrated part of the step is clamped to
+    [0, dt]. Beyond the decay factor, the only temporaries are the gathered
+    entries of the neurons that spiked.
     """
+    dt = np.asarray(dt, dtype=float)
     decay = np.subtract(dt, refr)
-    np.maximum(decay, 0.0, out=decay)
+    np.maximum(decay, _ZERO, out=decay)
     np.minimum(decay, dt, out=decay)  # the integrated part of the step
-    np.divide(decay, -TAU_RC, out=decay)
+    np.divide(decay, _NEG_TAU_RC, out=decay)
     np.exp(decay, out=decay)
     v -= j
     v *= decay
@@ -82,24 +99,24 @@ def lif_step_arrays(
     # floor at the rest level: without it, strongly inhibited neurons charge
     # far below rest and take tens of ms to recover when the drive returns,
     # smearing the response past sudden signal steps
-    np.maximum(v, 0.0, out=v)
+    np.maximum(v, _ZERO, out=v)
     refr -= dt
-    np.maximum(refr, 0.0, out=refr)
-    spiked = np.greater(v, 1.0, out=spiked)
-    hit = np.flatnonzero(spiked)
+    np.maximum(refr, _ZERO, out=refr)
+    spiked = np.greater(v, _ONE, out=spiked)
+    hit = spiked.ravel().nonzero()[0]
     if hit.size:
         # the time between the crossing and the end of the step,
-        # -TAU_RC * log1p(-overshoot), sets the refractory time left
+        # -TAU_RC * log1p(-overshoot), sets the refractory time left;
+        # 1 - v is -(v - 1) exactly, so t ends up as -overshoot
         t = v.take(hit)
-        t -= 1.0
+        np.subtract(_ONE, t, out=t)
         jh = j.take(hit)
-        jh -= 1.0
-        t /= jh  # the overshoot
-        np.negative(t, out=t)
+        jh -= _ONE
+        t /= jh
         np.log1p(t, out=t)
-        t *= -TAU_RC
-        np.subtract(TAU_REF, t, out=t)
-        np.maximum(t, 0.0, out=t)
+        t *= _NEG_TAU_RC
+        np.subtract(_TAU_REF, t, out=t)
+        np.maximum(t, _ZERO, out=t)
         refr.put(hit, t)
-        v.put(hit, 0.0)
+        v.put(hit, _ZERO)
     return v, refr, spiked

@@ -29,7 +29,9 @@ from .errors import ConfigError
 from .neurons import lif_step_arrays
 from .synapses import Lowpass
 
-SPIKE_BLOCK_BYTES = 1 << 20  # bound on the unpacked spike masks held between packs
+# bound on one block of the step loop: the unpacked spike masks held between
+# packs plus stage 0's drive, computed ahead for the same steps
+SPIKE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,11 @@ def simulate_cascade(
     The input link depends on the input alone, so it is filtered and
     clipped at the first radius for the whole series before the step loop.
     The loop then makes one LIF update and one output-synapse step per
-    stage and step, on buffers allocated once per call.
+    stage and step, on buffers allocated once per call. It runs in blocks
+    of steps: stage 0's drive, which also depends on the input alone, is
+    computed for a whole block in two calls, and the block's spike masks
+    are packed at its end. The masks and the drive of one block together
+    stay within SPIKE_BLOCK_BYTES.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
@@ -173,39 +179,52 @@ def simulate_cascade(
     gain_enc = [e.gains * e.encoders for e in ensembles]
     v = [np.zeros((lanes, n)) for n in sizes]
     refr = [np.zeros((lanes, n)) for n in sizes]
-    drive = [np.empty((lanes, n)) for n in sizes]
+    drive = [None] + [np.empty((lanes, n)) for n in sizes[1:]]  # stage 0's is blocked below
     x_norm = np.empty(lanes)
     x_mid = np.empty(lanes)  # decoded output of a stage that feeds the next
+    # 0-d operands: each ufunc call converts a Python float operand anew
+    step_dt = np.asarray(dt, dtype=float)
+    radii = [np.asarray(e.radius, dtype=float) for e in ensembles]
+    lo, hi = np.array(-1.0), np.array(1.0)
 
     decoded = np.empty((lanes, n_steps))
     rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
-    # spike masks of `block` steps, all stages side by side, packed once per block
-    block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, lanes * n_total)))
+    # the loop runs in blocks of `block` steps: stage 0's drive depends on the
+    # input alone, so it is computed for a whole block at once, and the spike
+    # masks of a block, all stages side by side, are packed once per block
+    step_bytes = lanes * (n_total + 8 * sizes[0])  # bool masks, float64 drive
+    block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
     spiked = np.empty((block, lanes, n_total), dtype=bool)
+    block_drive = np.empty((block, lanes, sizes[0]))
     masks = [[spiked[i, :, bounds[s] : bounds[s + 1]] for s in range(n_stages)]
              for i in range(block)]
 
     in_cols, norm_col = x_in[:, :, None], x_norm[:, None]
-    for k in range(n_steps):
-        i = k % block
-        for s, e in enumerate(ensembles):
-            if s:
-                np.divide(x, e.radius, out=x_norm)
-                np.maximum(x_norm, -1.0, out=x_norm)
-                np.minimum(x_norm, 1.0, out=x_norm)
-            np.multiply(gain_enc[s], norm_col if s else in_cols[k], out=drive[s])
-            drive[s] += e.biases
-            mask = masks[i][s]
-            lif_step_arrays(v[s], refr[s], drive[s], dt, mask)
-            r = out_syns[s].step(mask)
-            # one dot product per lane row: vecdot runs the same per-row dot
-            # as a one-lane run, where a single (lanes x n) @ (n,) product
-            # sums in a different order and drifts from it
-            x = np.vecdot(r, e.decoders, out=decoded[:, k] if s == n_stages - 1 else x_mid)
-        if rates is not None:
-            rates[:, k] = r
-        if i == block - 1 or k == n_steps - 1:
-            spikes[k - i : k + 1] = np.packbits(spiked[: i + 1], axis=-1)
+    for k0 in range(0, n_steps, block):
+        n = min(block, n_steps - k0)
+        np.multiply(gain_enc[0], in_cols[k0 : k0 + n], out=block_drive[:n])
+        block_drive[:n] += ensembles[0].biases
+        for i in range(n):
+            k = k0 + i
+            for s, e in enumerate(ensembles):
+                if s:
+                    np.divide(x, radii[s], out=x_norm)
+                    np.maximum(x_norm, lo, out=x_norm)
+                    np.minimum(x_norm, hi, out=x_norm)
+                    j = np.multiply(gain_enc[s], norm_col, out=drive[s])
+                    j += e.biases
+                else:
+                    j = block_drive[i]
+                mask = masks[i][s]
+                lif_step_arrays(v[s], refr[s], j, step_dt, mask)
+                r = out_syns[s].step(mask)
+                # one dot product per lane row: vecdot runs the same per-row dot
+                # as a one-lane run, where a single (lanes x n) @ (n,) product
+                # sums in a different order and drifts from it
+                x = np.vecdot(r, e.decoders, out=decoded[:, k] if s == n_stages - 1 else x_mid)
+            if rates is not None:
+                rates[:, k] = r
+        spikes[k0 : k0 + n] = np.packbits(spiked[:n], axis=-1)
 
     return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)

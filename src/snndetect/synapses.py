@@ -16,6 +16,8 @@ class Lowpass:
     constant input passes through unchanged once settled. `taus` holds one
     time constant per lane, along the leading axis of `shape`. Each decay
     is math.exp(-dt / tau), so a lane filters exactly as it would alone.
+    `decay` and `gain` are stored at the state's full shape, each lane's
+    coefficient repeated along its row, so a step broadcasts nothing.
     """
 
     def __init__(self, taus, dt: float, shape: int | tuple):
@@ -25,7 +27,8 @@ class Lowpass:
         if not (np.all(np.asarray(taus) > 0) and dt > 0):
             raise ConfigError(f"tau and dt must be positive, got tau={taus}, dt={dt}")
         decays = np.array([math.exp(-dt / t) for t in taus])
-        self.decay = decays.reshape((-1,) + (1,) * (len(shape) - 1))
+        column = decays.reshape((-1,) + (1,) * (len(shape) - 1))
+        self.decay = np.broadcast_to(column, shape).copy()
         self.gain = 1.0 - self.decay
         self.y = np.zeros(shape)
 

@@ -16,6 +16,7 @@ FAST_CONFIG = {
     "seed": 7,
     "stages": 1,
 }
+HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
 
 
 @pytest.fixture()
@@ -620,7 +621,10 @@ def test_float_flags_reject_non_finite(workdir, capsys, command, flag, value):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "true", "-1e-12"])
+@pytest.mark.parametrize("constant", [
+    "NaN", "Infinity", "-Infinity", "1e400", "true", "-1e-12",
+    pytest.param(HUGE_INT, id="int-beyond-float"),
+])
 def test_energy_profile_constant_must_be_finite_non_negative_number(
         workdir, capsys, constant):
     profiles = workdir / "bad-profiles.json"
@@ -635,6 +639,20 @@ def test_energy_profile_constant_must_be_finite_non_negative_number(
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert "e_synop of profile 'CPU'" in err
+    assert not (out / "energy.csv").exists()
+
+
+def test_energy_config_integer_beyond_float_range_is_an_error(workdir, capsys):
+    config = workdir / "huge-config.json"
+    config.write_text('{"radius": %s}' % HUGE_INT)
+    out = workdir / "huge-radius"
+    code = main([
+        "energy", "--outdir", str(out), "--config", str(config),
+        "--window", "600:640", "--defect-start", "620",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: radius must be a finite number") and "Traceback" not in err
     assert not (out / "energy.csv").exists()
 
 

@@ -8,11 +8,11 @@ swapped for non-integral, huge, inf/nan, negative or empty ones, rows
 duplicated, or cells dropped. Whatever comes in, main() returns 0 or 2,
 and a nonzero exit writes a one-line `error: ` message rather than a
 traceback. A profiles document with a constant that is not a finite
-number >= 0 exits 2; a valid one may also draw huge finite constants,
-and then it either exits 0 with every energy finite or exits 2 because
-an energy overflows, without writing energy.csv. Valid sizes stay tiny
-(32 neurons, 20 layers, 2 steps per layer), so each example runs in
-milliseconds.
+number >= 0 exits 2, and an integer beyond the float range is not one; a
+valid one may also draw huge finite constants, and then it either exits 0
+with every energy finite or exits 2 because an energy overflows, without
+writing energy.csv. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps
+per layer), so each example runs in milliseconds.
 """
 
 import copy
@@ -132,6 +132,7 @@ def detect_args(fx, config, truth):
 @FUZZ
 @given(text=mutated(CONFIG, drop=False))  # a dropped key falls back to a 500-neuron default
 @example(text="not json")
+@example(text=json.dumps({**CONFIG, "radius": 10**400}))
 def test_config_documents(fx, text):
     run_cli(fx, "fuzz-config.json", text,
             *detect_args(fx, fx / "fuzz-config.json", fx / "data" / "truth.json"))
@@ -170,8 +171,12 @@ def valid_profiles(text):
     doc = json.loads(text)
 
     def constant(value):
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value) and value >= 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(value) and value >= 0
+        except OverflowError:  # an integer beyond the float range
+            return False
 
     return isinstance(doc, dict) and all(
         isinstance(p, dict) and set(p) <= set(PROFILES["CPU"]) and all(map(constant, p.values()))
@@ -195,6 +200,7 @@ def max_constant(text):
 @example(text='{"CPU": {"e_static_per_inference": true}}')
 @example(text='{"CPU": {"e_synop": 1e300}}')
 @example(text='{"CPU": {"e_static_per_inference": 1.7e308}}')
+@example(text=json.dumps({"CPU": {"e_synop": 10**400}}))
 def test_profiles_documents(fx, text):
     energy_csv = fx / "out" / "energy.csv"
     energy_csv.unlink(missing_ok=True)

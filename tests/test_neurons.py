@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snndetect.errors import ConfigError
+from snndetect import neurons
 from snndetect.neurons import TAU_RC, TAU_REF, drive_for_rate, lif_rate, lif_step_arrays
 
 # frozen expectation for j=2, tau_rc=0.02, tau_ref=0.002:
@@ -182,6 +183,30 @@ def test_in_place_step_matches_the_out_of_place_reference(case):
     got = lif_step_arrays(v, refr, j, dt)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+def test_step_takes_dt_as_float_or_0d_array():
+    rng = np.random.default_rng(8)
+    v = rng.uniform(0.0, 1.0, (2, 300))
+    refr = rng.choice([0.0, 0.0005, 0.001, TAU_REF], size=v.shape)
+    j = rng.uniform(-3.0, 8.0, v.shape)
+    state = [(v.copy(), refr.copy()), (v.copy(), refr.copy())]
+    for _ in range(50):
+        got = [lif_step_arrays(sv, sr, j, dt) for (sv, sr), dt in zip(state, (0.001, np.array(0.001)))]
+        for a, b in zip(*got):
+            np.testing.assert_array_equal(a, b)
+    assert got[0][2].any()
+
+
+def test_step_constants_are_read_only():
+    constants = {"_ZERO": 0.0, "_ONE": 1.0, "_NEG_TAU_RC": -TAU_RC, "_TAU_REF": TAU_REF}
+    for name, value in constants.items():
+        c = getattr(neurons, name)
+        assert c.shape == () and c.dtype == np.float64 and c == value
+        with pytest.raises(ValueError):
+            c[...] = 5.0
+        with pytest.raises(ValueError):
+            np.add(c, 1.0, out=c)
 
 
 @pytest.mark.parametrize(

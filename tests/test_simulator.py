@@ -168,7 +168,8 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     refs = [reference_cascade(ensembles, inputs[b], DT, taus[b]) for b in range(2)]
     # one spike block for the whole run, then blocks of 7 steps: 150 is not
     # a multiple of 7, so the last block is partial
-    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * sum(sizes)):
+    # (a step of a block holds 2 lanes' spike masks and stage 0's float64 drive)
+    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * (sum(sizes) + 8 * sizes[0])):
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
         for record_rates in (False, True):
             res = simulate_cascade(ensembles, inputs, DT, taus, record_rates=record_rates)

@@ -7,7 +7,8 @@ stage, scales a copy of the spike mask by 1/dt and filters that.
 `previous_lif_step` is the LIF update of that loop, with its separate
 negate and divide and its allocating spike branch. The fast loop must
 reproduce them exactly; the tolerance is 0 (array_equal) on decoded
-values, packed spikes and recorded rates.
+values, packed spikes and recorded rates. The fast loop computes stage 0's
+drive a block of steps at a time, so the runs cross block boundaries.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from snndetect.simulator import simulate_cascade
 from snndetect.synapses import Lowpass
 
 DT = 0.001
-STEPS = 97  # not a multiple of the small spike block below
+STEPS = 97  # not a multiple of the small blocks below
 SIZES = (40, 30, 25)
 
 
@@ -101,6 +102,12 @@ def ensembles():
     return [build_ensemble(n, 1100.0, s) for s, n in enumerate(SIZES)]
 
 
+def block_budget(lanes, chain, steps):
+    """The SPIKE_BLOCK_BYTES that makes the loop's blocks `steps` steps long:
+    each step holds one bool mask per neuron and stage 0's float64 drive."""
+    return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * chain[0].n_neurons)
+
+
 @pytest.mark.parametrize("stages", [1, 2, 3])
 @pytest.mark.parametrize("lanes", [1, 3, 16], ids=["1", "3", "16"])
 def test_step_loop_equals_previous_loop(ensembles, stages, lanes, monkeypatch):
@@ -113,19 +120,25 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, monkeypatch):
     shared_taus = np.full((lanes, stages + 1), 0.002)
     lane_taus = rng.uniform(0.0005, 0.012, (lanes, stages + 1))
     lo, hi = sum(SIZES[: stages - 1]), sum(SIZES[:stages])  # the last stage's neurons
-    small_block = 7 * lanes * hi  # 7 steps per spike block
     last_stage_spikes = 0
-    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, small_block):
-        monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
-        for taus in (shared_taus, lane_taus):
-            for record_rates in (False, True):
-                decoded, spikes, rates = previous_cascade(chain, inputs, DT, taus, record_rates)
-                res = simulate_cascade(chain, inputs, DT, taus, record_rates=record_rates)
-                np.testing.assert_array_equal(res.decoded, decoded)
-                np.testing.assert_array_equal(res.spikes, spikes)
-                if record_rates:
-                    np.testing.assert_array_equal(res.rates, rates)
-                else:
-                    assert res.rates is None
-                last_stage_spikes += np.unpackbits(spikes, axis=-1)[..., lo:hi].sum()
+    # one block for the whole run, then blocks of 1 and of 7 steps: in 7-step
+    # blocks, 97 steps cross 13 block boundaries and end in a partial block,
+    # a 5-step run is shorter than one block, and a 0-step run has none
+    budgets = [simulator.SPIKE_BLOCK_BYTES] + [block_budget(lanes, chain, n) for n in (1, 7)]
+    for budget in budgets:
+        monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
+        for steps in (STEPS, 5, 0):
+            for taus in (shared_taus, lane_taus):
+                for record_rates in (False, True):
+                    run = inputs[:, :steps]
+                    decoded, spikes, rates = previous_cascade(chain, run, DT, taus, record_rates)
+                    res = simulate_cascade(chain, run, DT, taus, record_rates=record_rates)
+                    np.testing.assert_array_equal(res.decoded, decoded)
+                    np.testing.assert_array_equal(res.spikes, spikes)
+                    assert res.decoded.shape == (lanes, steps)
+                    if record_rates:
+                        np.testing.assert_array_equal(res.rates, rates)
+                    else:
+                        assert res.rates is None
+                    last_stage_spikes += np.unpackbits(spikes, axis=-1)[..., lo:hi].sum()
     assert last_stage_spikes > 0

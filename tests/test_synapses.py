@@ -118,3 +118,13 @@ def test_lowpass_per_lane_time_constants():
         Lowpass([0.001, 0.002], dt, (3, 2))  # one constant per lane
     with pytest.raises(ConfigError):
         Lowpass([0.001, -0.002], dt, 2)
+
+
+@pytest.mark.parametrize("shape", [3, (3, 4), (3, 2, 2)])
+def test_lowpass_coefficients_have_the_state_shape(shape):
+    dt, taus = 0.001, [0.001, 0.004, 0.02]
+    lp = Lowpass(taus, dt, shape)
+    assert lp.decay.shape == lp.gain.shape == lp.y.shape
+    for b, tau in enumerate(taus):
+        assert np.all(lp.decay[b] == math.exp(-dt / tau))
+        assert np.all(lp.gain[b] == 1 - math.exp(-dt / tau))
