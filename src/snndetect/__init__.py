@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # the library API README documents; everything else is imported from its module
 from .classifier import encode_sample
 from .datagen import DefectSpec, GenParams, gen_defective, gen_healthy
-from .energy import NetworkTopology, count_ops, estimate_energy, reference_profiles
+from .energy import count_ops, estimate_energy, reference_profiles
 from .ensembles import Ensemble, build_ensemble
 from .evaluation import GroundTruth, evaluate
 from .pipeline import FilterConfig, flag_anomalies, percent_deviation, snn_filter

@@ -131,8 +131,8 @@ def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
 
 def train_classifier(
     samples: Sequence[SampleFeature],
-    epochs: int = 1000,
-    lr: float = 0.05,
+    epochs: int,
+    lr: float,
 ) -> ClassifierModel:
     """Full-batch gradient descent on the cross-entropy of a softmax readout.
 

@@ -24,10 +24,9 @@ from .classifier import encode_sample, predict, train_classifier
 from .datagen import NOISE_STD, DefectSpec, GenParams, gen_defective, gen_healthy
 from .energy import (
     HARDWARE_ORDER,
-    NetworkTopology,
     count_ops,
     estimate_energy,
-    profiles_from_json,
+    profiles_from_dict,
     profiles_to_dict,
     reference_profiles,
 )
@@ -118,6 +117,19 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _read_json(path, what: str):
+    """The parsed JSON document in the file at `path`; every JSON input of
+    the CLI is read here. A missing file or invalid JSON is a DataError."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} file does not exist: {path}")
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except ValueError as err:  # bad JSON, or an integer past Python's digit limit
+        raise DataError(f"{path}: invalid JSON: {err}") from err
+
+
 def _outdir(args) -> Path:
     out = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
@@ -137,12 +149,7 @@ def _resolve_config(args) -> tuple[FilterConfig, dict, list[BaselineFilterSpec] 
     baseline_specs = None
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file does not exist: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}: invalid JSON: {err}") from err
+        data = _read_json(path, "config")
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a JSON object")
         if "baseline" in data:
@@ -170,7 +177,7 @@ def _resolve_scoring(args):
     policy of a detect, sweep or compare run."""
     cfg, meta, baseline_specs = _resolve_config(args)
     pair = [load_layer_series(args.defective), load_layer_series(args.healthy)]
-    truth = GroundTruth.from_json(args.truth) if args.truth else None
+    truth = GroundTruth.from_dict(_read_json(args.truth, "ground-truth")) if args.truth else None
     if args.policy == "fixed":
         if args.threshold is None:
             raise ConfigError("--policy fixed requires --threshold")
@@ -192,7 +199,7 @@ def _add_scoring_args(sp, truth_required: bool) -> None:
     sp.add_argument("--outdir", default=None)
     _add_network_args(sp)
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
-    sp.add_argument("--k", type=float, default=6.0, help="adaptive threshold multiplier")
+    sp.add_argument("--k", type=float, default=AdaptivePolicy.k, help="adaptive threshold multiplier")
     sp.add_argument("--threshold", type=float, default=None, help="fixed threshold (percent)")
     sp.add_argument("--calibration", type=_parse_window, default=None,
                     help="LO:HI layer range used to calibrate the adaptive threshold")
@@ -302,10 +309,7 @@ def _cmd_classify(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
     path = Path(args.manifest)
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON: {err}") from err
+    manifest = _read_json(path, "manifest")
     try:
         entries = manifest["samples"]
         window = tuple(manifest["window"]) if "window" in manifest else None
@@ -356,7 +360,6 @@ def _cmd_energy(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
     lo, hi = args.window
-    topology = NetworkTopology.chain(cfg.stage_sizes())
     samples = [
         gen_defective(
             GenParams(layer_range=(lo, hi), noise_std=args.noise_std, seed=cfg.seed + i),
@@ -366,15 +369,12 @@ def _cmd_energy(args) -> int:
         for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
     ]
     counts = {
-        sample_id: count_ops(sim.spike_counts(), topology, steps=len(sim.decoded))
+        sample_id: count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=len(sim.decoded))
         for (sample_id, _, _), (_, sim) in zip(ENERGY_SAMPLES, run_filter(samples, cfg))
     }
 
     if args.profiles:
-        ppath = Path(args.profiles)
-        if not ppath.exists():
-            raise DataError(f"profiles file does not exist: {ppath}")
-        profiles = profiles_from_json(ppath.read_text())
+        profiles = profiles_from_dict(_read_json(args.profiles, "profiles"))
     else:
         profiles = reference_profiles(counts[ENERGY_REFERENCE_SAMPLE])
 
@@ -400,19 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", help="generate a synthetic healthy/defective pair")
     sp.add_argument("--outdir", default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=GenParams.seed)
     sp.add_argument("--baseline-seed", type=int, default=None,
                     help="seed of the healthy reference build (default: seed + 1)")
     sp.add_argument("--sensor", choices=sorted(NOISE_STD), default="PD1")
-    sp.add_argument("--reduction", type=float, default=66.0)
-    sp.add_argument("--defect-layers", type=int, default=7)
-    sp.add_argument("--defect-start", type=int, default=613)
-    sp.add_argument("--window", type=_parse_window, default=(570, 650))
+    sp.add_argument("--reduction", type=float, default=DefectSpec.power_reduction_percent)
+    sp.add_argument("--defect-layers", type=int, default=DefectSpec.n_layers)
+    sp.add_argument("--defect-start", type=int, default=DefectSpec.start_layer)
+    sp.add_argument("--window", type=_parse_window, default=GenParams.layer_range)
     sp.add_argument("--noise-std", type=float, default=None)
-    sp.add_argument("--junction-period", type=int, default=8)
-    sp.add_argument("--junction-amplitude", type=float, default=600.0)
-    sp.add_argument("--baseline-level", type=float, default=1000.0)
-    sp.add_argument("--dip-fraction", type=float, default=1.0)
+    sp.add_argument("--junction-period", type=int, default=GenParams.junction_period)
+    sp.add_argument("--junction-amplitude", type=float, default=GenParams.junction_spike_amplitude)
+    sp.add_argument("--baseline-level", type=float, default=GenParams.baseline_level)
+    sp.add_argument("--dip-fraction", type=float, default=DefectSpec.dip_fraction)
     sp.set_defaults(func=_cmd_gen_data)
 
     sp = sub.add_parser("detect", help="filter, deviate, and flag anomalous layers")
@@ -445,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("energy", help="estimate per-hardware energy per inference")
     sp.add_argument("--outdir", default=None)
     sp.add_argument("--profiles", default=None, help="custom hardware profiles JSON")
-    sp.add_argument("--noise-std", type=float, default=20.0)
-    sp.add_argument("--window", type=_parse_window, default=(570, 650))
-    sp.add_argument("--defect-start", type=int, default=613)
+    sp.add_argument("--noise-std", type=float, default=GenParams.noise_std)
+    sp.add_argument("--window", type=_parse_window, default=GenParams.layer_range)
+    sp.add_argument("--defect-start", type=int, default=DefectSpec.start_layer)
     _add_network_args(sp)
     sp.set_defaults(func=_cmd_energy)
 
@@ -462,8 +462,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args) or 0)
-    except (SnnDetectError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (SnnDetectError, OSError, UnicodeDecodeError, MemoryError) as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,6 @@ be read as relative orderings, not absolute power figures.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,35 +31,6 @@ HARDWARE_ORDER = tuple(REFERENCE_ENERGY_UJ)
 
 # priced per synaptic op; every other reference hardware is priced per inference
 SYNOP_DOMINATED = ("Loihi", "SpiNNaker2")
-
-
-@dataclass(frozen=True)
-class NetworkTopology:
-    """Per-neuron fan-out of the simulated network."""
-
-    fan_out: np.ndarray
-
-    def __post_init__(self) -> None:
-        fan_out = np.asarray(self.fan_out, dtype=np.int64)
-        object.__setattr__(self, "fan_out", fan_out)
-        if fan_out.ndim != 1 or np.any(fan_out < 0):
-            raise ConfigError("fan_out must be a 1-D array of non-negative counts")
-
-    @property
-    def n_neurons(self) -> int:
-        return int(self.fan_out.size)
-
-    @classmethod
-    def chain(cls, stage_sizes: Sequence[int]) -> "NetworkTopology":
-        """Cascade topology: each stage projects onto the next, the last decodes
-        to a single output."""
-        if not stage_sizes or any(s < 1 for s in stage_sizes):
-            raise ConfigError(f"stage sizes must be positive, got {list(stage_sizes)}")
-        fans = []
-        for s, size in enumerate(stage_sizes):
-            target = stage_sizes[s + 1] if s + 1 < len(stage_sizes) else 1
-            fans.append(np.full(size, target, dtype=np.int64))
-        return cls(fan_out=np.concatenate(fans))
 
 
 @dataclass(frozen=True)
@@ -91,27 +61,28 @@ class HardwareEnergyProfile:
                 raise ConfigError(f"{label} must be non-negative, got {value}")
 
 
-def count_ops(spike_counts, topology: NetworkTopology, steps: int) -> OpCounts:
-    """Tally operations from one run: each neuron's spikes priced by its
-    fan-out, plus one state update per neuron per timestep.
+def count_ops(spike_counts, stage_sizes: Sequence[int], steps: int) -> OpCounts:
+    """Tally operations from one run of a chain of stages: each spike
+    reaches every neuron of the next stage, or the one decoded output from
+    the last stage, plus one state update per neuron per timestep.
 
-    `spike_counts` holds one spike total per neuron of the topology, as
+    `spike_counts` holds one spike total per neuron, stage by stage, as
     SimResult.spike_counts returns them.
     """
+    sizes = list(stage_sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise ConfigError(f"stage sizes must be positive, got {sizes}")
+    fan_out = np.repeat(sizes[1:] + [1], sizes)
     counts = np.asarray(spike_counts)
-    if counts.shape != (topology.n_neurons,):
+    if counts.shape != fan_out.shape:
         raise DataError(
-            f"topology has {topology.n_neurons} neurons but got spike counts "
-            f"of shape {counts.shape}"
+            f"stages hold {fan_out.size} neurons but got spike counts of shape {counts.shape}"
         )
     if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
         raise DataError("spike counts must be non-negative integers")
     if steps < 0:
         raise DataError(f"steps must be >= 0, got {steps}")
-    return OpCounts(
-        synaptic_ops=int(topology.fan_out @ counts),
-        neuron_updates=topology.n_neurons * steps,
-    )
+    return OpCounts(synaptic_ops=int(fan_out @ counts), neuron_updates=fan_out.size * steps)
 
 
 def estimate_energy(c: OpCounts, p: HardwareEnergyProfile) -> float:
@@ -151,7 +122,7 @@ def reference_profiles(reference: OpCounts) -> dict[str, HardwareEnergyProfile]:
 
 
 def profiles_to_dict(profiles: Mapping[str, HardwareEnergyProfile]) -> dict:
-    """The JSON-ready name -> constants mapping that profiles_from_json reads."""
+    """The JSON-ready name -> constants mapping that profiles_from_dict reads."""
     return {
         name: {
             "e_synop": p.e_synop,
@@ -162,20 +133,16 @@ def profiles_to_dict(profiles: Mapping[str, HardwareEnergyProfile]) -> dict:
     }
 
 
-def profiles_from_json(text: str) -> dict[str, HardwareEnergyProfile]:
-    """Accepts either a bare name->constants mapping or a document with the
-    mapping under a "profiles" key (the CLI emits the latter, with run
-    metadata alongside)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DataError(f"invalid profiles JSON: {err}") from err
-    if isinstance(data, dict) and isinstance(data.get("profiles"), dict):
-        data = data["profiles"]
-    if not isinstance(data, dict):
-        raise DataError("profiles JSON must map names to energy constants")
+def profiles_from_dict(doc) -> dict[str, HardwareEnergyProfile]:
+    """The inverse of profiles_to_dict. Accepts either a bare name->constants
+    mapping or a document with the mapping under a "profiles" key (the CLI
+    emits the latter, with run metadata alongside)."""
+    if isinstance(doc, dict) and isinstance(doc.get("profiles"), dict):
+        doc = doc["profiles"]
+    if not isinstance(doc, dict):
+        raise DataError("profiles must map names to energy constants")
     out = {}
-    for name, fields in data.items():
+    for name, fields in doc.items():
         try:
             out[name] = HardwareEnergyProfile(name=name, **fields)
         except TypeError as err:

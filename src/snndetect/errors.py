@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 import numbers
 
+# the I-JSON interoperable integer range (RFC 7493), the bound on every
+# integer a document or flag gives: counts, seeds and layer numbers
+MAX_INT = 2**53 - 1
+
 
 class SnnDetectError(Exception):
     """Base class for all package errors."""
@@ -23,10 +27,12 @@ class NumericError(SnnDetectError, RuntimeError):
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:
-    """Raise ConfigError unless `value` is an integer (not a bool), and at
-    least `minimum` when one is given."""
+    """Raise ConfigError unless `value` is an integer (not a bool) within
+    +-MAX_INT, and at least `minimum` when one is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if abs(value) > MAX_INT:
+        raise ConfigError(f"{name} must lie within +-{MAX_INT} (2**53 - 1)")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 

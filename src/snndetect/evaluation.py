@@ -6,10 +6,8 @@ window: each layer is either flagged or not, defective or not.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .baselines import BaselineFilterSpec, apply_baseline_filter
@@ -50,22 +48,18 @@ class GroundTruth:
             raise DataError(f"defect layers {sorted(outside)} fall outside window {self.window}")
 
     @classmethod
-    def from_json(cls, path) -> "GroundTruth":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"ground-truth file does not exist: {path}")
+    def from_dict(cls, doc) -> "GroundTruth":
+        """The truth of a document with `defect_layers` and a `window`, as
+        gen-data writes to truth.json."""
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}: invalid JSON: {err}") from err
-        try:
-            lo, hi = data["window"]
-            layers = tuple(data["defect_layers"])
+            lo, hi = doc["window"]
+            layers = tuple(doc["defect_layers"])
         except (KeyError, TypeError, ValueError) as err:
-            raise DataError(f"{path}: expected keys 'defect_layers' and 'window': {err}") from err
+            raise DataError(
+                f"ground truth: expected keys 'defect_layers' and 'window': {err}") from err
         return cls(defect_layers=layers, window=(lo, hi))
 
-    def default_policy(self, k: float = 6.0) -> AdaptivePolicy:
+    def default_policy(self, k: float = AdaptivePolicy.k) -> AdaptivePolicy:
         """Adaptive policy calibrated on the clean layers before the defect.
 
         The calibration range ends CALIBRATION_MARGIN layers before the

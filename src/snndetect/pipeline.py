@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ensembles import Ensemble, build_ensemble
-from .errors import ConfigError, DataError, NumericError, check_int, check_real
+from .errors import MAX_INT, ConfigError, DataError, NumericError, check_int, check_real
 from .simulator import SimResult, simulate_cascade
 
 CONFIG_KEYS = ("neurons", "radius", "dt", "presentation_time", "tau_in", "tau_out", "seed", "stages")
@@ -132,11 +132,11 @@ class FilterConfig:
             raise ConfigError(f"time constants must be positive, got {self.tau_in}, {self.tau_out}")
         if self.stages > self.neurons:
             raise ConfigError(f"cannot split {self.neurons} neurons over {self.stages} stages")
-        ratio = self.presentation_time / self.dt
-        if ratio < 0.5 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        ratio = self.presentation_time / self.dt  # inf when the quotient overflows
+        if not 0.5 <= ratio <= MAX_INT or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
                 f"presentation_time {self.presentation_time} must be a positive "
-                f"multiple of dt {self.dt}"
+                f"multiple of dt {self.dt}, of at most {MAX_INT} steps"
             )
 
     @property

@@ -1,6 +1,7 @@
 """Closed-form ground truth that the package's fast paths are tested against.
 
 Nothing in the package calls these: the exact scalar synapse step, the
+out-of-place LIF step and a one-lane cascade loop built on it, the
 steady-state tuning curves of a population, and the validated
 cross-entropy of a probability table.
 """
@@ -15,6 +16,7 @@ import numpy as np
 from snndetect.classifier import _mean_nll, _warn_on_zero
 from snndetect.ensembles import Ensemble, _rates
 from snndetect.errors import ConfigError, DataError
+from snndetect.neurons import TAU_RC, TAU_REF
 
 
 @dataclass
@@ -40,6 +42,57 @@ def synapse_step(s: SynapseState, x: float, dt: float) -> tuple[SynapseState, fl
     a = math.exp(-dt / s.tau_syn)
     y = s.y * a + x * (1.0 - a)
     return SynapseState(tau_syn=s.tau_syn, y=y), y
+
+
+def reference_step(v, refr, j, dt):
+    """One LIF update out of place, the form lif_step_arrays computes in
+    place; returns the next (v, refr, spiked)."""
+    delta = np.minimum(np.maximum(dt - refr, 0.0), dt)
+    v_next = j + (v - j) * np.exp(-delta / TAU_RC)
+    v_next = np.maximum(v_next, 0.0)
+    refr_next = np.maximum(refr - dt, 0.0)
+    spiked = v_next > 1.0
+    if spiked.any():
+        overshoot = (v_next[spiked] - 1.0) / (j[spiked] - 1.0)
+        t_after = -TAU_RC * np.log1p(-overshoot)
+        refr_next[spiked] = np.maximum(TAU_REF - t_after, 0.0)
+        v_next[spiked] = 0.0
+    return v_next, refr_next, spiked
+
+
+def reference_cascade(ensembles, signal, dt, taus):
+    """One lane of simulate_cascade, the straightforward way.
+
+    Each step filters the input, and each stage clips its input at its
+    radius, drives its neurons through reference_step, filters their spike
+    trains (1/dt per spike) and decodes. `signal` is the lane's input and
+    `taus` its row of time constants, one per link. Returns the decoded
+    values (steps,), the spike masks of all stages side by side (steps,
+    neurons) and the last stage's filtered rates (steps, its neurons).
+    """
+    sizes = [e.n_neurons for e in ensembles]
+    decays = [math.exp(-dt / tau) for tau in taus]
+    y_in = 0.0
+    v = [np.zeros(n) for n in sizes]
+    refr = [np.zeros(n) for n in sizes]
+    r = [np.zeros(n) for n in sizes]
+    decoded, spikes, rates = [], [], []
+    for value in signal:
+        y_in = y_in * decays[0] + value * (1.0 - decays[0])
+        x, masks = y_in, []
+        for s, e in enumerate(ensembles):
+            drive = e.gains * e.encoders * min(max(x / e.radius, -1.0), 1.0) + e.biases
+            v[s], refr[s], spiked = reference_step(v[s], refr[s], drive, dt)
+            a = decays[s + 1]
+            r[s] = r[s] * a + spiked * (1.0 / dt) * (1.0 - a)
+            x = e.decoders @ r[s]
+            masks.append(spiked)
+        decoded.append(x)
+        spikes.append(np.concatenate(masks))
+        rates.append(r[-1])
+    steps = len(decoded)
+    return (np.array(decoded).reshape(steps), np.array(spikes, dtype=bool).reshape(steps, sum(sizes)),
+            np.array(rates).reshape(steps, sizes[-1]))
 
 
 def tuning_curves(e: Ensemble, xs) -> np.ndarray:

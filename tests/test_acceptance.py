@@ -26,7 +26,6 @@ from snndetect.cli import main
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.energy import (
     HARDWARE_ORDER,
-    NetworkTopology,
     count_ops,
     estimate_energy,
     reference_profiles,
@@ -275,7 +274,6 @@ def test_c07_cross_entropy_correctness():
 
 def test_c08_energy_model():
     cfg = get_preset("cpu-pd1-66", seed=7)
-    topology = NetworkTopology.chain(cfg.stage_sizes())
     samples = (("S1V3", 33.0, 3), ("S1V7", 33.0, 7), ("S2V3", 66.0, 3),
                ("S2V7", 66.0, 7), ("S3V3", 100.0, 3), ("S3V7", 100.0, 7))
     counts = {}
@@ -283,7 +281,7 @@ def test_c08_energy_model():
         params = GenParams(layer_range=WINDOW, noise_std=20.0, seed=100 + i)
         spec = DefectSpec(start_layer=613, n_layers=n_layers, power_reduction_percent=reduction)
         _, sim = run_filter(gen_defective(params, spec), cfg)
-        counts[sample_id] = count_ops(sim.spike_counts(), topology, steps=len(sim.decoded))
+        counts[sample_id] = count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=len(sim.decoded))
 
     profiles = reference_profiles(counts["S2V7"])
     reference_row = [estimate_energy(counts["S2V7"], profiles[n]) for n in HARDWARE_ORDER]

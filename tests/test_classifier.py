@@ -225,11 +225,11 @@ def test_zero_probability_warns_during_training():
 def test_training_validation():
     f = SampleFeature("a", np.ones(4), 0)
     with pytest.raises(ConfigError):
-        train_classifier([f], epochs=10)
+        train_classifier([f], epochs=10, lr=0.05)
     with pytest.raises(ConfigError):
-        train_classifier([f, SampleFeature("b", np.ones(4), 0)], epochs=10)
+        train_classifier([f, SampleFeature("b", np.ones(4), 0)], epochs=10, lr=0.05)
     with pytest.raises(ConfigError):
-        train_classifier([f, SampleFeature("b", np.ones(5), 1)], epochs=10)
+        train_classifier([f, SampleFeature("b", np.ones(5), 1)], epochs=10, lr=0.05)
 
 
 # ------------------------------------------------------------ predict

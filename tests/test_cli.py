@@ -17,6 +17,7 @@ FAST_CONFIG = {
     "stages": 1,
 }
 HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+ENERGY_ARGS = ("--window", "600:640", "--defect-start", "620")
 
 
 @pytest.fixture()
@@ -671,3 +672,50 @@ def test_energy_that_overflows_is_an_error(workdir, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert "'CPU'" in err and "not finite" in err
     assert not (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("config", [
+    '{"neurons": %s}' % HUGE_INT,
+    '{"neurons": 4611686018427387904}',  # 2**62, beyond 2**53 - 1
+    '{"neurons": 1000000000000}',  # within 2**53 - 1, but no host allocates it
+    '{"presentation_time": 1e300, "dt": 1e-300}',  # the step count overflows to inf
+    '{"dt": 1e-300}',  # 1e298 steps per layer
+], ids=["int-beyond-float", "2**62", "10**12", "inf-steps", "1e298-steps"])
+def test_config_of_unusable_size_exits_2(workdir, capsys, config):
+    # each ended in a traceback: a numpy dimension or size error, a
+    # MemoryError, or an OverflowError from round(inf)
+    path = workdir / "huge-size.json"
+    path.write_text(config)
+    out = workdir / "huge-size"
+    code = main(["energy", "--outdir", str(out), "--config", str(path), *ENERGY_ARGS])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "energy.csv").exists()
+
+
+def test_gen_data_window_beyond_the_integer_bound_exits_2(workdir, capsys):
+    out = workdir / "wide"
+    code = main(["gen-data", "--window", f"1:{2**62}", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: layer_range bound must lie within") and "Traceback" not in err
+    assert not (out / "defective.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "ground-truth", "manifest", "profiles"])
+def test_missing_document_exits_2(workdir, capsys, kind):
+    data = workdir / "data"
+    missing = str(workdir / "missing.json")
+    config = ("--config", str(workdir / "config.json"))
+    pair = ("--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv"))
+    argv = {
+        "config": ["detect", *pair, "--config", missing],
+        "ground-truth": ["detect", *pair, *config, "--truth", missing],
+        "manifest": ["classify", "--manifest", missing, *config],
+        "profiles": ["energy", "--profiles", missing, *config, *ENERGY_ARGS],
+    }[kind]
+    code = main([*argv, "--outdir", str(workdir / "missing-out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {kind} file does not exist: {missing}\n"

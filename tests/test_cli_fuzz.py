@@ -7,8 +7,11 @@ list, a negative number or 1e400 (or dropped). Valid layer CSVs get cells
 swapped for non-integral, huge, inf/nan, negative or empty ones, rows
 duplicated, or cells dropped. Whatever comes in, main() returns 0 or 2,
 and a nonzero exit writes a one-line `error: ` message rather than a
-traceback. A profiles document with a constant that is not a finite
-number >= 0 exits 2, and an integer beyond the float range is not one; a
+traceback. Each document kind also has an example holding an integer
+literal of 5000 digits, past the 4300 that Python converts, which the
+JSON parser itself rejects. A profiles document with a constant that is
+not a finite number >= 0 exits 2, and an integer beyond the float range
+is not one, nor is a document that does not parse; a
 valid one may also draw huge finite constants, and then it either exits 0
 with every energy finite or exits 2 because an energy overflows, without
 writing energy.csv. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps
@@ -27,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from snndetect.cli import main
 
 HUGE = "<1e400>"  # stands for the literal 1e400 in the written document
+LONG_INT = "1" + "0" * 5000  # past Python's 4300-digit limit on int(str)
 BAD = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4), st.integers(-10**6, 0),
     st.floats(-1e6, -1e-3), st.just(float("nan")), st.just(HUGE),
@@ -133,6 +137,7 @@ def detect_args(fx, config, truth):
 @given(text=mutated(CONFIG, drop=False))  # a dropped key falls back to a 500-neuron default
 @example(text="not json")
 @example(text=json.dumps({**CONFIG, "radius": 10**400}))
+@example(text='{"radius": %s}' % LONG_INT)
 def test_config_documents(fx, text):
     run_cli(fx, "fuzz-config.json", text,
             *detect_args(fx, fx / "fuzz-config.json", fx / "data" / "truth.json"))
@@ -141,6 +146,7 @@ def test_config_documents(fx, text):
 @FUZZ
 @given(text=mutated(TRUTH))
 @example(text='{"defect_layers": ["x"], "window": [600, 619]}')
+@example(text='{"defect_layers": [%s], "window": [600, 619]}' % LONG_INT)
 def test_truth_documents(fx, text):
     run_cli(fx, "fuzz-truth.json", text,
             *detect_args(fx, fx / "config.json", fx / "fuzz-truth.json"))
@@ -149,6 +155,7 @@ def test_truth_documents(fx, text):
 @FUZZ
 @given(text=mutated(MANIFEST))
 @example(text='{"samples": 5}')
+@example(text='{"window": [%s, 615], "samples": []}' % LONG_INT)
 def test_manifest_documents(fx, text):
     run_cli(fx, "fuzz-manifest.json", text, "classify", "--manifest",
             str(fx / "fuzz-manifest.json"), "--config", str(fx / "config.json"),
@@ -167,8 +174,12 @@ def test_baseline_documents(fx, text):
 
 
 def valid_profiles(text):
-    """Whether a profiles document maps names to finite energy constants >= 0."""
-    doc = json.loads(text)
+    """Whether a profiles document parses and maps names to finite energy
+    constants >= 0."""
+    try:
+        doc = json.loads(text)
+    except ValueError:  # an integer literal past the digit limit
+        return False
 
     def constant(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -201,6 +212,7 @@ def max_constant(text):
 @example(text='{"CPU": {"e_synop": 1e300}}')
 @example(text='{"CPU": {"e_static_per_inference": 1.7e308}}')
 @example(text=json.dumps({"CPU": {"e_synop": 10**400}}))
+@example(text='{"CPU": {"e_synop": %s}}' % LONG_INT)
 def test_profiles_documents(fx, text):
     energy_csv = fx / "out" / "energy.csv"
     energy_csv.unlink(missing_ok=True)

@@ -9,11 +9,10 @@ from snndetect.energy import (
     HARDWARE_ORDER,
     REFERENCE_ENERGY_UJ,
     HardwareEnergyProfile,
-    NetworkTopology,
     OpCounts,
     count_ops,
     estimate_energy,
-    profiles_from_json,
+    profiles_from_dict,
     profiles_to_dict,
     reference_profiles,
 )
@@ -29,22 +28,21 @@ def counts(ids, n_neurons):
 
 
 def test_empty_raster_counts():
-    topo = NetworkTopology.chain([20])
-    c = count_ops(counts([], 20), topo, steps=100)
+    c = count_ops(counts([], 20), [20], steps=100)
     assert c.synaptic_ops == 0
     assert c.neuron_updates == 2000
 
 
 def test_uniform_fanout_counts_spikes():
-    topo = NetworkTopology.chain([5])
-    c = count_ops(counts([0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 5), topo, steps=50)
+    c = count_ops(counts([0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 5), [5], steps=50)
     assert c.synaptic_ops == 10
 
 
 def test_chain_topology_fanouts():
-    topo = NetworkTopology.chain([3, 2])
-    np.testing.assert_array_equal(topo.fan_out, [2, 2, 2, 1, 1])
-    c = count_ops(counts([0, 3], 5), topo, steps=10)
+    # one spike of each neuron alone prices at that neuron's fan-out
+    fan_out = [count_ops(counts([i], 5), [3, 2], steps=10).synaptic_ops for i in range(5)]
+    assert fan_out == [2, 2, 2, 1, 1]
+    c = count_ops(counts([0, 3], 5), [3, 2], steps=10)
     assert c.synaptic_ops == 3  # one stage-1 spike (fan-out 2) + one stage-2 spike
 
 
@@ -53,8 +51,7 @@ def test_counts_match_independent_recount(tmp_path):
     rng = np.random.default_rng(6)
     ids = rng.integers(0, 30, 500)
     times = np.sort(rng.uniform(0, 1, 500))
-    topo = NetworkTopology.chain([20, 10])
-    c = count_ops(counts(ids, 30), topo, steps=1000)
+    c = count_ops(counts(ids, 30), [20, 10], steps=1000)
 
     path = tmp_path / "raster.csv"
     path.write_text("neuron,time\n" + "\n".join(f"{i},{t!r}" for i, t in zip(ids, times)) + "\n")
@@ -69,7 +66,9 @@ def test_counts_match_independent_recount(tmp_path):
 def test_counts_equal_a_raster_recount_on_the_energy_samples(preset):
     # the six samples the energy command prices, in one batched run
     cfg = get_preset(preset, seed=7)
-    topo = NetworkTopology.chain(cfg.stage_sizes())
+    sizes = cfg.stage_sizes()
+    # a neuron's fan-out is the size of the next stage, or 1 in the last one
+    stage_ends, fans = np.cumsum(sizes), np.array(sizes[1:] + [1])
     samples = [
         gen_defective(GenParams(layer_range=(570, 650), noise_std=20.0, seed=cfg.seed + i),
                       DefectSpec(start_layer=613, n_layers=n_layers,
@@ -77,20 +76,20 @@ def test_counts_equal_a_raster_recount_on_the_energy_samples(preset):
         for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
     ]
     for _, sim in run_filter(samples, cfg):
-        c = count_ops(sim.spike_counts(), topo, steps=len(sim.decoded))
-        assert c.synaptic_ops == int(topo.fan_out[sim.raster.neuron_ids].sum()) > 0
+        c = count_ops(sim.spike_counts(), sizes, steps=len(sim.decoded))
+        stage = np.searchsorted(stage_ends, sim.raster.neuron_ids, side="right")
+        assert c.synaptic_ops == int(fans[stage].sum()) > 0
 
 
 def test_count_ops_validation():
-    topo = NetworkTopology.chain([3])
     with pytest.raises(DataError):
-        count_ops(counts([0], 5), topo, steps=10)  # one count per neuron
+        count_ops(counts([0], 5), [3], steps=10)  # one count per neuron
     with pytest.raises(DataError):
-        count_ops(np.array([1, -1, 0]), topo, steps=10)  # negative count
+        count_ops(np.array([1, -1, 0]), [3], steps=10)  # negative count
     with pytest.raises(DataError):
-        count_ops(np.array([1.0, 0.0, 0.0]), topo, steps=10)  # not integer counts
+        count_ops(np.array([1.0, 0.0, 0.0]), [3], steps=10)  # not integer counts
     with pytest.raises(DataError):
-        count_ops(counts([0], 3), topo, steps=-1)
+        count_ops(counts([0], 3), [3], steps=-1)
 
 
 def test_zero_counts_price_at_static():
@@ -158,22 +157,22 @@ def test_reference_profiles_need_spikes():
 def test_profiles_json_round_trip():
     ref = OpCounts(synaptic_ops=60000, neuron_updates=405000)
     profiles = reference_profiles(ref)
-    again = profiles_from_json(json.dumps(profiles_to_dict(profiles)))
+    again = profiles_from_dict(json.loads(json.dumps(profiles_to_dict(profiles))))
     assert again == profiles
     # also accepts the wrapped document the CLI emits
-    wrapped = json.dumps({"seed": 1, "profiles": profiles_to_dict(profiles)})
-    assert profiles_from_json(wrapped) == profiles
+    wrapped = json.loads(json.dumps({"seed": 1, "profiles": profiles_to_dict(profiles)}))
+    assert profiles_from_dict(wrapped) == profiles
     with pytest.raises(DataError):
-        profiles_from_json("[]")
+        profiles_from_dict([])
     with pytest.raises(DataError):
-        profiles_from_json('{"CPU": {"bogus": 1}}')
+        profiles_from_dict({"CPU": {"bogus": 1}})
 
 
 def test_topology_validation():
     with pytest.raises(ConfigError):
-        NetworkTopology(fan_out=np.array([-1]))
+        count_ops(counts([], 3), [3, 0], steps=10)  # an empty stage
     with pytest.raises(ConfigError):
-        NetworkTopology.chain([])
+        count_ops(counts([], 0), [], steps=10)  # no stages
     with pytest.raises(ConfigError):
         OpCounts(-1, 0)
     with pytest.raises(ConfigError):

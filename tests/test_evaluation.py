@@ -75,20 +75,17 @@ def test_adding_correct_flag_never_decreases_recall(flags, defects):
     assert r1 >= r0
 
 
-def test_ground_truth_validation_and_json(tmp_path):
+def test_ground_truth_validation_and_json():
     with pytest.raises(DataError):
         GroundTruth(defect_layers=frozenset({700}), window=WINDOW)
-    path = tmp_path / "truth.json"
-    path.write_text(json.dumps({"defect_layers": [613, 614], "window": [570, 650]}))
-    truth = GroundTruth.from_json(path)
+    truth = GroundTruth.from_dict(json.loads('{"defect_layers": [613, 614], "window": [570, 650]}'))
     assert truth.defect_layers == frozenset({613, 614})
     assert truth.default_policy().calibration == (570, 608)
+    # a missing truth file is the CLI's to report: see test_cli's missing-file cases
     with pytest.raises(DataError):
-        GroundTruth.from_json(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"defect_layers\": [1, 2]}")
+        GroundTruth.from_dict({"defect_layers": [1, 2]})
     with pytest.raises(DataError):
-        GroundTruth.from_json(bad)
+        GroundTruth.from_dict([613, 614])
 
 
 def test_sweep_validates_taus():

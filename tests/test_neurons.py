@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import reference_step
 
 from snndetect.errors import ConfigError
 from snndetect import neurons
@@ -133,21 +134,6 @@ def test_exact_threshold_drive_never_fires():
     for _ in range(3000):
         v, refr, spiked = step(v, refr, 1.0)
         assert not spiked
-
-
-def reference_step(v, refr, j, dt):
-    """The out-of-place LIF update the in-place one replaced, kept as its oracle."""
-    delta = np.minimum(np.maximum(dt - refr, 0.0), dt)
-    v_next = j + (v - j) * np.exp(-delta / TAU_RC)
-    v_next = np.maximum(v_next, 0.0)
-    refr_next = np.maximum(refr - dt, 0.0)
-    spiked = v_next > 1.0
-    if spiked.any():
-        overshoot = (v_next[spiked] - 1.0) / (j[spiked] - 1.0)
-        t_after = -TAU_RC * np.log1p(-overshoot)
-        refr_next[spiked] = np.maximum(TAU_REF - t_after, 0.0)
-        v_next[spiked] = 0.0
-    return v_next, refr_next, spiked
 
 
 @pytest.mark.parametrize("case", ["random", "refractory", "threshold"])
