@@ -183,7 +183,8 @@ def run_filter(
     applies three filter passes in total.
 
     Returns one (filtered, SimResult) pair for one series, or a list with
-    one pair per lane for a sequence.
+    one pair per lane for a sequence. Raises ConfigError, before anything
+    is built, when lanes x padded steps x neurons exceeds errors.MAX_INT.
     """
     single = isinstance(series, SignalSeries)
     lanes = [series] if single else list(series)
@@ -196,9 +197,18 @@ def run_filter(
     if any(replace(c, tau_in=base.tau_in, tau_out=base.tau_out) != base for c in cfgs):
         raise ConfigError("lane configs may differ only in tau_in and tau_out")
 
-    ensembles = build_filter_ensembles(base)
     m = base.presentation_steps
-    inputs = np.zeros((len(lanes), max(s.layers.size for s in lanes) * m))
+    steps = max(s.layers.size for s in lanes) * m
+    # lanes x steps x neurons bounds the size of every array of the run
+    # (inputs, spikes, recorded rates), so an unusable size fails here,
+    # before a population or an array is built
+    if len(lanes) * steps * base.neurons > MAX_INT:
+        raise ConfigError(
+            f"a run of {len(lanes)} lanes x {steps} steps x {base.neurons} neurons "
+            f"exceeds {MAX_INT} (2**53 - 1) values"
+        )
+    ensembles = build_filter_ensembles(base)
+    inputs = np.zeros((len(lanes), steps))
     for b, s in enumerate(lanes):
         inputs[b, : s.layers.size * m] = np.repeat(s.values, m)
     taus = [[c.tau_in] + [c.tau_out] * c.stages for c in cfgs]

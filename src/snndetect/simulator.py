@@ -7,6 +7,13 @@ chain of N populations applies N + 1 filter stages in total. Spikes are
 scaled by 1/dt when converted to current so the filtered trains are
 rate-equivalent (Hz) and match the units the decoders were solved in.
 
+The model is clocked per step, but only its feedback path is computed
+step by step: each population's LIF update and, between populations, the
+link that carries one population's decoded output into the next one's
+drive. The input link reads only the input and the last population's
+output link only that population's spikes, so both run over many steps
+at once, with the same arithmetic and so the same doubles.
+
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
 and its own row of synaptic time constants, so a whole tau sweep is one
@@ -30,7 +37,9 @@ from .neurons import lif_step_arrays
 from .synapses import Lowpass
 
 # bound on one block of the step loop: the unpacked spike masks held between
-# packs plus stage 0's drive, computed ahead for the same steps
+# packs, plus one float64 buffer that holds stage 0's drive for the block's
+# steps and then the last stage's filtered output rows (a cascade also packs
+# from a transient side-by-side copy of its masks)
 SPIKE_BLOCK_BYTES = 1 << 20
 
 
@@ -122,14 +131,18 @@ def simulate_cascade(
     per stage in chain order. Fully deterministic: no randomness enters the
     loop.
 
-    The input link depends on the input alone, so it is filtered and
-    clipped at the first radius for the whole series before the step loop.
-    The loop then makes one LIF update and one output-synapse step per
-    stage and step, on buffers allocated once per call. It runs in blocks
-    of steps: stage 0's drive, which also depends on the input alone, is
-    computed for a whole block in two calls, and the block's spike masks
-    are packed at its end. The masks and the drive of one block together
-    stay within SPIKE_BLOCK_BYTES.
+    The input link depends on the input alone, so it is filtered
+    (`Lowpass.run`) and clipped at the first radius for the whole series
+    before the step loop. The loop runs in blocks of steps, on buffers
+    allocated once per call. Stage 0's drive, which also depends on the
+    input alone, is computed for a whole block in two calls. Per step, the
+    loop makes one LIF update per stage and, for each stage that drives
+    the next, that stage's output-synapse step, decode and clipped drive.
+    The last stage's output link depends only on its spikes, so after the
+    block's steps its synapse runs over the block's masks, one stacked
+    vecdot decodes them, and the masks of all stages are packed. The masks
+    and one block of float64 drive or output rows stay within
+    SPIKE_BLOCK_BYTES.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
@@ -156,16 +169,13 @@ def simulate_cascade(
             )
 
     sizes = [e.n_neurons for e in ensembles]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    n_total = int(bounds[-1])
+    n_total = sum(sizes)
 
-    # the input synapse sees only the input, so its whole output is filtered
-    # up front and stage 0's clipped input is three whole-array calls
+    # the input link sees only the input, so it is filtered for the whole
+    # series in one multiply and one Lowpass.run, then clipped at stage 0's
+    # radius in three whole-array calls
     in_syn = Lowpass(taus[:, 0], dt, lanes)
-    columns = inputs.T
-    x_in = np.empty((n_steps, lanes))
-    for k in range(n_steps):
-        x_in[k] = in_syn.step(columns[k])
+    x_in = in_syn.run(inputs.T * in_syn.gain)
     np.divide(x_in, ensembles[0].radius, out=x_in)
     np.maximum(x_in, -1.0, out=x_in)
     np.minimum(x_in, 1.0, out=x_in)
@@ -190,41 +200,50 @@ def simulate_cascade(
     decoded = np.empty((lanes, n_steps))
     rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
-    # the loop runs in blocks of `block` steps: stage 0's drive depends on the
-    # input alone, so it is computed for a whole block at once, and the spike
-    # masks of a block, all stages side by side, are packed once per block
-    step_bytes = lanes * (n_total + 8 * sizes[0])  # bool masks, float64 drive
+    # the loop runs in blocks of `block` steps. Stage 0's drive depends on the
+    # input alone and the last stage's output link on its spikes alone, so
+    # both are computed for a whole block at once: the drive before the
+    # block's steps and the output rows after them, in one float64 buffer.
+    # Each stage's spike masks fill a contiguous block of their own, packed
+    # together once per block
+    width = max(sizes[0], sizes[-1])
+    step_bytes = lanes * (n_total + 8 * width)  # bool masks, float64 drive or rows
     block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
-    spiked = np.empty((block, lanes, n_total), dtype=bool)
-    block_drive = np.empty((block, lanes, sizes[0]))
-    masks = [[spiked[i, :, bounds[s] : bounds[s + 1]] for s in range(n_stages)]
-             for i in range(block)]
+    stage_masks = [np.empty((block, lanes, n), dtype=bool) for n in sizes]
+    floats = np.empty(block * lanes * width)
+    block_drive = floats[: block * lanes * sizes[0]].reshape(block, lanes, sizes[0])
+    last_rows = floats[: block * lanes * sizes[-1]].reshape(block, lanes, sizes[-1])
+    masks = [[m[i] for m in stage_masks] for i in range(block)]
 
     in_cols, norm_col = x_in[:, :, None], x_norm[:, None]
     for k0 in range(0, n_steps, block):
         n = min(block, n_steps - k0)
         np.multiply(gain_enc[0], in_cols[k0 : k0 + n], out=block_drive[:n])
         block_drive[:n] += ensembles[0].biases
+        # only the feedback path runs per step: each LIF update, and for a
+        # stage that drives the next, its output synapse, decode and clip
         for i in range(n):
-            k = k0 + i
-            for s, e in enumerate(ensembles):
-                if s:
-                    np.divide(x, radii[s], out=x_norm)
-                    np.maximum(x_norm, lo, out=x_norm)
-                    np.minimum(x_norm, hi, out=x_norm)
-                    j = np.multiply(gain_enc[s], norm_col, out=drive[s])
-                    j += e.biases
-                else:
-                    j = block_drive[i]
-                mask = masks[i][s]
-                lif_step_arrays(v[s], refr[s], j, step_dt, mask)
-                r = out_syns[s].step(mask)
-                # one dot product per lane row: vecdot runs the same per-row dot
-                # as a one-lane run, where a single (lanes x n) @ (n,) product
-                # sums in a different order and drifts from it
-                x = np.vecdot(r, e.decoders, out=decoded[:, k] if s == n_stages - 1 else x_mid)
-            if rates is not None:
-                rates[:, k] = r
-        spikes[k0 : k0 + n] = np.packbits(spiked[:n], axis=-1)
+            mask = masks[i]
+            lif_step_arrays(v[0], refr[0], block_drive[i], step_dt, mask[0])
+            for s in range(1, n_stages):
+                r = out_syns[s - 1].step(mask[s - 1])
+                # one dot product per lane row: vecdot runs the same per-row
+                # dot as a one-lane run, where a single (lanes x n) @ (n,)
+                # product sums in a different order and drifts from it
+                np.vecdot(r, ensembles[s - 1].decoders, out=x_mid)
+                np.divide(x_mid, radii[s], out=x_norm)
+                np.maximum(x_norm, lo, out=x_norm)
+                np.minimum(x_norm, hi, out=x_norm)
+                np.multiply(gain_enc[s], norm_col, out=drive[s])
+                drive[s] += ensembles[s].biases
+                lif_step_arrays(v[s], refr[s], drive[s], step_dt, mask[s])
+        rows = np.multiply(stage_masks[-1][:n], out_syns[-1].gain, out=last_rows[:n])
+        out_syns[-1].run(rows)
+        np.vecdot(rows, ensembles[-1].decoders, out=decoded[:, k0 : k0 + n].T)
+        if rates is not None:
+            rates[:, k0 : k0 + n] = rows.swapaxes(0, 1)
+        block_masks = [m[:n] for m in stage_masks]
+        spiked = block_masks[0] if n_stages == 1 else np.concatenate(block_masks, axis=-1)
+        spikes[k0 : k0 + n] = np.packbits(spiked, axis=-1)
 
     return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)

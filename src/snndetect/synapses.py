@@ -37,3 +37,20 @@ class Lowpass:
         self.y *= self.decay
         self.y += x * self.gain
         return self.y
+
+    def run(self, rows):
+        """Advance one step per row, in place, continuing from `y`.
+
+        `rows` is (steps,) + the state's shape, and row k holds step k's
+        input already multiplied by `gain`. Each row becomes the state after
+        its step and `y` is left holding the last one. row[k] += row[k-1] *
+        decay is step's y*decay + x*gain with the two addends swapped, and
+        IEEE addition commutes, so every value is the double `step` gives.
+        Returns `rows`.
+        """
+        prev, scaled = self.y, np.empty_like(self.y)
+        for row in rows:
+            row += np.multiply(prev, self.decay, out=scaled)
+            prev = row
+        self.y[...] = prev
+        return rows

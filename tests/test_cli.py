@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from snndetect import __version__
+from snndetect import __version__, pipeline
 from snndetect.cli import main
 
 FAST_CONFIG = {
@@ -692,6 +692,34 @@ def test_config_of_unusable_size_exits_2(workdir, capsys, config):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    # 9e12 steps per layer: each size is in range, but 2 lanes x 81 layers of
+    # them overflowed numpy's array size
+    ("detect", '{"presentation_time": 9000000000000.0, "dt": 0.001}'),
+    # one neuron per stage: listing the stage sizes grew without bound
+    ("energy", '{"neurons": 9007199254740991, "stages": 9007199254740991}'),
+], ids=["detect-steps", "energy-stages"])
+def test_run_beyond_the_size_bound_exits_2_before_building(workdir, capsys, monkeypatch, command, config):
+    def unreachable(cfg):
+        raise AssertionError("a population was built for a run beyond the size bound")
+
+    monkeypatch.setattr(pipeline, "build_filter_ensembles", unreachable)
+    path = workdir / "huge-run.json"
+    path.write_text(config)
+    out = workdir / "huge-run"
+    data = workdir / "data"
+    args = {
+        "detect": ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv")],
+        "energy": list(ENERGY_ARGS),
+    }[command]
+    code = main([command, *args, "--config", str(path), "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: a run of ") and err.count("\n") == 1
+    assert "exceeds 9007199254740991" in err and "Traceback" not in err
+    assert not any(out.iterdir())
 
 
 def test_gen_data_window_beyond_the_integer_bound_exits_2(workdir, capsys):

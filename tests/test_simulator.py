@@ -133,7 +133,9 @@ def lane_signals(lanes, steps):
     return rng.uniform(-1500.0, 1500.0, size=(lanes, steps))
 
 
-@pytest.mark.parametrize("sizes", [(60,), (40, 30), (40, 30, 25)])
+# the last size case has a last stage wider than stage 0, so the block's
+# output rows need more of the shared float64 buffer than its drive
+@pytest.mark.parametrize("sizes", [(60,), (40, 30), (40, 30, 25), (25, 40)])
 def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
     inputs = lane_signals(2, 150)
@@ -141,8 +143,10 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     refs = [reference_cascade(ensembles, inputs[b], DT, taus[b]) for b in range(2)]
     # one spike block for the whole run, then blocks of 7 steps: 150 is not
     # a multiple of 7, so the last block is partial
-    # (a step of a block holds 2 lanes' spike masks and stage 0's float64 drive)
-    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * (sum(sizes) + 8 * sizes[0])):
+    # (a step of a block holds 2 lanes' spike masks and one float64 row as
+    # wide as the wider of stage 0's drive and the last stage's output)
+    width = max(sizes[0], sizes[-1])
+    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * (sum(sizes) + 8 * width)):
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
         for record_rates in (False, True):
             res = simulate_cascade(ensembles, inputs, DT, taus, record_rates=record_rates)

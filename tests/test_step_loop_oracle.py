@@ -3,7 +3,8 @@
 `oracles.reference_cascade` runs one lane at a time, out of place, with
 the spike current applied before the output synapse's gain. The fast loop
 runs every lane at once, in place, with the spike current folded into the
-gain, and computes stage 0's drive a block of steps at a time. It must
+gain, computes stage 0's drive a block of steps at a time, and filters and
+decodes the last stage's spikes a block of steps at a time. It must
 reproduce the reference exactly; the tolerance is 0 (array_equal) on
 decoded values, packed spikes and recorded rates, and the runs cross
 block boundaries.
@@ -40,8 +41,10 @@ def ensembles():
 
 def block_budget(lanes, chain, steps):
     """The SPIKE_BLOCK_BYTES that makes the loop's blocks `steps` steps long:
-    each step holds one bool mask per neuron and stage 0's float64 drive."""
-    return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * chain[0].n_neurons)
+    each step holds one bool mask per neuron and one float64 row as wide as
+    the wider of stage 0 (its drive) and the last stage (its output rows)."""
+    width = max(chain[0].n_neurons, chain[-1].n_neurons)
+    return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * width)
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])
