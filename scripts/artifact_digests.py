@@ -12,10 +12,12 @@ packed spike byte. detect runs once more without `--truth` under a fixed
 threshold, so its report has no metrics, and compare once more under a
 `--config` whose `baseline` list holds a 5-layer and a 101-layer moving
 average; the 101-layer window is longer than the 81-layer series, so its
-row is an error row of `nan`s. One `sha256  relpath` line is printed per
-file. snndetect is imported from PYTHONPATH, so pointing it at another
-checkout's src/ lists that checkout's digests; `diff` two listings to see
-which artifacts moved.
+row is an error row of `nan`s. detect runs twice more under a `--config`
+of `dt` 0.0005 and 0.0025 (20 and 4 steps per layer), so the neurons'
+2 ms refractory time spans four steps and less than one. One
+`sha256  relpath` line is printed per file. snndetect is imported from
+PYTHONPATH, so pointing it at another checkout's src/ lists that
+checkout's digests; `diff` two listings to see which artifacts moved.
 """
 
 import hashlib
@@ -66,6 +68,10 @@ def digests(out: Path) -> None:
         {"kind": "moving_average", "window": 5}, {"kind": "moving_average", "window": 101}]}))
     run("compare", *pair, "--config", out / "baseline.json", "--seed", 7,
         "--outdir", out / "baseline")
+    for dt in ("0.0005", "0.0025"):
+        (out / f"dt-{dt}.json").write_text(json.dumps({"dt": float(dt)}))
+        run("detect", *pair, "--config", out / f"dt-{dt}.json", "--seed", 7,
+            "--outdir", out / f"dt-{dt}")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out), sep="  ")
 

@@ -82,15 +82,19 @@ def lif_step_arrays(
     spike mask is written into `spiked`, a bool array of the same shape
     (allocated when omitted); `j` is not modified. `dt` may be a float or a
     0-d float64 array; a loop that passes the 0-d array spares each ufunc
-    call the conversion of a Python scalar, with identical results. `refr`
-    may hold any value: the integrated part of the step is clamped to
-    [0, dt]. Beyond the decay factor, the only temporaries are the gathered
-    entries of the neurons that spiked.
+    call the conversion of a Python scalar, with identical results.
+
+    Precondition: `refr >= 0`, as the step leaves it. Then the integrated
+    part of the step, max(dt - refr, 0), never exceeds dt, and one
+    difference s = dt - refr gives both it and the refractory time left,
+    max(s, 0) - s, which equals max(refr - dt, 0) exactly (IEEE subtraction
+    is antisymmetric), signed zeros included. Beyond the decay factor, the
+    only temporaries are the gathered entries of the neurons that spiked.
     """
     dt = np.asarray(dt, dtype=float)
-    decay = np.subtract(dt, refr)
-    np.maximum(decay, _ZERO, out=decay)
-    np.minimum(decay, dt, out=decay)  # the integrated part of the step
+    np.subtract(dt, refr, out=refr)  # refr holds s for the next two lines
+    decay = np.maximum(refr, _ZERO)  # the integrated part of the step
+    np.subtract(decay, refr, out=refr)
     np.divide(decay, _NEG_TAU_RC, out=decay)
     np.exp(decay, out=decay)
     v -= j
@@ -100,8 +104,6 @@ def lif_step_arrays(
     # far below rest and take tens of ms to recover when the drive returns,
     # smearing the response past sudden signal steps
     np.maximum(v, _ZERO, out=v)
-    refr -= dt
-    np.maximum(refr, _ZERO, out=refr)
     spiked = np.greater(v, _ONE, out=spiked)
     hit = spiked.ravel().nonzero()[0]
     if hit.size:

@@ -10,9 +10,11 @@ rate-equivalent (Hz) and match the units the decoders were solved in.
 The model is clocked per step, but only its feedback path is computed
 step by step: each population's LIF update and, between populations, the
 link that carries one population's decoded output into the next one's
-drive. The input link reads only the input and the last population's
-output link only that population's spikes, so both run over many steps
-at once, with the same arithmetic and so the same doubles.
+drive. The input link reads only the input, so each lane's series is
+filtered before the loop, as one recurrence on Python floats. The last
+population's output link reads only that population's spikes, so it runs
+over a block of steps at a time. Both use the same arithmetic as a
+per-step filter, and so give the same doubles.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
@@ -25,6 +27,7 @@ events are built only when a raster is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -34,7 +37,7 @@ import numpy as np
 from .ensembles import Ensemble
 from .errors import ConfigError
 from .neurons import lif_step_arrays
-from .synapses import Lowpass
+from .synapses import Lowpass, lowpass_series
 
 # bound on one block of the step loop: the unpacked spike masks held between
 # packs, plus one float64 buffer that holds stage 0's drive for the block's
@@ -131,9 +134,11 @@ def simulate_cascade(
     per stage in chain order. Fully deterministic: no randomness enters the
     loop.
 
-    The input link depends on the input alone, so it is filtered
-    (`Lowpass.run`) and clipped at the first radius for the whole series
-    before the step loop. The loop runs in blocks of steps, on buffers
+    The input link depends on the input alone, so before the step loop
+    each lane's series is filtered as one recurrence on Python floats
+    (`lowpass_series`), with no numpy call per step, and the whole input is
+    then clipped at the first radius. `dt` and every time constant must be
+    positive and finite. The loop runs in blocks of steps, on buffers
     allocated once per call. Stage 0's drive, which also depends on the
     input alone, is computed for a whole block in two calls. Per step, the
     loop makes one LIF update per stage and, for each stage that drives
@@ -147,8 +152,8 @@ def simulate_cascade(
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
         raise ValueError("inputs must be a finite (lanes, steps) array")
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     if len(ensembles) < 1:
         raise ConfigError("at least one population is required")
     n_stages = len(ensembles)
@@ -159,8 +164,8 @@ def simulate_cascade(
             f"expected one row of {n_stages + 1} time constants per lane for "
             f"{lanes} lanes and {n_stages} populations, got shape {taus.shape}"
         )
-    if not np.all(taus > 0):
-        raise ConfigError(f"time constants must be positive, got {taus.tolist()}")
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ConfigError(f"time constants must be positive and finite, got {taus.tolist()}")
     for e in ensembles:
         if len(e.decoders) != e.n_neurons:
             raise ConfigError(
@@ -171,11 +176,12 @@ def simulate_cascade(
     sizes = [e.n_neurons for e in ensembles]
     n_total = sum(sizes)
 
-    # the input link sees only the input, so it is filtered for the whole
-    # series in one multiply and one Lowpass.run, then clipped at stage 0's
-    # radius in three whole-array calls
-    in_syn = Lowpass(taus[:, 0], dt, lanes)
-    x_in = in_syn.run(inputs.T * in_syn.gain)
+    # the input link sees only the input, so each lane's series is filtered
+    # in plain floats before the loop, then clipped at stage 0's radius in
+    # three whole-array calls
+    x_in = np.empty((n_steps, lanes))
+    for b in range(lanes):
+        x_in[:, b] = lowpass_series(inputs[b], taus[b, 0], dt)
     np.divide(x_in, ensembles[0].radius, out=x_in)
     np.maximum(x_in, -1.0, out=x_in)
     np.minimum(x_in, 1.0, out=x_in)

@@ -3,10 +3,32 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+def _decay(tau, dt) -> float:
+    """The per-step decay exp(-dt / tau) of one time constant, validated."""
+    if not (math.isfinite(tau) and tau > 0 and math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"tau and dt must be positive and finite, got tau={tau}, dt={dt}")
+    return math.exp(-dt / tau)
+
+
+def lowpass_series(xs, tau: float, dt: float) -> np.ndarray:
+    """Filter one series from rest: the state after each step, (steps,).
+
+    The recurrence runs on Python floats, one lane at a time, as
+    y = x*gain + y*decay: the operations `Lowpass.run` applies to a row, in
+    the same order, so the doubles are the ones a `Lowpass` of this time
+    constant gives, without two numpy calls per step.
+    """
+    a = _decay(tau, dt)
+    scaled = (np.asarray(xs, dtype=float) * (1.0 - a)).tolist()
+    states = accumulate(scaled, lambda y, x: x + y * a, initial=0.0)
+    return np.fromiter(states, dtype=float, count=len(scaled) + 1)[1:]
 
 
 class Lowpass:
@@ -24,9 +46,7 @@ class Lowpass:
         shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
         if np.ndim(taus) != 1 or not shape or len(taus) != shape[0]:
             raise ConfigError(f"expected one time constant per lane for shape {shape}, got {taus}")
-        if not (np.all(np.asarray(taus) > 0) and dt > 0):
-            raise ConfigError(f"tau and dt must be positive, got tau={taus}, dt={dt}")
-        decays = np.array([math.exp(-dt / t) for t in taus])
+        decays = np.array([_decay(t, dt) for t in taus])
         column = decays.reshape((-1,) + (1,) * (len(shape) - 1))
         self.decay = np.broadcast_to(column, shape).copy()
         self.gain = 1.0 - self.decay

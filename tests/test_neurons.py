@@ -136,10 +136,19 @@ def test_exact_threshold_drive_never_fires():
         assert not spiked
 
 
-@pytest.mark.parametrize("case", ["random", "refractory", "threshold"])
-def test_in_place_step_matches_the_out_of_place_reference(case):
+def in_place_cases():
+    """Each case at a dt of a quarter of, half of and more than the refractory
+    period, so it lasts four steps, two steps and less than one; the 1 ms
+    cases keep their bare names."""
+    for case in ("random", "refractory", "threshold"):
+        for dt in (0.0005, 0.001, 0.0025):
+            yield pytest.param(case, dt, id=case if dt == 0.001 else f"{case}-dt{dt}")
+
+
+@pytest.mark.parametrize("case, dt", in_place_cases())
+def test_in_place_step_matches_the_out_of_place_reference(case, dt):
     rng = np.random.default_rng(5)
-    shape, dt = (3, 200), 0.001
+    shape = (3, 200)
     v = rng.uniform(0.0, 1.0, shape)
     refr = np.zeros(shape)
     j = rng.uniform(-3.0, 8.0, shape)
@@ -158,9 +167,11 @@ def test_in_place_step_matches_the_out_of_place_reference(case):
         want_v, want_refr, want_spiked = reference_step(want_v, want_refr, j, dt)
         out = lif_step_arrays(v, refr, j, dt, spiked)
         assert out[0] is v and out[1] is refr and out[2] is spiked
-        np.testing.assert_array_equal(v, want_v)
-        np.testing.assert_array_equal(refr, want_refr)
+        # compared as bits, so a -0.0 where the reference has 0.0 fails
+        np.testing.assert_array_equal(v.view(np.uint64), want_v.view(np.uint64))
+        np.testing.assert_array_equal(refr.view(np.uint64), want_refr.view(np.uint64))
         np.testing.assert_array_equal(spiked, want_spiked)
+        assert np.all(refr >= 0)  # the precondition the step keeps
         fired += int(spiked.sum())
     np.testing.assert_array_equal(j, j_before)
     assert fired > 1000

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,25 @@ def test_config_errors(ens):
         simulate_cascade([ens], np.zeros(10), DT, [[0.003, 0.003]])  # a 1-D input
     with pytest.raises(ConfigError):
         simulate_cascade([ens], np.zeros((2, 10)), DT, [0.003, 0.003])  # a shared tau row
+
+
+@pytest.mark.parametrize(
+    "dt, taus, named",
+    [
+        (float("inf"), [[0.002, 0.002]], "inf"),
+        (float("nan"), [[0.002, 0.002]], "nan"),
+        (DT, [[float("inf"), 0.002]], "inf"),  # would silence the input link
+        (DT, [[0.002, float("inf")]], "inf"),  # would silence the output link
+        (DT, [[0.002, float("nan")]], "nan"),
+    ],
+    ids=["dt-inf", "dt-nan", "tau-in-inf", "tau-out-inf", "tau-out-nan"],
+)
+def test_non_finite_dt_or_time_constant_is_a_config_error(dt, taus, named):
+    ens = build_ensemble(20, 1100.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any numpy warning
+        with pytest.raises(ConfigError, match=named):
+            simulate_cascade([ens], np.full((1, 30), 900.0), dt, taus)
 
 
 # ------------------------------------------------------------ lane batching

@@ -7,7 +7,9 @@ gain, computes stage 0's drive a block of steps at a time, and filters and
 decodes the last stage's spikes a block of steps at a time. It must
 reproduce the reference exactly; the tolerance is 0 (array_equal) on
 decoded values, packed spikes and recorded rates, and the runs cross
-block boundaries.
+block boundaries. Every lane, stage and block-size case also runs at a dt
+of 0.0005 and 0.0025, where the 2 ms refractory period lasts four steps
+and less than one.
 """
 
 import numpy as np
@@ -18,16 +20,15 @@ from snndetect import simulator
 from snndetect.ensembles import build_ensemble
 from snndetect.simulator import simulate_cascade
 
-DT = 0.001
 STEPS = 97  # not a multiple of the small blocks below
 SIZES = (40, 30, 25)
 
 
-def reference_lanes(chain, inputs, taus):
+def reference_lanes(chain, inputs, dt, taus):
     """reference_cascade of each lane, laid out as simulate_cascade lays out
     a run: decoded (lanes, steps), packed spikes (steps, lanes, bytes) and
     rates (lanes, steps, neurons)."""
-    runs = [reference_cascade(chain, signal, DT, row) for signal, row in zip(inputs, taus)]
+    runs = [reference_cascade(chain, signal, dt, row) for signal, row in zip(inputs, taus)]
     decoded = np.array([d for d, _, _ in runs]).reshape(inputs.shape)
     spikes = np.stack([np.packbits(s, axis=-1) for _, s, _ in runs], axis=1)
     rates = np.array([r for _, _, r in runs])
@@ -47,9 +48,18 @@ def block_budget(lanes, chain, steps):
     return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * width)
 
 
-@pytest.mark.parametrize("stages", [1, 2, 3])
-@pytest.mark.parametrize("lanes", [1, 3, 16], ids=["1", "3", "16"])
-def test_step_loop_equals_previous_loop(ensembles, stages, lanes, monkeypatch):
+def loop_cases():
+    """Each lane count and stage count at each dt; the 1 ms cases keep their
+    bare lanes-stages names."""
+    for dt in (0.001, 0.0005, 0.0025):
+        for stages in (1, 2, 3):
+            for lanes in (1, 3, 16):
+                name = f"{lanes}-{stages}" + ("" if dt == 0.001 else f"-dt{dt}")
+                yield pytest.param(lanes, stages, dt, id=name)
+
+
+@pytest.mark.parametrize("lanes, stages, dt", loop_cases())
+def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatch):
     chain = ensembles[:stages]
     rng = np.random.default_rng(100 * stages + lanes)
     # layer-like steps held for 10 time steps, wide enough that the filtered
@@ -60,7 +70,7 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, monkeypatch):
     lane_taus = rng.uniform(0.0005, 0.012, (lanes, stages + 1))
     lo, hi = sum(SIZES[: stages - 1]), sum(SIZES[:stages])  # the last stage's neurons
     last_stage_spikes = 0
-    cases = [(steps, taus, reference_lanes(chain, inputs[:, :steps], taus))
+    cases = [(steps, taus, reference_lanes(chain, inputs[:, :steps], dt, taus))
              for steps in (STEPS, 5, 0) for taus in (shared_taus, lane_taus)]
     # one block for the whole run, then blocks of 1 and of 7 steps: in 7-step
     # blocks, 97 steps cross 13 block boundaries and end in a partial block,
@@ -70,7 +80,7 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, monkeypatch):
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
         for steps, taus, (decoded, spikes, rates) in cases:
             for record_rates in (False, True):
-                res = simulate_cascade(chain, inputs[:, :steps], DT, taus, record_rates=record_rates)
+                res = simulate_cascade(chain, inputs[:, :steps], dt, taus, record_rates=record_rates)
                 np.testing.assert_array_equal(res.decoded, decoded)
                 np.testing.assert_array_equal(res.spikes, spikes)
                 assert res.decoded.shape == (lanes, steps)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from oracles import SynapseState, synapse_step
 
 from snndetect.errors import ConfigError
-from snndetect.synapses import Lowpass
+from snndetect.synapses import Lowpass, lowpass_series
 
 
 def run_filter_sequence(xs, tau, dt, y0=0.0):
@@ -150,3 +150,27 @@ def test_lowpass_run_equals_repeated_steps(shape, spikes):
         np.testing.assert_array_equal(rows, expected)
         np.testing.assert_array_equal(blocked.y, stepped.y)
     assert np.all(blocked.y != 0.0)
+
+
+@pytest.mark.parametrize("tau, dt", [(float("inf"), 0.001), (0.002, float("inf")),
+                                     (float("nan"), 0.001), (0.002, float("nan"))])
+def test_non_finite_time_constant_or_dt_is_a_config_error(tau, dt):
+    named = "nan" if math.isnan(tau) or math.isnan(dt) else "inf"
+    with pytest.raises(ConfigError, match=named):
+        Lowpass([0.002, tau], dt, (2, 3))
+    with pytest.raises(ConfigError, match=named):
+        lowpass_series([1.0, 2.0], tau, dt)
+
+
+@pytest.mark.parametrize("tau", [0.0005, 0.002, 0.02])
+def test_lowpass_series_equals_the_stepped_filter(tau):
+    # the plain-float recurrence must give a Lowpass's doubles bit for bit,
+    # signed zeros included: a -0.0 input from rest leaves the state +0.0
+    dt = 0.001
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([[-0.0, 0.0, -0.0], rng.uniform(-2500.0, 2500.0, 60), [0.0] * 5])
+    lp = Lowpass([tau], dt, 1)
+    want = np.array([lp.step(x).copy() for x in xs]).reshape(len(xs))
+    got = lowpass_series(xs, tau, dt)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert lowpass_series([], tau, dt).shape == (0,)
