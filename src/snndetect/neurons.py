@@ -43,9 +43,10 @@ def lif_rate(j):
     arr = np.asarray(j, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("drive must be finite")
-    with np.errstate(all="ignore"):
-        isi = TAU_REF + TAU_RC * np.log1p(1.0 / (arr - 1.0))
-        out = np.where(arr > 1.0, 1.0 / isi, 0.0)
+    # the closed form is evaluated only above threshold, where it is finite
+    out = np.zeros(arr.shape)
+    above = arr > 1.0
+    out[above] = 1.0 / (TAU_REF + TAU_RC * np.log1p(1.0 / (arr[above] - 1.0)))
     if np.ndim(j) == 0:
         return float(out)
     return out

@@ -7,14 +7,14 @@ chain of N populations applies N + 1 filter stages in total. Spikes are
 scaled by 1/dt when converted to current so the filtered trains are
 rate-equivalent (Hz) and match the units the decoders were solved in.
 
-The model is clocked per step, but only its feedback path is computed
-step by step: each population's LIF update and, between populations, the
-link that carries one population's decoded output into the next one's
-drive. The input link reads only the input, so each lane's series is
-filtered before the loop, as one recurrence on Python floats. The last
-population's output link reads only that population's spikes, so it runs
-over a block of steps at a time. Both use the same arithmetic as a
-per-step filter, and so give the same doubles.
+The model is clocked per step, but only the LIF update is computed step
+by step. The input link reads only the input, so each lane's series is
+filtered before the loop, as one recurrence on Python floats. A cascade is
+feed-forward: a stage never reads a later one. So within a block of steps
+each stage runs all the block's steps before the next stage starts, and
+its output link, which reads only its spikes, filters the whole block at
+once. Both use the same arithmetic as a per-step filter, and so give the
+same doubles.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
@@ -40,9 +40,9 @@ from .neurons import lif_step_arrays
 from .synapses import Lowpass, lowpass_series
 
 # bound on one block of the step loop: the unpacked spike masks held between
-# packs, plus one float64 buffer that holds stage 0's drive for the block's
-# steps and then the last stage's filtered output rows (a cascade also packs
-# from a transient side-by-side copy of its masks)
+# packs, plus one float64 buffer as wide as the widest stage that holds each
+# stage's drive for the block's steps and then its filtered output rows (a
+# cascade also packs from a transient side-by-side copy of its masks)
 SPIKE_BLOCK_BYTES = 1 << 20
 
 
@@ -139,14 +139,15 @@ def simulate_cascade(
     (`lowpass_series`), with no numpy call per step, and the whole input is
     then clipped at the first radius. `dt` and every time constant must be
     positive and finite. The loop runs in blocks of steps, on buffers
-    allocated once per call. Stage 0's drive, which also depends on the
-    input alone, is computed for a whole block in two calls. Per step, the
-    loop makes one LIF update per stage and, for each stage that drives
-    the next, that stage's output-synapse step, decode and clipped drive.
-    The last stage's output link depends only on its spikes, so after the
-    block's steps its synapse runs over the block's masks, one stacked
-    vecdot decodes them, and the masks of all stages are packed. The masks
-    and one block of float64 drive or output rows stay within
+    allocated once per call, and within a block stage by stage. A stage's
+    drive for the whole block is computed in two calls from its input:
+    the clipped input for stage 0, the previous stage's decoded output for
+    a later one. One LIF update per step is the only per-step work. Then
+    the stage's output synapse runs over the block's masks, one stacked
+    vecdot decodes them, and, for a stage that feeds the next, one divide
+    and clip turn them into the next stage's input. The masks of all
+    stages are packed once per block. The masks and one block of float64
+    drive or output rows, as wide as the widest stage, stay within
     SPIKE_BLOCK_BYTES.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -195,57 +196,49 @@ def simulate_cascade(
     gain_enc = [e.gains * e.encoders for e in ensembles]
     v = [np.zeros((lanes, n)) for n in sizes]
     refr = [np.zeros((lanes, n)) for n in sizes]
-    drive = [None] + [np.empty((lanes, n)) for n in sizes[1:]]  # stage 0's is blocked below
-    x_norm = np.empty(lanes)
-    x_mid = np.empty(lanes)  # decoded output of a stage that feeds the next
-    # 0-d operands: each ufunc call converts a Python float operand anew
-    step_dt = np.asarray(dt, dtype=float)
-    radii = [np.asarray(e.radius, dtype=float) for e in ensembles]
-    lo, hi = np.array(-1.0), np.array(1.0)
+    step_dt = np.asarray(dt, dtype=float)  # 0-d: spares each ufunc call a conversion
 
     decoded = np.empty((lanes, n_steps))
     rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
-    # the loop runs in blocks of `block` steps. Stage 0's drive depends on the
-    # input alone and the last stage's output link on its spikes alone, so
-    # both are computed for a whole block at once: the drive before the
-    # block's steps and the output rows after them, in one float64 buffer.
-    # Each stage's spike masks fill a contiguous block of their own, packed
+    # the loop runs in blocks of `block` steps. A cascade is feed-forward, so
+    # within a block each stage runs all the block's steps before the next
+    # stage starts. One float64 buffer, as wide as the widest stage, holds a
+    # stage's drive for the block and then its filtered output rows. Each
+    # stage's spike masks fill a contiguous block of their own, packed
     # together once per block
-    width = max(sizes[0], sizes[-1])
+    width = max(sizes)
     step_bytes = lanes * (n_total + 8 * width)  # bool masks, float64 drive or rows
     block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
     stage_masks = [np.empty((block, lanes, n), dtype=bool) for n in sizes]
     floats = np.empty(block * lanes * width)
-    block_drive = floats[: block * lanes * sizes[0]].reshape(block, lanes, sizes[0])
-    last_rows = floats[: block * lanes * sizes[-1]].reshape(block, lanes, sizes[-1])
-    masks = [[m[i] for m in stage_masks] for i in range(block)]
+    stage_rows = [floats[: block * lanes * n].reshape(block, lanes, n) for n in sizes]
 
-    in_cols, norm_col = x_in[:, :, None], x_norm[:, None]
     for k0 in range(0, n_steps, block):
         n = min(block, n_steps - k0)
-        np.multiply(gain_enc[0], in_cols[k0 : k0 + n], out=block_drive[:n])
-        block_drive[:n] += ensembles[0].biases
-        # only the feedback path runs per step: each LIF update, and for a
-        # stage that drives the next, its output synapse, decode and clip
-        for i in range(n):
-            mask = masks[i]
-            lif_step_arrays(v[0], refr[0], block_drive[i], step_dt, mask[0])
-            for s in range(1, n_stages):
-                r = out_syns[s - 1].step(mask[s - 1])
-                # one dot product per lane row: vecdot runs the same per-row
-                # dot as a one-lane run, where a single (lanes x n) @ (n,)
-                # product sums in a different order and drifts from it
-                np.vecdot(r, ensembles[s - 1].decoders, out=x_mid)
-                np.divide(x_mid, radii[s], out=x_norm)
-                np.maximum(x_norm, lo, out=x_norm)
-                np.minimum(x_norm, hi, out=x_norm)
-                np.multiply(gain_enc[s], norm_col, out=drive[s])
-                drive[s] += ensembles[s].biases
-                lif_step_arrays(v[s], refr[s], drive[s], step_dt, mask[s])
-        rows = np.multiply(stage_masks[-1][:n], out_syns[-1].gain, out=last_rows[:n])
-        out_syns[-1].run(rows)
-        np.vecdot(rows, ensembles[-1].decoders, out=decoded[:, k0 : k0 + n].T)
+        x = x_in[k0 : k0 + n]  # stage 0's clipped input, (steps, lanes)
+        # each stage decodes into the block's columns of `decoded`; a stage
+        # that feeds the next leaves its clipped output there as the next
+        # stage's input, and the last stage's output overwrites it
+        out = decoded[:, k0 : k0 + n].T
+        for s, e in enumerate(ensembles):
+            rows, masks = stage_rows[s][:n], stage_masks[s][:n]
+            np.multiply(gain_enc[s], x[..., None], out=rows)
+            rows += e.biases
+            # the LIF update is the only work that runs per step
+            for j, mask in zip(rows, masks):
+                lif_step_arrays(v[s], refr[s], j, step_dt, mask)
+            np.multiply(masks, out_syns[s].gain, out=rows)
+            out_syns[s].run(rows)
+            # one dot product per (step, lane) row: vecdot runs the same
+            # per-row dot as a one-lane run, where a single (lanes x n) @ (n,)
+            # product sums in a different order and drifts from it
+            np.vecdot(rows, e.decoders, out=out)
+            if s + 1 < n_stages:
+                np.divide(out, ensembles[s + 1].radius, out=out)
+                np.maximum(out, -1.0, out=out)
+                np.minimum(out, 1.0, out=out)
+                x = out
         if rates is not None:
             rates[:, k0 : k0 + n] = rows.swapaxes(0, 1)
         block_masks = [m[:n] for m in stage_masks]

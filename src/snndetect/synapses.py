@@ -53,7 +53,12 @@ class Lowpass:
         self.y = np.zeros(shape)
 
     def step(self, x):
-        """Advance one step in place; returns the state array `y` itself."""
+        """Advance one step in place; returns the state array `y` itself.
+
+        The simulator filters whole blocks with `run` and does not call
+        this. It stays as the per-step form that `run` is tested against
+        bit for bit, and perfbench's tracer wraps it (`synapses.lowpass`).
+        """
         self.y *= self.decay
         self.y += x * self.gain
         return self.y

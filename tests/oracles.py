@@ -1,9 +1,9 @@
 """Closed-form ground truth that the package's fast paths are tested against.
 
 Nothing in the package calls these: the exact scalar synapse step, the
-out-of-place LIF step and a one-lane cascade loop built on it, the
-steady-state tuning curves of a population, and the validated
-cross-entropy of a probability table.
+LIF rate formula evaluated at every point, the out-of-place LIF step and a
+one-lane cascade loop built on it, the steady-state tuning curves of a
+population, and the validated cross-entropy of a probability table.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def synapse_step(s: SynapseState, x: float, dt: float) -> tuple[SynapseState, fl
     a = math.exp(-dt / s.tau_syn)
     y = s.y * a + x * (1.0 - a)
     return SynapseState(tau_syn=s.tau_syn, y=y), y
+
+
+def reference_rate(j):
+    """Steady-state LIF rate (Hz) at every drive in `j`, the closed form
+    evaluated at all points and then zeroed at or below threshold."""
+    j = np.asarray(j, dtype=float)
+    with np.errstate(all="ignore"):
+        isi = TAU_REF + TAU_RC * np.log1p(1.0 / (j - 1.0))
+        return np.where(j > 1.0, 1.0 / isi, 0.0)
 
 
 def reference_step(v, refr, j, dt):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import reference_step
+from oracles import reference_rate, reference_step
 
+from snndetect.ensembles import DECODE_POINTS, build_ensemble
 from snndetect.errors import ConfigError
 from snndetect import neurons
 from snndetect.neurons import TAU_RC, TAU_REF, drive_for_rate, lif_rate, lif_step_arrays
@@ -70,6 +71,22 @@ def test_rate_vectorized_matches_scalar():
     assert rates.shape == js.shape
     for j, r in zip(js, rates):
         assert r == lif_rate(float(j))
+
+
+def test_rate_is_bitwise_the_all_points_formula():
+    # threshold and its neighbours, sub-threshold and negative drives, the
+    # refractory ceiling, and a build's whole tuning grid
+    edges = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.5, 0.0, -0.0,
+                      -3.0, -1e12, 2.0, 50.0, 1e12])
+    e = build_ensemble(250, 1100.0, 7)
+    x_norm = np.linspace(-e.radius, e.radius, DECODE_POINTS) / e.radius
+    grid = (e.gains * e.encoders)[:, None] * x_norm + e.biases[:, None]
+    for js in (edges, grid, grid[:3, :5].T):
+        assert np.array_equal(lif_rate(js).view(np.uint64), reference_rate(js).view(np.uint64))
+    for j in edges:
+        rate = lif_rate(float(j))
+        assert type(rate) is float
+        assert np.float64(rate).view(np.uint64) == reference_rate(j).view(np.uint64)
 
 
 @given(st.floats(min_value=1.0001, max_value=1e3), st.floats(min_value=1e-4, max_value=1e3))

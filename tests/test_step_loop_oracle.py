@@ -43,8 +43,8 @@ def ensembles():
 def block_budget(lanes, chain, steps):
     """The SPIKE_BLOCK_BYTES that makes the loop's blocks `steps` steps long:
     each step holds one bool mask per neuron and one float64 row as wide as
-    the wider of stage 0 (its drive) and the last stage (its output rows)."""
-    width = max(chain[0].n_neurons, chain[-1].n_neurons)
+    the widest stage (its drive, then its output rows)."""
+    width = max(e.n_neurons for e in chain)
     return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * width)
 
 
