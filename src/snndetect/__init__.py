@@ -16,5 +16,5 @@ from .datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from .energy import count_ops, estimate_energy, reference_profiles
 from .ensembles import Ensemble, build_ensemble
 from .evaluation import GroundTruth, evaluate
-from .pipeline import FilterConfig, flag_anomalies, percent_deviation, snn_filter
+from .pipeline import FilterConfig, flag_anomalies, percent_deviation, run_filter
 from .simulator import SimResult, simulate_cascade

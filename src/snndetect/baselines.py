@@ -96,18 +96,28 @@ def _butter(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
 
     The exact poles lie inside the unit circle, but at high order and low
     cutoff the rounded coefficients of `a` put roots on or outside it, and
-    filtering with them diverges; such a design raises NumericError.
+    filtering with them diverges; such a design raises NumericError. So
+    does a design whose gain or coefficients overflow, before any root is
+    sought, so an order of thousands costs no eigenvalue solve.
     """
-    warped = float(4.0 * np.tan(np.pi * cutoff / 2.0))
-    poles = warped * -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=float) / (2 * order))
-    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
-    b = gain * np.poly(-np.ones(order))
-    a = np.poly((4.0 + poles) / (4.0 - poles))
-    radius = float(np.abs(np.roots(a)).max())
+    unstable = f"butterworth of order {order} at cutoff {cutoff} is unstable"
+    # overflow and NaN are reported by the checks below, so numpy's warnings
+    # are not printed on the way
+    with np.errstate(all="ignore"):
+        warped = float(4.0 * np.tan(np.pi * cutoff / 2.0))
+        poles = warped * -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=float) / (2 * order))
+        gain = np.float64(warped) ** order * np.real(1.0 / np.prod(4.0 - poles))
+        if not np.isfinite(gain):
+            raise NumericError(f"{unstable}: its gain is not finite; lower the order")
+        b = gain * np.poly(-np.ones(order))
+        a = np.poly((4.0 + poles) / (4.0 - poles))
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+            raise NumericError(f"{unstable}: its coefficients are not finite; lower the order")
+        radius = float(np.abs(np.roots(a)).max())
     if radius >= 1.0:
         raise NumericError(
-            f"butterworth of order {order} at cutoff {cutoff} is unstable: its denominator "
-            f"has a root with |z| = {radius:.3g} >= 1; lower the order or raise the cutoff"
+            f"{unstable}: its denominator has a root with |z| = {radius:.3g} >= 1; "
+            f"lower the order or raise the cutoff"
         )
     return b, a
 

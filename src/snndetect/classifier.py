@@ -12,7 +12,6 @@ transform.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,10 +47,6 @@ class ClassifierModel:
     feature_scale: np.ndarray
     training_history: list[float]
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
-
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-invariant softmax (stable for large logits)."""
@@ -81,35 +76,30 @@ def window_steps(series: SignalSeries, cfg: FilterConfig,
 
 
 def encode_sample(
-    series: SignalSeries | Sequence[SignalSeries],
+    series: Sequence[SignalSeries],
     cfg: FilterConfig,
-    window: tuple[int, int] | None = None,
-    label: int | Sequence[int] = 0,
-    sample_id: str | Sequence[str] = "",
-) -> SampleFeature | list[SampleFeature]:
-    """Per-neuron mean output-filtered rate over a layer window.
+    window: tuple[int, int] | None,
+    labels: Sequence[int],
+    sample_ids: Sequence[str],
+) -> list[SampleFeature]:
+    """Per-neuron mean output-filtered rate over a layer window, one
+    feature per series.
 
-    `series` is one SignalSeries or a sequence of them; a sequence runs as
-    the lanes of one filter run (see run_filter) and takes one label and
-    sample id for all series or one per series. The network is the one
-    `cfg` describes, so a cascade is read at the rates of its last stage.
-    Each feature averages the rates across the window's presentation steps
+    The series run as the lanes of one filter run (see run_filter), each
+    with its own label and sample id. The network is the one `cfg`
+    describes, so a cascade is read at the rates of its last stage. Each
+    feature averages the rates across the window's presentation steps
     (see window_steps).
     """
-    single = isinstance(series, SignalSeries)
-    lanes = [series] if single else list(series)
-    labels = [label] * len(lanes) if isinstance(label, numbers.Integral) else list(label)
-    ids = [sample_id] * len(lanes) if isinstance(sample_id, str) else list(sample_id)
-    if not len(labels) == len(ids) == len(lanes):
+    if not len(labels) == len(sample_ids) == len(series):
         raise ConfigError(f"need one label and sample id per series, got {len(labels)} "
-                          f"and {len(ids)} for {len(lanes)}")
-    steps = [window_steps(s, cfg, window) for s in lanes]
-    runs = run_filter(lanes, cfg, record_rates=True)
-    features = [
+                          f"and {len(sample_ids)} for {len(series)}")
+    steps = [window_steps(s, cfg, window) for s in series]
+    _, runs = run_filter(series, cfg, record_rates=True)
+    return [
         SampleFeature(sample_id=i, feature=sim.rates[st].mean(axis=0), label=l)
-        for (_, sim), st, l, i in zip(runs, steps, labels, ids)
+        for sim, st, l, i in zip(runs, steps, labels, sample_ids)
     ]
-    return features[0] if single else features
 
 
 def _mean_nll(true_p: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ from .pipeline import (
     SignalSeries,
     load_layer_series,
     run_filter,
-    snn_filter,
 )
 from .presets import get_preset
 
@@ -246,7 +245,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_detect(args) -> int:
     out = _outdir(args)
     cfg, meta, _, pair, truth, policy = _resolve_scoring(args)
-    report = evaluate(snn_filter(pair, cfg), policy, truth)
+    report = evaluate(run_filter(pair, cfg)[0], policy, truth)
     dev = report.deviations
     doc = {**meta, "config": cfg.to_dict(), **report.to_dict()}
     _atomic_write(out / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -370,7 +369,7 @@ def _cmd_energy(args) -> int:
     ]
     counts = {
         sample_id: count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=len(sim.decoded))
-        for (sample_id, _, _), (_, sim) in zip(ENERGY_SAMPLES, run_filter(samples, cfg))
+        for (sample_id, _, _), sim in zip(ENERGY_SAMPLES, run_filter(samples, cfg)[1])
     }
 
     if args.profiles:

@@ -21,7 +21,7 @@ from .pipeline import (
     SignalSeries,
     flag_anomalies,
     percent_deviation,
-    snn_filter,
+    run_filter,
 )
 
 
@@ -156,7 +156,7 @@ def sweep_tau(
     taus: Sequence[float],
     cfg: FilterConfig,
     truth: GroundTruth,
-    policy: FixedPolicy | AdaptivePolicy | None = None,
+    policy: FixedPolicy | AdaptivePolicy,
 ) -> SweepResult:
     """Score detection across synaptic time constants (applied to both links).
 
@@ -172,11 +172,10 @@ def sweep_tau(
         raise ConfigError(f"time constants must be positive and finite, got {taus}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("time constants must be strictly increasing")
-    policy = policy if policy is not None else truth.default_policy()
 
     cfgs = [replace(cfg, tau_in=tau, tau_out=tau) for tau in taus for _ in (0, 1)]
     try:
-        filtered = snn_filter([defective, healthy] * len(taus), cfgs)
+        filtered, _ = run_filter([defective, healthy] * len(taus), cfgs)
     except SnnDetectError as err:  # one run carries every point
         raise DataError(f"every sweep point failed: {err}") from err
     points = tuple(
@@ -196,15 +195,14 @@ def compare_filters(
     specs: Sequence[BaselineFilterSpec],
     cfg: FilterConfig,
     truth: GroundTruth,
-    policy: FixedPolicy | AdaptivePolicy | None = None,
+    policy: FixedPolicy | AdaptivePolicy,
 ) -> list[ScoreRow]:
     """One scored row per classical filter plus one for the spiking filter."""
-    policy = policy if policy is not None else truth.default_policy()
     rows = [
         _score_row(spec.kind,
                    lambda spec=spec: [apply_baseline_filter(s, spec) for s in (defective, healthy)],
                    policy, truth)
         for spec in specs
     ]
-    rows.append(_score_row("snn", lambda: snn_filter([defective, healthy], cfg), policy, truth))
+    rows.append(_score_row("snn", lambda: run_filter([defective, healthy], cfg)[0], policy, truth))
     return rows

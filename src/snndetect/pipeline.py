@@ -167,7 +167,7 @@ def run_filter(
     series: SignalSeries | Sequence[SignalSeries],
     cfg: FilterConfig | Sequence[FilterConfig],
     record_rates: bool = False,
-) -> tuple[SignalSeries, SimResult] | list[tuple[SignalSeries, SimResult]]:
+) -> tuple[SignalSeries, SimResult] | tuple[list[SignalSeries], list[SimResult]]:
     """Filter series through the spiking network; also return the raw runs.
 
     `series` is one SignalSeries or a sequence of them, one per lane, and
@@ -182,9 +182,10 @@ def run_filter(
     response). Inter-stage links reuse tau_out, so a two-stage cascade
     applies three filter passes in total.
 
-    Returns one (filtered, SimResult) pair for one series, or a list with
-    one pair per lane for a sequence. Raises ConfigError, before anything
-    is built, when lanes x padded steps x neurons exceeds errors.MAX_INT.
+    Returns (filtered, run) for one series, or (filtered, runs) with one
+    entry per lane in each list for a sequence; either way `[0]` is the
+    filtered part. Raises ConfigError, before anything is built, when
+    lanes x padded steps x neurons exceeds errors.MAX_INT.
     """
     single = isinstance(series, SignalSeries)
     lanes = [series] if single else list(series)
@@ -214,22 +215,10 @@ def run_filter(
     taus = [[c.tau_in] + [c.tau_out] * c.stages for c in cfgs]
     result = simulate_cascade(ensembles, inputs, base.dt, taus, record_rates=record_rates)
 
-    out = []
-    for b, s in enumerate(lanes):
-        lane = result.lane(b, s.layers.size * m)
-        idx = np.arange(1, s.layers.size + 1) * m - 1
-        out.append((SignalSeries(layers=s.layers, values=lane.decoded[idx]), lane))
-    return out[0] if single else out
-
-
-def snn_filter(
-    series: SignalSeries | Sequence[SignalSeries],
-    cfg: FilterConfig | Sequence[FilterConfig],
-) -> SignalSeries | list[SignalSeries]:
-    """Filter one layer series, or a sequence of them in one batched run
-    (see run_filter), through the configured spiking network."""
-    runs = run_filter(series, cfg)
-    return runs[0] if isinstance(series, SignalSeries) else [f for f, _ in runs]
+    runs = [result.lane(b, s.layers.size * m) for b, s in enumerate(lanes)]
+    filtered = [SignalSeries(layers=s.layers, values=run.decoded[m - 1 :: m])
+                for s, run in zip(lanes, runs)]
+    return (filtered[0], runs[0]) if single else (filtered, runs)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ class SpikeRaster:
     times: np.ndarray
     n_neurons: int
     duration: float
-    dt: float
 
     def __post_init__(self) -> None:
         if len(self.neuron_ids) != len(self.times):
@@ -114,7 +113,6 @@ class SimResult:
             times=k * self.dt,
             n_neurons=lanes * self.n_neurons,
             duration=steps * self.dt,
-            dt=self.dt,
         )
 
 

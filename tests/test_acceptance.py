@@ -37,7 +37,6 @@ from snndetect.pipeline import (
     FilterConfig,
     build_filter_ensembles,
     run_filter,
-    snn_filter,
 )
 from snndetect.presets import get_preset
 from snndetect.simulator import simulate_cascade
@@ -71,7 +70,7 @@ def case_pd1_66():
 def noisy_sweep():
     defective, healthy, truth = build_case(sensor_noise=60.0, reduction=33.0, n_layers=7)
     cfg = FilterConfig(seed=7)
-    return sweep_tau(defective, healthy, SWEEP_TAUS, cfg, truth)
+    return sweep_tau(defective, healthy, SWEEP_TAUS, cfg, truth, truth.default_policy())
 
 
 def test_c01_lif_rate_curve_oracle():
@@ -154,7 +153,7 @@ def test_c04_end_to_end_detection(case_pd1_66, noisy_sweep):
     start = time.monotonic()
     defective, healthy, truth = case_pd1_66
     cfg = get_preset("cpu-pd1-66", seed=7)
-    filtered = [snn_filter(defective, cfg), snn_filter(healthy, cfg)]
+    filtered = [run_filter(defective, cfg)[0], run_filter(healthy, cfg)[0]]
     report = evaluate(filtered, truth.default_policy(), truth)
     assert report.metrics.f1 == 1.0
 
@@ -173,7 +172,8 @@ def test_c05_tau_sweep_shape(noisy_sweep):
     assert by_tau[0.1] < best_f1
 
     defective, healthy, truth = build_case(sensor_noise=20.0, reduction=66.0, n_layers=1)
-    one_layer = sweep_tau(defective, healthy, SWEEP_TAUS, FilterConfig(seed=7), truth)
+    one_layer = sweep_tau(defective, healthy, SWEEP_TAUS, FilterConfig(seed=7), truth,
+                          truth.default_policy())
     one_best = max(pt.f1 for pt in one_layer.points if pt.error is None)
     one_by_tau = {pt.key: pt.f1 for pt in one_layer.points}
     assert one_by_tau[0.1] < one_best
@@ -262,8 +262,7 @@ def test_c07_cross_entropy_correctness():
         params = GenParams(layer_range=WINDOW, noise_std=20.0, seed=200 + label)
         spec = DefectSpec(start_layer=613, n_layers=n_layers, power_reduction_percent=reduction)
         features.append(
-            encode_sample(gen_defective(params, spec), cfg,
-                          window=(613, 621), label=label, sample_id=f"S{label}")
+            encode_sample([gen_defective(params, spec)], cfg, (613, 621), [label], [f"S{label}"])[0]
         )
     model14 = train_classifier(features, epochs=500, lr=0.05)
     assert model14.training_history[0] == pytest.approx(math.log(14), abs=1e-9)
@@ -379,7 +378,7 @@ def test_c10_baseline_filters(case_pd1_66):
 
     defective, healthy, truth = case_pd1_66
     cfg = get_preset("cpu-pd1-66", seed=7)
-    rows = compare_filters(defective, healthy, default_specs(), cfg, truth)
+    rows = compare_filters(defective, healthy, default_specs(), cfg, truth, truth.default_policy())
     assert len(rows) == 5
     for row in rows:
         assert row.f1 >= 0.7, row

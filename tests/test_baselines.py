@@ -190,9 +190,10 @@ def test_compare_rows_match_scipy(monkeypatch):
     truth = evaluation.GroundTruth(defect_layers=frozenset(defect.layers), window=window)
     cfg = get_preset("cpu-pd1-66", seed=7)
 
-    rows = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth)
+    policy = truth.default_policy()
+    rows = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth, policy)
     monkeypatch.setattr(evaluation, "apply_baseline_filter", scipy_filter)
-    oracle = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth)
+    oracle = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth, policy)
     assert [(r.key, r.precision, r.recall, r.f1) for r in rows] == \
         [(r.key, r.precision, r.recall, r.f1) for r in oracle]
     assert all(r.error is None for r in rows)

@@ -269,8 +269,8 @@ CFG = FilterConfig(neurons=150, tau_in=0.004, tau_out=0.004, seed=7)
 def test_encoding_is_deterministic():
     p = GenParams(seed=31)
     s = gen_healthy(p)
-    a = encode_sample(s, CFG, window=(600, 640))
-    b = encode_sample(s, CFG, window=(600, 640))
+    a = encode_sample([s], CFG, (600, 640), [0], [""])[0]
+    b = encode_sample([s], CFG, (600, 640), [0], [""])[0]
     np.testing.assert_array_equal(a.feature, b.feature)
     assert a.feature.size == 150
 
@@ -279,21 +279,22 @@ def test_batched_rates_give_the_encoded_features():
     # the classify command encodes every sample in one lane-batched run
     samples = [gen_healthy(GenParams(seed=31)),
                gen_defective(GenParams(seed=32, layer_range=(580, 650)), DefectSpec())]
-    batched = encode_sample(samples, CFG, (600, 640), label=[0, 1], sample_id=["a", "b"])
+    batched = encode_sample(samples, CFG, (600, 640), [0, 1], ["a", "b"])
     for s, f, label, sample_id in zip(samples, batched, (0, 1), ("a", "b")):
-        np.testing.assert_array_equal(f.feature, encode_sample(s, CFG, (600, 640)).feature)
+        np.testing.assert_array_equal(f.feature,
+                                      encode_sample([s], CFG, (600, 640), [0], [""])[0].feature)
         assert (f.label, f.sample_id) == (label, sample_id)
 
 
 def test_encoding_window_mismatch():
     s = gen_healthy(GenParams(seed=31))
     with pytest.raises(DataError):
-        encode_sample(s, CFG, window=(560, 640))
+        encode_sample([s], CFG, (560, 640), [0], [""])
 
 
 def test_encoding_reads_the_last_cascade_stage():
     s = gen_healthy(GenParams(seed=31))
-    feat = encode_sample(s, FilterConfig(neurons=150, stages=2, seed=7), window=(600, 640))
+    feat = encode_sample([s], FilterConfig(neurons=150, stages=2, seed=7), (600, 640), [0], [""])[0]
     assert feat.feature.size == 75
 
 
@@ -315,8 +316,8 @@ def test_dip_sample_feature_differs_from_healthy():
     p = GenParams(seed=31)
     d = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=66.0)
     window = (613, 621)
-    healthy = encode_sample(gen_healthy(p), CFG, window=window)
-    dipped = encode_sample(gen_defective(p, d), CFG, window=window)
+    healthy = encode_sample([gen_healthy(p)], CFG, window, [0], [""])[0]
+    dipped = encode_sample([gen_defective(p, d)], CFG, window, [0], [""])[0]
     scale = np.maximum(healthy.feature, 1.0)
     rel = np.abs(dipped.feature - healthy.feature) / scale
     assert np.mean(rel > 0.10) >= 0.01

@@ -452,27 +452,42 @@ def test_baseline_spec_rejected_by_type(workdir, tmp_path, capsys, baseline):
     assert not (workdir / "typed-baseline" / "compare.csv").exists()
 
 
-@pytest.mark.parametrize("order,code", [(12, 0), (16, 2), (20, 2), (40, 2)])
-def test_unstable_butterworth_config_exits_2(workdir, tmp_path, capsys, order, code):
+@pytest.mark.parametrize("cutoff,order,code", [
+    pytest.param(0.05, 12, 0, id="12-0"),
+    pytest.param(0.05, 16, 2, id="16-2"),
+    pytest.param(0.05, 20, 2, id="20-2"),
+    pytest.param(0.05, 40, 2, id="40-2"),
+    # the gain overflows (warped ** order, or the poles' product) before the
+    # denominator's roots are sought; numpy warns on the way
+    pytest.param(0.95, 200, 2, id="0.95-200-2"),
+    pytest.param(0.1, 2000, 2, id="0.1-2000-2"),
+    pytest.param(0.5, 400, 2, id="0.5-400-2"),
+])
+def test_unstable_butterworth_config_exits_2(workdir, tmp_path, capsys, recwarn,
+                                             cutoff, order, code):
     path = tmp_path / "butter.json"
     path.write_text(json.dumps({**FAST_CONFIG, "baseline": {
-        "kind": "butterworth", "cutoff": 0.05, "order": order}}))
+        "kind": "butterworth", "cutoff": cutoff, "order": order}}))
     data = workdir / "data"
     out = workdir / f"butter-{order}"
-    assert main([
-        "compare", "--defective", str(data / "defective.csv"),
-        "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
-        "--config", str(path), "--outdir", str(out),
-    ]) == code
+    inputs = ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv"),
+              "--truth", str(data / "truth.json"), "--config", str(path), "--outdir", str(out)]
+    assert main(["compare", *inputs]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("error: ") and "Traceback" not in err
-        assert f"order {order} at cutoff 0.05" in err
+        assert f"order {order} at cutoff {cutoff}" in err
+        assert len(err.splitlines()) == 1
         assert not (out / "compare.csv").exists()
+        # every --config command validates the baseline, detect included
+        assert main(["detect", *inputs]) == code
+        assert capsys.readouterr().err == err
+        assert not (out / "report.json").exists()
     else:
         assert err == ""
         rows = (out / "compare.csv").read_text().splitlines()
         assert rows[2].startswith("butterworth,") and "nan" not in rows[2]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("truth", [

@@ -75,7 +75,7 @@ def test_counts_equal_a_raster_recount_on_the_energy_samples(preset):
                                  power_reduction_percent=reduction))
         for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
     ]
-    for _, sim in run_filter(samples, cfg):
+    for sim in run_filter(samples, cfg)[1]:
         c = count_ops(sim.spike_counts(), sizes, steps=len(sim.decoded))
         stage = np.searchsorted(stage_ends, sim.raster.neuron_ids, side="right")
         assert c.synaptic_ops == int(fans[stage].sum()) > 0

@@ -12,7 +12,7 @@ from snndetect.errors import ConfigError, DataError, SnnDetectError
 from snndetect.evaluation import (
     GroundTruth, compare_filters, evaluate, f1_score, sweep_tau, window_flags,
 )
-from snndetect.pipeline import FilterConfig, FixedPolicy, snn_filter
+from snndetect.pipeline import FilterConfig, FixedPolicy, run_filter
 
 WINDOW = (570, 650)
 
@@ -92,11 +92,11 @@ def test_sweep_validates_taus():
     defective, healthy, truth = noiseless_case()
     cfg = FilterConfig(seed=7)
     with pytest.raises(ConfigError):
-        sweep_tau(defective, healthy, [0.002, 0.001], cfg, truth)
+        sweep_tau(defective, healthy, [0.002, 0.001], cfg, truth, truth.default_policy())
     with pytest.raises(ConfigError):
-        sweep_tau(defective, healthy, [-0.001, 0.002], cfg, truth)
+        sweep_tau(defective, healthy, [-0.001, 0.002], cfg, truth, truth.default_policy())
     with pytest.raises(ConfigError):
-        sweep_tau(defective, healthy, [], cfg, truth)
+        sweep_tau(defective, healthy, [], cfg, truth, truth.default_policy())
 
 
 def test_sweep_noiseless_perfect_across_small_taus():
@@ -145,7 +145,7 @@ def test_sweep_all_rows_failing_raises(monkeypatch):
     def broken(series, cfg_t):
         raise SnnDetectError("boom")
 
-    monkeypatch.setattr(evaluation, "snn_filter", broken)
+    monkeypatch.setattr(evaluation, "run_filter", broken)
     with pytest.raises(DataError):
         sweep_tau(defective, healthy, [0.001], FilterConfig(seed=7), truth,
                   policy=FixedPolicy(threshold_pct=30.0))
@@ -159,10 +159,10 @@ def test_sweep_points_equal_single_tau_detection():
     truth = GroundTruth(defect_layers=frozenset(DefectSpec().layers), window=WINDOW)
     cfg = FilterConfig(neurons=120, seed=7, stages=2)
     taus = [0.001, 0.003, 0.008]
-    result = sweep_tau(defective, healthy, taus, cfg, truth)
+    result = sweep_tau(defective, healthy, taus, cfg, truth, truth.default_policy())
     for tau, pt in zip(taus, result.points):
-        report = evaluate(snn_filter([defective, healthy], replace(cfg, tau_in=tau, tau_out=tau)),
-                          truth.default_policy())
+        filtered, _ = run_filter([defective, healthy], replace(cfg, tau_in=tau, tau_out=tau))
+        report = evaluate(filtered, truth.default_policy())
         flags = window_flags(report, truth)
         assert (pt.precision, pt.recall, pt.f1, pt.flagged) == (
             *f1_score(flags, truth), len(flags))
@@ -186,8 +186,8 @@ def test_default_policy_rejects_defect_within_margin_of_window_start():
 def test_sweep_deterministic():
     defective, healthy, truth = noiseless_case()
     cfg = FilterConfig(seed=7)
-    a = sweep_tau(defective, healthy, [0.001, 0.004], cfg, truth)
-    b = sweep_tau(defective, healthy, [0.001, 0.004], cfg, truth)
+    a = sweep_tau(defective, healthy, [0.001, 0.004], cfg, truth, truth.default_policy())
+    b = sweep_tau(defective, healthy, [0.001, 0.004], cfg, truth, truth.default_policy())
     assert a == b
 
 
@@ -204,13 +204,13 @@ def test_compare_noiseless_all_perfect():
 
 def test_compare_snn_row_matches_direct_pipeline():
     from snndetect.evaluation import window_flags
-    from snndetect.pipeline import flag_anomalies, percent_deviation, snn_filter
+    from snndetect.pipeline import flag_anomalies, percent_deviation
 
     defective, healthy, truth = noiseless_case()
     cfg = FilterConfig(tau_in=0.002, tau_out=0.002, seed=7)
     policy = FixedPolicy(threshold_pct=30.0)
     rows = compare_filters(defective, healthy, default_specs(), cfg, truth, policy)
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
+    dev = percent_deviation(run_filter(defective, cfg)[0], run_filter(healthy, cfg)[0])
     report = flag_anomalies(dev, policy)
     p, r, f1 = f1_score(window_flags(report, truth), truth)
     snn_row = rows[-1]

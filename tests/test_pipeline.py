@@ -19,7 +19,6 @@ from snndetect.pipeline import (
     load_layer_series,
     percent_deviation,
     run_filter,
-    snn_filter,
 )
 from snndetect.presets import TAU_TABLE, get_preset, preset_names
 
@@ -165,7 +164,7 @@ def test_constant_series_filters_to_constant():
     # the first few layers are the synapse warm-up and are excluded
     cfg8 = FilterConfig(tau_in=0.008, tau_out=0.008, seed=7)
     s = series(range(600, 640), [550.0] * 40)
-    out = snn_filter(s, cfg8)
+    out = run_filter(s, cfg8)[0]
     np.testing.assert_allclose(out.values[5:], 550.0, rtol=0.05)
     assert out.layers.tolist() == s.layers.tolist()
 
@@ -174,21 +173,21 @@ def test_lone_spike_is_clipped(cfg):
     values = [770.0] * 30
     values[15] = 3 * 1100.0
     s = series(range(600, 630), values)
-    out = snn_filter(s, cfg)
+    out = run_filter(s, cfg)[0]
     assert out.values.max() <= 1.1 * 1100.0
 
 
-def test_cascade_single_stage_equals_snn_filter(cfg):
+def test_cascade_single_stage_equals_run_filter(cfg):
     s = series(range(600, 620), np.linspace(300, 900, 20))
-    np.testing.assert_array_equal(snn_filter(s, replace(cfg, stages=1)).values,
-                                  snn_filter(s, cfg).values)
+    np.testing.assert_array_equal(run_filter(s, replace(cfg, stages=1))[0].values,
+                                  run_filter(s, cfg)[0].values)
 
 
 def test_cascade_constant_matches_single_stage():
     cfg8 = FilterConfig(tau_in=0.008, tau_out=0.008, seed=7)
     s = series(range(600, 660), [550.0] * 60)
-    one = snn_filter(s, replace(cfg8, stages=1)).values[-10:].mean()
-    two = snn_filter(s, replace(cfg8, stages=2)).values[-10:].mean()
+    one = run_filter(s, replace(cfg8, stages=1))[0].values[-10:].mean()
+    two = run_filter(s, replace(cfg8, stages=2))[0].values[-10:].mean()
     assert two == pytest.approx(one, rel=0.05)
 
 
@@ -197,8 +196,8 @@ def test_cascade_smooths_white_noise_harder():
     rng = np.random.default_rng(3)
     vals = np.clip(550 + 80 * rng.standard_normal(1000), 0, None)
     s = series(range(1000), vals)
-    var1 = snn_filter(s, replace(cfg8, stages=1)).values[50:].var()
-    var2 = snn_filter(s, replace(cfg8, stages=2)).values[50:].var()
+    var1 = run_filter(s, replace(cfg8, stages=1))[0].values[50:].var()
+    var2 = run_filter(s, replace(cfg8, stages=2))[0].values[50:].var()
     assert var2 <= var1
 
 
@@ -230,10 +229,10 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
     base = FilterConfig(neurons=120, tau_in=0.002, tau_out=0.003, seed=7, stages=stages)
     lanes = lane_series()
     cfgs = [replace(base, tau_in=t, tau_out=2 * t) for t in (0.001, 0.004, 0.008)]
-    runs = run_filter(lanes, cfgs if per_lane_taus else base, record_rates=True)
-    assert len(runs) == len(lanes)
-    for s, c, batched in zip(lanes, cfgs if per_lane_taus else [base] * 3, runs):
-        assert_same_filter_run(batched, run_filter(s, c, record_rates=True))
+    filtered, runs = run_filter(lanes, cfgs if per_lane_taus else base, record_rates=True)
+    assert len(filtered) == len(runs) == len(lanes)
+    for s, c, f, r in zip(lanes, cfgs if per_lane_taus else [base] * 3, filtered, runs):
+        assert_same_filter_run((f, r), run_filter(s, c, record_rates=True))
 
 
 def test_run_filter_lane_configs_may_differ_only_in_taus():
@@ -252,8 +251,8 @@ def test_run_filter_lane_configs_may_differ_only_in_taus():
 def test_detect_pair_with_mismatched_layers_equals_separate_runs(stages):
     cfg = FilterConfig(neurons=120, seed=7, stages=stages)
     defective, healthy, _ = lane_series()
-    report = evaluate(snn_filter([defective, healthy], cfg), FixedPolicy(threshold_pct=20.0))
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
+    report = evaluate(run_filter([defective, healthy], cfg)[0], FixedPolicy(threshold_pct=20.0))
+    dev = percent_deviation(run_filter(defective, cfg)[0], run_filter(healthy, cfg)[0])
     np.testing.assert_array_equal(report.deviations.layers, dev.layers)
     np.testing.assert_array_equal(report.deviations.values, dev.values)
     assert report.flagged_layers == flag_anomalies(dev, FixedPolicy(threshold_pct=20.0)).flagged_layers
@@ -381,7 +380,7 @@ def test_flagged_layers_exist_in_both_series(cfg):
     p = GenParams(seed=21)
     healthy = gen_healthy(p)
     defective = gen_healthy(GenParams(seed=22))
-    dev = percent_deviation(snn_filter(defective, cfg), snn_filter(healthy, cfg))
+    dev = percent_deviation(run_filter(defective, cfg)[0], run_filter(healthy, cfg)[0])
     report = flag_anomalies(dev, FixedPolicy(threshold_pct=1.0))
     both = set(healthy.layers.tolist()) & set(defective.layers.tolist())
     assert set(report.flagged_layers) <= both
