@@ -14,7 +14,10 @@ threshold, so its report has no metrics, and compare once more under a
 average; the 101-layer window is longer than the 81-layer series, so its
 row is an error row of `nan`s. detect runs twice more under a `--config`
 of `dt` 0.0005 and 0.0025 (20 and 4 steps per layer), so the neurons'
-2 ms refractory time spans four steps and less than one. One
+2 ms refractory time spans four steps and less than one. classify runs
+once more under fpga-pd1-66 on a manifest whose window lies strictly
+inside samples of 81 and 111 layers (a fourth gen-data pair covers layers
+590-700), so the lanes average their rates over different steps. One
 `sha256  relpath` line is printed per file. snndetect is imported from
 PYTHONPATH, so pointing it at another checkout's src/ lists that
 checkout's digests; `diff` two listings to see which artifacts moved.
@@ -72,6 +75,12 @@ def digests(out: Path) -> None:
         (out / f"dt-{dt}.json").write_text(json.dumps({"dt": float(dt)}))
         run("detect", *pair, "--config", out / f"dt-{dt}.json", "--seed", 7,
             "--outdir", out / f"dt-{dt}")
+    run("gen-data", "--seed", 45, "--window", "590:700", "--outdir", out / "data-long")
+    samples = [{"path": f"data-{d}/{kind}.csv", "label": int(kind == "defective"),
+                "sample_id": f"{kind}-{d}"} for d in (33, "long", 66) for kind in ("healthy", "defective")]
+    (out / "window.json").write_text(json.dumps({"window": [600, 640], "samples": samples}))
+    run("classify", "--manifest", out / "window.json", "--preset", "fpga-pd1-66", "--seed", 7,
+        "--outdir", out / "window")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out), sep="  ")
 

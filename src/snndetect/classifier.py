@@ -89,16 +89,17 @@ def encode_sample(
     with its own label and sample id. The network is the one `cfg`
     describes, so a cascade is read at the rates of its last stage. Each
     feature averages the rates across the window's presentation steps
-    (see window_steps).
+    (see window_steps); the run sums them as it goes, so its memory grows
+    with lanes x neurons, not with the length of the series.
     """
     if not len(labels) == len(sample_ids) == len(series):
         raise ConfigError(f"need one label and sample id per series, got {len(labels)} "
                           f"and {len(sample_ids)} for {len(series)}")
     steps = [window_steps(s, cfg, window) for s in series]
-    _, runs = run_filter(series, cfg, record_rates=True)
+    _, runs = run_filter(series, cfg, windows=[(st.start, st.stop) for st in steps])
     return [
-        SampleFeature(sample_id=i, feature=sim.rates[st].mean(axis=0), label=l)
-        for sim, st, l, i in zip(runs, steps, labels, sample_ids)
+        SampleFeature(sample_id=i, feature=sim.rates, label=l)
+        for sim, l, i in zip(runs, labels, sample_ids)
     ]
 
 

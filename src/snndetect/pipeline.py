@@ -166,7 +166,7 @@ def build_filter_ensembles(cfg: FilterConfig) -> list[Ensemble]:
 def run_filter(
     series: SignalSeries | Sequence[SignalSeries],
     cfg: FilterConfig | Sequence[FilterConfig],
-    record_rates: bool = False,
+    windows: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[SignalSeries, SimResult] | tuple[list[SignalSeries], list[SimResult]]:
     """Filter series through the spiking network; also return the raw runs.
 
@@ -181,6 +181,10 @@ def run_filter(
     value is the decoded output at the last step of its window (the settled
     response). Inter-stage links reuse tau_out, so a two-stage cascade
     applies three filter passes in total.
+
+    `windows`, when given, holds one step range (start, stop) per lane
+    (see simulate_cascade), and each run's `rates` is then the last
+    stage's filtered rates averaged over that lane's window.
 
     Returns (filtered, run) for one series, or (filtered, runs) with one
     entry per lane in each list for a sequence; either way `[0]` is the
@@ -201,8 +205,8 @@ def run_filter(
     m = base.presentation_steps
     steps = max(s.layers.size for s in lanes) * m
     # lanes x steps x neurons bounds the size of every array of the run
-    # (inputs, spikes, recorded rates), so an unusable size fails here,
-    # before a population or an array is built
+    # (inputs, spikes), so an unusable size fails here, before a population
+    # or an array is built
     if len(lanes) * steps * base.neurons > MAX_INT:
         raise ConfigError(
             f"a run of {len(lanes)} lanes x {steps} steps x {base.neurons} neurons "
@@ -213,7 +217,7 @@ def run_filter(
     for b, s in enumerate(lanes):
         inputs[b, : s.layers.size * m] = np.repeat(s.values, m)
     taus = [[c.tau_in] + [c.tau_out] * c.stages for c in cfgs]
-    result = simulate_cascade(ensembles, inputs, base.dt, taus, record_rates=record_rates)
+    result = simulate_cascade(ensembles, inputs, base.dt, taus, windows)
 
     runs = [result.lane(b, s.layers.size * m) for b, s in enumerate(lanes)]
     filtered = [SignalSeries(layers=s.layers, values=run.decoded[m - 1 :: m])

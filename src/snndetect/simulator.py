@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .neurons import lif_step_arrays
 from .synapses import Lowpass, lowpass_series
 
@@ -64,27 +64,29 @@ class SpikeRaster:
 class SimResult:
     """Output of one run.
 
-    A run has `decoded` of shape (lanes, steps) and `rates` of shape
-    (lanes, steps, neurons); a single lane (see `lane`) drops the lane axis
-    from both. `spikes` holds one bit per neuron and step, packed along the
-    neuron axis: (steps, lanes, ceil(neurons / 8)).
+    A run has `decoded` of shape (lanes, steps) and, when it was given step
+    windows, `rates` of shape (lanes, neurons): each lane's filtered rates
+    of the last stage, averaged over its window. A single lane (see `lane`)
+    drops the lane axis from both. `spikes` holds one bit per neuron and
+    step, packed along the neuron axis: (steps, lanes, ceil(neurons / 8)).
     """
 
     decoded: np.ndarray
     spikes: np.ndarray
     n_neurons: int
     dt: float
-    rates: np.ndarray | None = None  # filtered rates of the last stage
+    rates: np.ndarray | None = None  # window-mean filtered rates of the last stage
 
     def lane(self, b: int, steps: int | None = None) -> "SimResult":
-        """Lane `b` as a single-lane result, cut to its first `steps` steps."""
+        """Lane `b` as a single-lane result, cut to its first `steps` steps
+        (its window mean is kept whole)."""
         cut = slice(None, steps)
         return SimResult(
             decoded=self.decoded[b, cut],
             spikes=self.spikes[cut, b : b + 1],
             n_neurons=self.n_neurons,
             dt=self.dt,
-            rates=None if self.rates is None else self.rates[b, cut],
+            rates=None if self.rates is None else self.rates[b],
         )
 
     def spike_counts(self) -> np.ndarray:
@@ -121,7 +123,7 @@ def simulate_cascade(
     inputs,
     dt: float,
     taus,
-    record_rates: bool = False,
+    windows: Sequence[tuple[int, int]] | None = None,
 ) -> SimResult:
     """Run a chain of populations over time-stepped input signals.
 
@@ -147,6 +149,14 @@ def simulate_cascade(
     stages are packed once per block. The masks and one block of float64
     drive or output rows, as wide as the widest stage, stay within
     SPIKE_BLOCK_BYTES.
+
+    `windows`, when given, holds one step range (start, stop) per lane,
+    non-empty and within [0, steps). As each block's output rows of the
+    last stage are filtered, the rows inside a lane's window are added into
+    a (lanes, neurons) sum in step order, and the sum is divided by the
+    window's length once at the end: the same doubles as averaging the
+    recorded rows with mean(axis=0), without a buffer as long as the run.
+    Neighbouring lanes that share a window are summed by one add per step.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
@@ -174,6 +184,7 @@ def simulate_cascade(
 
     sizes = [e.n_neurons for e in ensembles]
     n_total = sum(sizes)
+    groups = None if windows is None else _window_groups(windows, lanes, n_steps)
 
     # the input link sees only the input, so each lane's series is filtered
     # in plain floats before the loop, then clipped at stage 0's radius in
@@ -197,7 +208,7 @@ def simulate_cascade(
     step_dt = np.asarray(dt, dtype=float)  # 0-d: spares each ufunc call a conversion
 
     decoded = np.empty((lanes, n_steps))
-    rates = np.empty((lanes, n_steps, sizes[-1])) if record_rates else None
+    rates = None if groups is None else np.zeros((lanes, sizes[-1]))
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
     # the loop runs in blocks of `block` steps. A cascade is feed-forward, so
     # within a block each stage runs all the block's steps before the next
@@ -237,10 +248,43 @@ def simulate_cascade(
                 np.maximum(out, -1.0, out=out)
                 np.minimum(out, 1.0, out=out)
                 x = out
-        if rates is not None:
-            rates[:, k0 : k0 + n] = rows.swapaxes(0, 1)
+        # `rows` holds the last stage's filtered output rows of the block;
+        # each group of lanes adds the rows inside its window, one per step
+        for cut, start, stop in groups or ():
+            acc = rates[cut]
+            for row in rows[max(start - k0, 0) : max(stop - k0, 0), cut]:
+                acc += row
         block_masks = [m[:n] for m in stage_masks]
         spiked = block_masks[0] if n_stages == 1 else np.concatenate(block_masks, axis=-1)
         spikes[k0 : k0 + n] = np.packbits(spiked, axis=-1)
 
+    for cut, start, stop in groups or ():
+        rates[cut] /= stop - start
     return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)
+
+
+def _window_groups(windows, lanes: int, n_steps: int) -> list[tuple[slice, int, int]]:
+    """Check one non-empty step window per lane within [0, n_steps), and
+    group neighbouring lanes that share a window: (lane slice, start, stop)."""
+    try:
+        windows = [tuple(w) for w in windows]
+    except TypeError as err:
+        raise ConfigError(f"step windows must be (start, stop) pairs: {err}") from err
+    if len(windows) != lanes:
+        raise ConfigError(f"need one step window per lane, got {len(windows)} for {lanes} lanes")
+    groups = []
+    for b, w in enumerate(windows):
+        if len(w) != 2:
+            raise ConfigError(f"a step window is (start, stop), got {w} for lane {b}")
+        for k in w:
+            check_int(f"step window bound of lane {b}", k)
+        start, stop = int(w[0]), int(w[1])
+        if not 0 <= start < stop <= n_steps:
+            raise ConfigError(
+                f"step window [{start}, {stop}) of lane {b} is empty or outside [0, {n_steps})"
+            )
+        if groups and groups[-1][1:] == (start, stop):
+            groups[-1] = (slice(groups[-1][0].start, b + 1), start, stop)
+        else:
+            groups.append((slice(b, b + 1), start, stop))
+    return groups

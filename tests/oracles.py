@@ -2,8 +2,9 @@
 
 Nothing in the package calls these: the exact scalar synapse step, the
 LIF rate formula evaluated at every point, the out-of-place LIF step and a
-one-lane cascade loop built on it, the steady-state tuning curves of a
-population, and the validated cross-entropy of a probability table.
+one-lane cascade loop built on it, the mean of its rates over a step
+window, the steady-state tuning curves of a population, and the validated
+cross-entropy of a probability table.
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ def reference_cascade(ensembles, signal, dt, taus):
     steps = len(decoded)
     return (np.array(decoded).reshape(steps), np.array(spikes, dtype=bool).reshape(steps, sum(sizes)),
             np.array(rates).reshape(steps, sizes[-1]))
+
+
+def window_mean(rates, window):
+    """The mean of the rows of `rates` (steps, neurons) in the step window
+    (start, stop): added one row after another, then divided once."""
+    start, stop = window
+    total = np.zeros(rates.shape[1])
+    for row in rates[start:stop]:
+        total = total + row
+    return total / (stop - start)
 
 
 def tuning_curves(e: Ensemble, xs) -> np.ndarray:

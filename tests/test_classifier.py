@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,28 @@ def test_batched_rates_give_the_encoded_features():
         assert (f.label, f.sample_id) == (label, sample_id)
 
 
+def test_encoding_memory_tracks_the_window_not_the_series():
+    # two 1,500-layer series, 15,000 steps each at 500 neurons: recording
+    # the last stage's rates at every step would take lanes x steps x
+    # neurons x 8 B = 120 MB. numpy reports its buffers to tracemalloc, so
+    # the traced peak covers every array of the run; the window sums need
+    # a small fraction of it
+    cfg = FilterConfig(seed=7)
+    samples = [gen_healthy(GenParams(seed=41, layer_range=(0, 1499))),
+               gen_defective(GenParams(seed=42, layer_range=(0, 1499)),
+                             DefectSpec(start_layer=700, n_layers=7))]
+    lanes, steps = len(samples), 1500 * cfg.presentation_steps
+    bound = lanes * steps * cfg.neurons * 8 // 4
+    tracemalloc.start()
+    try:
+        features = encode_sample(samples, cfg, (600, 800), [0, 1], ["h", "d"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.feature.shape for f in features] == [(cfg.neurons,)] * 2
+    assert peak < bound, f"encode_sample peaked at {peak} B, bound {bound} B"
+
+
 def test_encoding_window_mismatch():
     s = gen_healthy(GenParams(seed=31))
     with pytest.raises(DataError):
@@ -308,8 +331,9 @@ def test_input_between_intercepts_gives_silent_features():
     s = gen_healthy(GenParams(noise_std=0.0, junction_spike_amplitude=0.0,
                               baseline_level=1e-6, seed=1))
     inputs = np.repeat(s.values, CFG.presentation_steps)[None]
-    res = simulate_cascade([ens], inputs, CFG.dt, [[CFG.tau_in, CFG.tau_out]], record_rates=True)
-    np.testing.assert_allclose(res.rates[0].mean(axis=0), 0.0, atol=1e-9)
+    res = simulate_cascade([ens], inputs, CFG.dt, [[CFG.tau_in, CFG.tau_out]],
+                           [(0, inputs.shape[1])])
+    np.testing.assert_allclose(res.rates[0], 0.0, atol=1e-9)
 
 
 def test_dip_sample_feature_differs_from_healthy():

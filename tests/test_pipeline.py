@@ -229,10 +229,14 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
     base = FilterConfig(neurons=120, tau_in=0.002, tau_out=0.003, seed=7, stages=stages)
     lanes = lane_series()
     cfgs = [replace(base, tau_in=t, tau_out=2 * t) for t in (0.001, 0.004, 0.008)]
-    filtered, runs = run_filter(lanes, cfgs if per_lane_taus else base, record_rates=True)
+    # each lane averages its rates over a window of its own steps; the
+    # shortest lane (41 layers, 410 steps) is padded to the longest
+    windows = [(5, 803), (37, 600), (400, 410)]
+    filtered, runs = run_filter(lanes, cfgs if per_lane_taus else base, windows)
     assert len(filtered) == len(runs) == len(lanes)
-    for s, c, f, r in zip(lanes, cfgs if per_lane_taus else [base] * 3, filtered, runs):
-        assert_same_filter_run((f, r), run_filter(s, c, record_rates=True))
+    for s, c, w, f, r in zip(lanes, cfgs if per_lane_taus else [base] * 3, windows, filtered, runs):
+        assert r.rates.shape == (base.stage_sizes()[-1],)
+        assert_same_filter_run((f, r), run_filter(s, c, [w]))
 
 
 def test_run_filter_lane_configs_may_differ_only_in_taus():

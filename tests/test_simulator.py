@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import reference_cascade, tuning_curves
+from oracles import reference_cascade, tuning_curves, window_mean
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
@@ -19,10 +19,11 @@ def ens():
     return build_ensemble(500, 1100.0, 42)
 
 
-def one_lane(ensembles, signal, taus, record_rates=False):
-    """The run of one signal under one row of time constants, as lane 0."""
+def one_lane(ensembles, signal, taus, window=None):
+    """The run of one signal under one row of time constants, as lane 0,
+    averaging its last stage's rates over the step window when given."""
     res = simulate_cascade(ensembles, np.asarray(signal, dtype=float)[None], DT, [taus],
-                           record_rates=record_rates)
+                           None if window is None else [window])
     return res.lane(0)
 
 
@@ -103,9 +104,31 @@ def test_cascade_raster_offsets():
 
 
 def test_rates_recording_shape(ens):
-    res = one_lane([ens], np.full(50, 100.0), [0.003, 0.003], record_rates=True)
-    assert res.rates.shape == (50, ens.n_neurons)
-    assert np.all(res.rates >= 0)
+    res = one_lane([ens], np.full(50, 100.0), [0.003, 0.003], window=(10, 50))
+    assert res.rates.shape == (ens.n_neurons,)
+    assert np.all(res.rates >= 0) and np.any(res.rates > 0)
+    assert one_lane([ens], np.full(50, 100.0), [0.003, 0.003]).rates is None
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [
+        [(0, 10)],                      # one window for two lanes
+        [(0, 10)] * 3,                  # three windows for two lanes
+        [(0, 10), (4, 4)],              # an empty window
+        [(0, 10), (6, 3)],              # a window that ends before it starts
+        [(-1, 10), (0, 10)],            # starts before step 0
+        [(0, 10), (0, 11)],             # ends after the last step
+        [(0, 10), (0.0, 10)],           # a bound that is not an integer
+        [(0, 10), (0, 5, 10)],          # not a (start, stop) pair
+        [(0, 10), 5],                   # not a pair at all
+    ],
+    ids=["too-few", "too-many", "empty", "reversed", "before-start", "past-end",
+         "float-bound", "triple", "scalar"],
+)
+def test_bad_windows_are_config_errors(ens, windows):
+    with pytest.raises(ConfigError):
+        simulate_cascade([ens], np.zeros((2, 10)), DT, [[0.003, 0.003]] * 2, windows)
 
 
 def test_config_errors(ens):
@@ -166,21 +189,23 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     # a multiple of 7, so the last block is partial
     # (a step of a block holds 2 lanes' spike masks and one float64 row as
     # wide as the widest stage's drive or output)
+    # Windows: none, one shared by both lanes, and one per lane; each starts
+    # and ends inside a 7-step block, and the second lane's runs to the end
     width = max(sizes)
     for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * (sum(sizes) + 8 * width)):
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
-        for record_rates in (False, True):
-            res = simulate_cascade(ensembles, inputs, DT, taus, record_rates=record_rates)
+        for windows in (None, [(30, 125)] * 2, [(3, 139), (60, 150)]):
+            res = simulate_cascade(ensembles, inputs, DT, taus, windows)
             for b, (decoded, spikes, rates) in enumerate(refs):
                 lane = res.lane(b)
                 k, ids = np.nonzero(spikes)
                 np.testing.assert_array_equal(lane.decoded, decoded)
                 np.testing.assert_array_equal(lane.raster.neuron_ids, ids)
                 np.testing.assert_array_equal(lane.raster.times, k * DT)
-                if record_rates:
-                    np.testing.assert_array_equal(lane.rates, rates)
-                else:
+                if windows is None:
                     assert lane.rates is None
+                else:
+                    np.testing.assert_array_equal(lane.rates, window_mean(rates, windows[b]))
     assert ids.size > 100 and np.any(ids >= sum(sizes[:-1]))  # the last stage fires too
 
 
@@ -207,20 +232,28 @@ def test_each_lane_equals_its_single_run(sizes, per_lane_taus):
         taus[1, -1] = 0.003  # lanes may differ per link too
     else:
         taus = np.full((4, links), 0.002)
-    res = simulate_cascade(ensembles, inputs, DT, taus, record_rates=True)
+    # lanes 1 and 2 share a window, and the others differ from it
+    windows = [(0, 120), (15, 97), (15, 97), (40, 41)]
+    res = simulate_cascade(ensembles, inputs, DT, taus, windows)
     assert res.decoded.shape == (4, 120)
-    assert res.rates.shape == (4, 120, sizes[-1])
+    assert res.rates.shape == (4, sizes[-1])
     for b in range(4):
-        assert_same_run(res.lane(b), one_lane(ensembles, inputs[b], taus[b], record_rates=True))
+        assert_same_run(res.lane(b), one_lane(ensembles, inputs[b], taus[b], windows[b]))
 
 
-def test_padded_lane_prefix_is_exact(ens):
+def test_padded_lane_prefix_is_exact(ens, monkeypatch):
     # the loop is causal: a short lane padded with anything runs exactly
     # like the short input alone over its own steps
     short = lane_signals(1, 70)[0]
     padded = np.stack([np.concatenate([short, np.full(30, 900.0)]), lane_signals(2, 100)[1]])
-    res = simulate_cascade([ens], padded, DT, [[0.003, 0.003]] * 2, record_rates=True)
-    assert_same_run(res.lane(0, 70), one_lane([ens], short, [0.003, 0.003], record_rates=True))
+    alone = one_lane([ens], short, [0.003, 0.003], (20, 70))
+    # the short lane's window ends at its own last step, before the padding,
+    # in one block for the whole run and in blocks of 1 and of 7 steps
+    for steps in (None, 1, 7):
+        if steps is not None:
+            monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", steps * 2 * 9 * ens.n_neurons)
+        res = simulate_cascade([ens], padded, DT, [[0.003, 0.003]] * 2, [(20, 70), (20, 100)])
+        assert_same_run(res.lane(0, 70), alone)
 
 
 def test_batched_raster_lays_lanes_side_by_side():

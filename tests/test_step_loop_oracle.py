@@ -6,15 +6,15 @@ runs every lane at once, in place, with the spike current folded into the
 gain, computes stage 0's drive a block of steps at a time, and filters and
 decodes the last stage's spikes a block of steps at a time. It must
 reproduce the reference exactly; the tolerance is 0 (array_equal) on
-decoded values, packed spikes and recorded rates, and the runs cross
-block boundaries. Every lane, stage and block-size case also runs at a dt
+decoded values, packed spikes and the window means of the last stage's
+rates, and the runs and windows cross block boundaries. Every lane, stage and block-size case also runs at a dt
 of 0.0005 and 0.0025, where the 2 ms refractory period lasts four steps
 and less than one.
 """
 
 import numpy as np
 import pytest
-from oracles import reference_cascade
+from oracles import reference_cascade, window_mean
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
@@ -26,8 +26,9 @@ SIZES = (40, 30, 25)
 
 def reference_lanes(chain, inputs, dt, taus):
     """reference_cascade of each lane, laid out as simulate_cascade lays out
-    a run: decoded (lanes, steps), packed spikes (steps, lanes, bytes) and
-    rates (lanes, steps, neurons)."""
+    a run: decoded (lanes, steps), packed spikes (steps, lanes, bytes), and
+    the last stage's rates (lanes, steps, neurons) that window means are
+    taken of."""
     runs = [reference_cascade(chain, signal, dt, row) for signal, row in zip(inputs, taus)]
     decoded = np.array([d for d, _, _ in runs]).reshape(inputs.shape)
     spikes = np.stack([np.packbits(s, axis=-1) for _, s, _ in runs], axis=1)
@@ -46,6 +47,18 @@ def block_budget(lanes, chain, steps):
     the widest stage (its drive, then its output rows)."""
     width = max(e.n_neurons for e in chain)
     return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * width)
+
+
+def window_cases(lanes, steps):
+    """No windows, one window shared by every lane, and windows that differ
+    between pairs of neighbouring lanes. At 97 steps each starts and ends
+    inside a 7-step block."""
+    if steps == 0:
+        return [None]
+    if steps == 5:
+        return [None, [(1, 4)] * lanes, [(b % 3, 5 - b % 2) for b in range(lanes)]]
+    return [None, [(10, 88)] * lanes,
+            [(3 * (b // 2) + 2, 90 - 4 * (b // 2)) for b in range(lanes)]]
 
 
 def loop_cases():
@@ -79,14 +92,15 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatc
     for budget in budgets:
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
         for steps, taus, (decoded, spikes, rates) in cases:
-            for record_rates in (False, True):
-                res = simulate_cascade(chain, inputs[:, :steps], dt, taus, record_rates=record_rates)
+            for windows in window_cases(lanes, steps):
+                res = simulate_cascade(chain, inputs[:, :steps], dt, taus, windows)
                 np.testing.assert_array_equal(res.decoded, decoded)
                 np.testing.assert_array_equal(res.spikes, spikes)
                 assert res.decoded.shape == (lanes, steps)
-                if record_rates:
-                    np.testing.assert_array_equal(res.rates, rates)
-                else:
+                if windows is None:
                     assert res.rates is None
+                else:
+                    means = [window_mean(r, w) for r, w in zip(rates, windows)]
+                    np.testing.assert_array_equal(res.rates, np.array(means))
                 last_stage_spikes += np.unpackbits(spikes, axis=-1)[..., lo:hi].sum()
     assert last_stage_spikes > 0
