@@ -10,11 +10,14 @@ rate-equivalent (Hz) and match the units the decoders were solved in.
 The model is clocked per step, but only the LIF update is computed step
 by step. The input link reads only the input, so each lane's series is
 filtered before the loop, as one recurrence on Python floats. A cascade is
-feed-forward: a stage never reads a later one. So within a block of steps
-each stage runs all the block's steps before the next stage starts, and
-its output link, which reads only its spikes, filters the whole block at
-once. Both use the same arithmetic as a per-step filter, and so give the
-same doubles.
+feed-forward: a stage never reads a later one. So the loop runs in blocks
+of steps and lets stage s run one block behind stage s - 1: in one
+iteration every stage runs its own block, and one LIF call per step
+updates the neurons of all stages, laid side by side on one axis. A
+stage's drive, the decode of its output link and the clip into the next
+stage run once per block, and the output link filters a whole block at
+once. Each element gets the arithmetic of a per-step loop, and so the same
+doubles.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +43,11 @@ from .errors import ConfigError, check_int
 from .neurons import lif_step_arrays
 from .synapses import Lowpass, lowpass_series
 
-# bound on one block of the step loop: the unpacked spike masks held between
-# packs, plus one float64 buffer as wide as the widest stage that holds each
-# stage's drive for the block's steps and then its filtered output rows (a
-# cascade also packs from a transient side-by-side copy of its masks)
+# bound on one block of the step loop: per step, one slot of unpacked spike
+# masks per stage, each as wide as all stages together, held until the block
+# is packed, plus one float64 row of that width that holds every stage's drive
+# and then its filtered output (a cascade also packs from a transient
+# side-by-side copy of one block's masks)
 SPIKE_BLOCK_BYTES = 1 << 20
 
 
@@ -138,17 +143,26 @@ def simulate_cascade(
     each lane's series is filtered as one recurrence on Python floats
     (`lowpass_series`), with no numpy call per step, and the whole input is
     then clipped at the first radius. `dt` and every time constant must be
-    positive and finite. The loop runs in blocks of steps, on buffers
-    allocated once per call, and within a block stage by stage. A stage's
-    drive for the whole block is computed in two calls from its input:
-    the clipped input for stage 0, the previous stage's decoded output for
-    a later one. One LIF update per step is the only per-step work. Then
-    the stage's output synapse runs over the block's masks, one stacked
-    vecdot decodes them, and, for a stage that feeds the next, one divide
-    and clip turn them into the next stage's input. The masks of all
-    stages are packed once per block. The masks and one block of float64
-    drive or output rows, as wide as the widest stage, stay within
-    SPIKE_BLOCK_BYTES.
+    positive and finite.
+
+    The loop runs in blocks of steps, on buffers allocated once per call,
+    and stage s runs one block behind stage s - 1: in iteration i, stage s
+    runs time block i - s. Every stage's neurons sit side by side on one
+    (lanes, neurons) axis, so one LIF update per step, for all stages at
+    once, is the only per-step work. Around it, once per iteration, each
+    stage's drive for its block is computed in two calls from its input:
+    the clipped input for stage 0, and for a later one the block that the
+    previous stage decoded one iteration earlier. One output synapse, with
+    each stage's coefficients over its neurons, filters the iteration's
+    masks, one stacked vecdot per stage decodes its block, and a stage that
+    feeds the next divides and clips its block into the next stage's input.
+    A stage outside its blocks, before its first (ramp-up) or after its
+    last (drain, or past the end of a short last block), gets a drive of
+    exactly 0, which keeps a stage that has not started at rest. So a run
+    of `block`-step blocks makes steps + (stages - 1) * block LIF calls.
+    The masks go into a ring of one slot per stage, and a time block's
+    masks are packed once the last stage has run it. The ring and one
+    block of float64 rows stay within SPIKE_BLOCK_BYTES.
 
     `windows`, when given, holds one step range (start, stop) per lane,
     non-empty and within [0, steps). As each block's output rows of the
@@ -184,6 +198,7 @@ def simulate_cascade(
 
     sizes = [e.n_neurons for e in ensembles]
     n_total = sum(sizes)
+    cols = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]  # each stage's neurons
     groups = None if windows is None else _window_groups(windows, lanes, n_steps)
 
     # the input link sees only the input, so each lane's series is filtered
@@ -196,66 +211,96 @@ def simulate_cascade(
     np.maximum(x_in, -1.0, out=x_in)
     np.minimum(x_in, 1.0, out=x_in)
 
-    # every loop buffer is allocated here and updated in place by the loop;
-    # the unit spike current 1/dt is folded into each output synapse's gain,
-    # so a synapse takes the bool spike mask as it is
-    out_syns = [Lowpass(taus[:, s + 1], dt, (lanes, sizes[s])) for s in range(n_stages)]
-    for syn in out_syns:
-        syn.gain = syn.gain * (1.0 / dt)
+    # every stage's neurons sit side by side on one (lanes, n_total) axis, and
+    # every loop buffer is allocated here and updated in place by the loop.
+    # One output synapse covers the axis with each stage's coefficients over
+    # its own neurons; the unit spike current 1/dt is folded into its gain,
+    # so it takes the bool spike masks as they are
+    stage_syns = [Lowpass(taus[:, s + 1], dt, (lanes, n)) for s, n in enumerate(sizes)]
+    out_syn = Lowpass(taus[:, 1], dt, (lanes, n_total))
+    out_syn.decay = np.concatenate([syn.decay for syn in stage_syns], axis=1)
+    out_syn.gain = np.concatenate([syn.gain for syn in stage_syns], axis=1) * (1.0 / dt)
     gain_enc = [e.gains * e.encoders for e in ensembles]
-    v = [np.zeros((lanes, n)) for n in sizes]
-    refr = [np.zeros((lanes, n)) for n in sizes]
+    v = np.zeros((lanes, n_total))
+    refr = np.zeros((lanes, n_total))
     step_dt = np.asarray(dt, dtype=float)  # 0-d: spares each ufunc call a conversion
 
     decoded = np.empty((lanes, n_steps))
     rates = None if groups is None else np.zeros((lanes, sizes[-1]))
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
-    # the loop runs in blocks of `block` steps. A cascade is feed-forward, so
-    # within a block each stage runs all the block's steps before the next
-    # stage starts. One float64 buffer, as wide as the widest stage, holds a
-    # stage's drive for the block and then its filtered output rows. Each
-    # stage's spike masks fill a contiguous block of their own, packed
-    # together once per block
-    width = max(sizes)
-    step_bytes = lanes * (n_total + 8 * width)  # bool masks, float64 drive or rows
+    # the loop runs in blocks of `block` steps, and in iteration i stage s
+    # runs time block i - s. One float64 buffer holds every stage's drive for
+    # the iteration's steps and then their filtered output rows. The spike
+    # masks go into a ring of one slot per stage: a time block's masks are
+    # complete, and packed, once the last stage has run it, before any stage
+    # writes into their slot again
+    step_bytes = lanes * n_total * (n_stages + 8)  # bool mask slots, one float64 row
     block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
-    stage_masks = [np.empty((block, lanes, n), dtype=bool) for n in sizes]
-    floats = np.empty(block * lanes * width)
-    stage_rows = [floats[: block * lanes * n].reshape(block, lanes, n) for n in sizes]
+    ring = np.empty((n_stages, block, lanes, n_total), dtype=bool)
+    floats = np.empty((block, lanes, n_total))
+    n_blocks = -(-n_steps // block)
 
-    for k0 in range(0, n_steps, block):
-        n = min(block, n_steps - k0)
-        x = x_in[k0 : k0 + n]  # stage 0's clipped input, (steps, lanes)
-        # each stage decodes into the block's columns of `decoded`; a stage
-        # that feeds the next leaves its clipped output there as the next
-        # stage's input, and the last stage's output overwrites it
-        out = decoded[:, k0 : k0 + n].T
+    for i in range(n_blocks + n_stages - 1):
+        # the first step and the length of the block each stage runs; a
+        # stage before its first block or after its last runs none
+        starts = [(i - s) * block for s in range(n_stages)]
+        counts = [min(block, n_steps - k0) if 0 <= k0 < n_steps else 0 for k0 in starts]
+        rows, masks = floats[: max(counts)], ring[i % n_stages, : max(counts)]
+        # each stage's drive for its block, from its input: the clipped
+        # input for stage 0, the block the previous stage decoded and clipped
+        # one iteration earlier for a later one. A stage's steps outside its
+        # block get a drive of exactly 0: a stage that has not started stays
+        # at rest (v, refr and its synapse hold +0.0, and it never spikes),
+        # and one that has finished is never read again
         for s, e in enumerate(ensembles):
-            rows, masks = stage_rows[s][:n], stage_masks[s][:n]
-            np.multiply(gain_enc[s], x[..., None], out=rows)
-            rows += e.biases
-            # the LIF update is the only work that runs per step
-            for j, mask in zip(rows, masks):
-                lif_step_arrays(v[s], refr[s], j, step_dt, mask)
-            np.multiply(masks, out_syns[s].gain, out=rows)
-            out_syns[s].run(rows)
+            k0, n = starts[s], counts[s]
+            drive = rows[:, :, cols[s]]
+            if n:
+                x = x_in[k0 : k0 + n] if s == 0 else decoded[:, k0 : k0 + n].T
+                np.multiply(gain_enc[s], x[..., None], out=drive[:n])
+                drive[:n] += e.biases
+            drive[n:] = 0.0
+        # the LIF update, one call for every stage, is the only work that
+        # runs per step
+        for j, mask in zip(rows, masks):
+            lif_step_arrays(v, refr, j, step_dt, mask)
+        np.multiply(masks, out_syn.gain, out=rows)
+        out_syn.run(rows)
+        # each stage decodes into its block's columns of `decoded`; a stage
+        # that feeds the next leaves its clipped output there as the next
+        # stage's input, which the next stage's output overwrites one
+        # iteration later
+        for s, e in enumerate(ensembles):
+            k0, n = starts[s], counts[s]
+            if not n:
+                continue
+            out = decoded[:, k0 : k0 + n].T
             # one dot product per (step, lane) row: vecdot runs the same
             # per-row dot as a one-lane run, where a single (lanes x n) @ (n,)
             # product sums in a different order and drifts from it
-            np.vecdot(rows, e.decoders, out=out)
+            np.vecdot(rows[:n, :, cols[s]], e.decoders, out=out)
             if s + 1 < n_stages:
                 np.divide(out, ensembles[s + 1].radius, out=out)
                 np.maximum(out, -1.0, out=out)
                 np.minimum(out, 1.0, out=out)
-                x = out
-        # `rows` holds the last stage's filtered output rows of the block;
-        # each group of lanes adds the rows inside its window, one per step
+        # the last stage has now run time block i - (n_stages - 1): each
+        # group of lanes adds its output rows inside its window, one per
+        # step, and the block's masks are packed, each stage's from the slot
+        # of the iteration that ran it
+        k0, n = starts[-1], counts[-1]
+        if not n:
+            continue
+        last = rows[:n, :, cols[-1]]
         for cut, start, stop in groups or ():
             acc = rates[cut]
-            for row in rows[max(start - k0, 0) : max(stop - k0, 0), cut]:
+            for row in last[max(start - k0, 0) : max(stop - k0, 0), cut]:
                 acc += row
-        block_masks = [m[:n] for m in stage_masks]
-        spiked = block_masks[0] if n_stages == 1 else np.concatenate(block_masks, axis=-1)
+        if n_stages == 1:
+            spiked = masks[:n]
+        else:
+            spiked = np.concatenate(
+                [ring[(i + 1 + s) % n_stages, :n, :, cols[s]] for s in range(n_stages)], axis=-1
+            )
         spikes[k0 : k0 + n] = np.packbits(spiked, axis=-1)
 
     for cut, start, stop in groups or ():

@@ -176,10 +176,12 @@ def lane_signals(lanes, steps):
     return rng.uniform(-1500.0, 1500.0, size=(lanes, steps))
 
 
-# (25, 40) has a last stage wider than stage 0, and (25, 40, 30) a middle
-# stage wider than both ends, so the widest stage sets the shared float64
-# buffer that holds each stage's drive and then its output rows
-@pytest.mark.parametrize("sizes", [(60,), (40, 30), (40, 30, 25), (25, 40), (25, 40, 30)])
+# (25, 40) has a last stage wider than stage 0, and (25, 40, 30) and
+# (30, 60, 20, 45) a middle stage wider than both ends; every stage's
+# neurons share one axis, with its own column slice of each loop buffer
+@pytest.mark.parametrize(
+    "sizes", [(60,), (40, 30), (40, 30, 25), (25, 40), (25, 40, 30), (30, 60, 20, 45)]
+)
 def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
     inputs = lane_signals(2, 150)
@@ -187,12 +189,12 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     refs = [reference_cascade(ensembles, inputs[b], DT, taus[b]) for b in range(2)]
     # one spike block for the whole run, then blocks of 7 steps: 150 is not
     # a multiple of 7, so the last block is partial
-    # (a step of a block holds 2 lanes' spike masks and one float64 row as
-    # wide as the widest stage's drive or output)
+    # (a step of a block holds, for 2 lanes of every neuron of every stage,
+    # one spike mask per stage in the mask ring and one float64 drive or
+    # output value)
     # Windows: none, one shared by both lanes, and one per lane; each starts
     # and ends inside a 7-step block, and the second lane's runs to the end
-    width = max(sizes)
-    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * (sum(sizes) + 8 * width)):
+    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * sum(sizes) * (len(sizes) + 8)):
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
         for windows in (None, [(30, 125)] * 2, [(3, 139), (60, 150)]):
             res = simulate_cascade(ensembles, inputs, DT, taus, windows)
@@ -207,6 +209,36 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
                 else:
                     np.testing.assert_array_equal(lane.rates, window_mean(rates, windows[b]))
     assert ids.size > 100 and np.any(ids >= sum(sizes[:-1]))  # the last stage fires too
+
+
+def test_one_lif_call_per_step_for_the_whole_cascade(monkeypatch):
+    # stage s runs one block behind stage s - 1, and one LIF call updates
+    # the neurons of every stage: a run in `block`-step blocks makes
+    # steps + (stages - 1) * block calls, where one call per stage and step
+    # made stages * steps
+    shapes = []
+    lif_step = simulator.lif_step_arrays
+
+    def counted(v, *args):
+        shapes.append(v.shape)
+        return lif_step(v, *args)
+
+    monkeypatch.setattr(simulator, "lif_step_arrays", counted)
+    inputs = lane_signals(2, 97)
+
+    def calls(sizes, block=None):
+        ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
+        if block is not None:
+            budget = block * 2 * sum(sizes) * (len(sizes) + 8)
+            monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
+        shapes.clear()
+        simulate_cascade(ensembles, inputs, DT, [[0.002] * (len(sizes) + 1)] * 2)
+        assert set(shapes) == {(2, sum(sizes))}
+        return len(shapes)
+
+    assert calls((60,)) == calls((60,), 7) == 97
+    assert calls((40, 30), 7) == 97 + 7
+    assert calls((40, 30, 25), 7) == 97 + 2 * 7
 
 
 def assert_same_run(batched, single):

@@ -3,8 +3,9 @@
 `oracles.reference_cascade` runs one lane at a time, out of place, with
 the spike current applied before the output synapse's gain. The fast loop
 runs every lane at once, in place, with the spike current folded into the
-gain, computes stage 0's drive a block of steps at a time, and filters and
-decodes the last stage's spikes a block of steps at a time. It must
+gain, runs stage s one block of steps behind stage s - 1 with one LIF call
+per step for every stage, and computes each stage's drive and filters and
+decodes its spikes a block of steps at a time. It must
 reproduce the reference exactly; the tolerance is 0 (array_equal) on
 decoded values, packed spikes and the window means of the last stage's
 rates, and the runs and windows cross block boundaries. Every lane, stage and block-size case also runs at a dt
@@ -43,10 +44,10 @@ def ensembles():
 
 def block_budget(lanes, chain, steps):
     """The SPIKE_BLOCK_BYTES that makes the loop's blocks `steps` steps long:
-    each step holds one bool mask per neuron and one float64 row as wide as
-    the widest stage (its drive, then its output rows)."""
-    width = max(e.n_neurons for e in chain)
-    return steps * lanes * (sum(e.n_neurons for e in chain) + 8 * width)
+    each step holds, for every neuron of every stage, one bool mask per
+    stage (the mask ring's slots) and one float64 (its drive, then its
+    output rows)."""
+    return steps * lanes * sum(e.n_neurons for e in chain) * (len(chain) + 8)
 
 
 def window_cases(lanes, steps):
@@ -57,6 +58,8 @@ def window_cases(lanes, steps):
         return [None]
     if steps == 5:
         return [None, [(1, 4)] * lanes, [(b % 3, 5 - b % 2) for b in range(lanes)]]
+    if steps == 12:
+        return [None, [(5, 12)] * lanes, [(b // 2 % 3 + 2, 12 - b // 2 % 4) for b in range(lanes)]]
     return [None, [(10, 88)] * lanes,
             [(3 * (b // 2) + 2, 90 - 4 * (b // 2)) for b in range(lanes)]]
 
@@ -84,10 +87,12 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatc
     lo, hi = sum(SIZES[: stages - 1]), sum(SIZES[:stages])  # the last stage's neurons
     last_stage_spikes = 0
     cases = [(steps, taus, reference_lanes(chain, inputs[:, :steps], dt, taus))
-             for steps in (STEPS, 5, 0) for taus in (shared_taus, lane_taus)]
+             for steps in (STEPS, 12, 5, 0) for taus in (shared_taus, lane_taus)]
     # one block for the whole run, then blocks of 1 and of 7 steps: in 7-step
     # blocks, 97 steps cross 13 block boundaries and end in a partial block,
-    # a 5-step run is shorter than one block, and a 0-step run has none
+    # a 12-step run is two blocks, fewer than 3 stages, so the pipeline of
+    # stages never fills, a 5-step run is shorter than one block, and a
+    # 0-step run has none
     budgets = [simulator.SPIKE_BLOCK_BYTES] + [block_budget(lanes, chain, n) for n in (1, 7)]
     for budget in budgets:
         monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
