@@ -6,9 +6,9 @@
 gen-data writes three fixture pairs (33/66/100% reduction) and a classify
 manifest over them; detect, sweep, compare, raster, energy and classify
 then run under the cpu-pd1-66 and fpga-pd1-66 presets into OUTDIR, and
-detect, energy and classify once more under a `--config` of three stages.
-Those stages hold 167/167/166 neurons, so two stage boundaries fall inside
-a packed spike byte. detect runs once more without `--truth` under a fixed
+detect, raster, energy and classify once more under a `--config` of three
+stages. Those stages hold 167/167/166 neurons, so two stage boundaries fall
+inside a packed spike byte, which the raster's events pin bit for bit. detect runs once more without `--truth` under a fixed
 threshold, so its report has no metrics, and compare once more under a
 `--config` whose `baseline` list holds a 5-layer and a 101-layer moving
 average; the 101-layer window is longer than the 81-layer series, so its
@@ -64,6 +64,7 @@ def digests(out: Path) -> None:
     (out / "stages-3.json").write_text(json.dumps({"stages": 3}))
     net = ("--config", out / "stages-3.json", "--seed", 7, "--outdir", out / "stages-3")
     run("detect", *pair, *net)
+    run("raster", "--input", data / "defective.csv", *net)
     run("energy", *net)
     run("classify", "--manifest", out / "manifest.json", *net)
     net = ("--preset", "cpu-pd1-66", "--seed", 7, "--outdir", out / "no-truth")

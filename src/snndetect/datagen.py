@@ -56,12 +56,13 @@ class DefectSpec:
     dip_fraction: float = 1.0  # signal drop per unit of power reduction
 
     def __post_init__(self) -> None:
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
-        depth = self.dip_fraction * self.power_reduction_percent / 100.0
-        if not (0.0 <= depth <= 1.0):
+        check_int("start_layer", self.start_layer)
+        check_int("n_layers", self.n_layers, 1)
+        for name in ("power_reduction_percent", "dip_fraction"):
+            check_real(name, getattr(self, name))
+        if not (0.0 <= self.dip_depth <= 1.0):
             raise ConfigError(
-                f"dip_fraction * reduction must stay within the signal range, got {depth}"
+                f"dip_fraction * reduction must stay within the signal range, got {self.dip_depth}"
             )
 
     @property

@@ -11,7 +11,7 @@ power drop leaves behind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,7 +21,6 @@ from .ensembles import Ensemble, build_ensemble
 from .errors import MAX_INT, ConfigError, DataError, NumericError, check_int, check_real
 from .simulator import SimResult, simulate_cascade
 
-CONFIG_KEYS = ("neurons", "radius", "dt", "presentation_time", "tau_in", "tau_out", "seed", "stages")
 FALLBACK_THRESHOLD_PCT = 5.0  # the adaptive policy's threshold when the calibration MAD is zero
 
 
@@ -148,11 +147,11 @@ class FilterConfig:
         return [base + (1 if s < extra else 0) for s in range(self.stages)]
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in CONFIG_KEYS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FilterConfig":
-        unknown = set(data) - set(CONFIG_KEYS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown filter-config keys: {sorted(unknown)}")
         return cls(**data)

@@ -9,15 +9,15 @@ rate-equivalent (Hz) and match the units the decoders were solved in.
 
 The model is clocked per step, but only the LIF update is computed step
 by step. The input link reads only the input, so each lane's series is
-filtered before the loop, as one recurrence on Python floats. A cascade is
-feed-forward: a stage never reads a later one. So the loop runs in blocks
-of steps and lets stage s run one block behind stage s - 1: in one
-iteration every stage runs its own block, and one LIF call per step
-updates the neurons of all stages, laid side by side on one axis. A
-stage's drive, the decode of its output link and the clip into the next
-stage run once per block, and the output link filters a whole block at
-once. Each element gets the arithmetic of a per-step loop, and so the same
-doubles.
+filtered before the loop, as one recurrence on Python floats, into the
+decoded output. A cascade is feed-forward: a stage never reads a later
+one. So the loop runs in blocks of steps and lets stage s run one block
+behind stage s - 1: in one iteration every stage runs its own block, and
+one LIF call per step updates the neurons of all stages, laid side by side
+on one axis. Every stage reads its block from the decoded output, clips it
+at its own radius just before its drive, and decodes its output back into
+it, once per block; the output link filters a whole block at once. Each
+element gets the arithmetic of a per-step loop, and so the same doubles.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
@@ -43,11 +43,7 @@ from .errors import ConfigError, check_int
 from .neurons import lif_step_arrays
 from .synapses import Lowpass, lowpass_series
 
-# bound on one block of the step loop: per step, one slot of unpacked spike
-# masks per stage, each as wide as all stages together, held until the block
-# is packed, plus one float64 row of that width that holds every stage's drive
-# and then its filtered output (a cascade also packs from a transient
-# side-by-side copy of one block's masks)
+# bound on the buffers of one block of the step loop (see _block_steps)
 SPIKE_BLOCK_BYTES = 1 << 20
 
 
@@ -141,28 +137,26 @@ def simulate_cascade(
 
     The input link depends on the input alone, so before the step loop
     each lane's series is filtered as one recurrence on Python floats
-    (`lowpass_series`), with no numpy call per step, and the whole input is
-    then clipped at the first radius. `dt` and every time constant must be
-    positive and finite.
+    (`lowpass_series`), with no numpy call per step, into `decoded`.
+    `dt` and every time constant must be positive and finite.
 
-    The loop runs in blocks of steps, on buffers allocated once per call,
-    and stage s runs one block behind stage s - 1: in iteration i, stage s
-    runs time block i - s. Every stage's neurons sit side by side on one
-    (lanes, neurons) axis, so one LIF update per step, for all stages at
-    once, is the only per-step work. Around it, once per iteration, each
-    stage's drive for its block is computed in two calls from its input:
-    the clipped input for stage 0, and for a later one the block that the
-    previous stage decoded one iteration earlier. One output synapse, with
-    each stage's coefficients over its neurons, filters the iteration's
-    masks, one stacked vecdot per stage decodes its block, and a stage that
-    feeds the next divides and clips its block into the next stage's input.
-    A stage outside its blocks, before its first (ramp-up) or after its
-    last (drain, or past the end of a short last block), gets a drive of
-    exactly 0, which keeps a stage that has not started at rest. So a run
-    of `block`-step blocks makes steps + (stages - 1) * block LIF calls.
-    The masks go into a ring of one slot per stage, and a time block's
-    masks are packed once the last stage has run it. The ring and one
-    block of float64 rows stay within SPIKE_BLOCK_BYTES.
+    The loop runs in blocks of `_block_steps` steps, on buffers allocated
+    once per call, and stage s runs one block behind stage s - 1: in
+    iteration i, stage s runs time block i - s. Every stage's neurons sit
+    side by side on one (lanes, neurons) axis, so one LIF update per step,
+    for all stages at once, is the only per-step work. Around it, once per
+    iteration, every stage reads its block from `decoded` (the filtered
+    input for stage 0, the block the previous stage decoded one iteration
+    earlier for a later one), clips it at its own radius and computes its
+    drive in two calls; one output synapse, with each stage's coefficients
+    over its neurons, filters the iteration's masks, and one stacked vecdot
+    per stage decodes its block back into `decoded`. A stage outside its
+    blocks, before its first (ramp-up) or after its last (drain, or past
+    the end of a short last block), gets a drive of exactly 0, which keeps
+    a stage that has not started at rest. So a run of `block`-step blocks
+    makes steps + (stages - 1) * block LIF calls. The masks go into a ring
+    of one slot per stage, and a time block's masks are packed once the
+    last stage has run it.
 
     `windows`, when given, holds one step range (start, stop) per lane,
     non-empty and within [0, steps). As each block's output rows of the
@@ -201,16 +195,6 @@ def simulate_cascade(
     cols = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]  # each stage's neurons
     groups = None if windows is None else _window_groups(windows, lanes, n_steps)
 
-    # the input link sees only the input, so each lane's series is filtered
-    # in plain floats before the loop, then clipped at stage 0's radius in
-    # three whole-array calls
-    x_in = np.empty((n_steps, lanes))
-    for b in range(lanes):
-        x_in[:, b] = lowpass_series(inputs[b], taus[b, 0], dt)
-    np.divide(x_in, ensembles[0].radius, out=x_in)
-    np.maximum(x_in, -1.0, out=x_in)
-    np.minimum(x_in, 1.0, out=x_in)
-
     # every stage's neurons sit side by side on one (lanes, n_total) axis, and
     # every loop buffer is allocated here and updated in place by the loop.
     # One output synapse covers the axis with each stage's coefficients over
@@ -225,17 +209,19 @@ def simulate_cascade(
     refr = np.zeros((lanes, n_total))
     step_dt = np.asarray(dt, dtype=float)  # 0-d: spares each ufunc call a conversion
 
+    # the input link sees only the input, so each lane's series is filtered
+    # in plain floats before the loop, as stage 0's input in `decoded`
     decoded = np.empty((lanes, n_steps))
+    for b in range(lanes):
+        decoded[b] = lowpass_series(inputs[b], taus[b, 0], dt)
     rates = None if groups is None else np.zeros((lanes, sizes[-1]))
     spikes = np.empty((n_steps, lanes, (n_total + 7) // 8), dtype=np.uint8)
-    # the loop runs in blocks of `block` steps, and in iteration i stage s
-    # runs time block i - s. One float64 buffer holds every stage's drive for
-    # the iteration's steps and then their filtered output rows. The spike
-    # masks go into a ring of one slot per stage: a time block's masks are
-    # complete, and packed, once the last stage has run it, before any stage
-    # writes into their slot again
-    step_bytes = lanes * n_total * (n_stages + 8)  # bool mask slots, one float64 row
-    block = max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
+    # in iteration i stage s runs time block i - s. One float64 buffer holds
+    # every stage's drive for the iteration's steps and then their filtered
+    # output rows. The spike masks go into a ring of one slot per stage: a
+    # time block's masks are complete, and packed, once the last stage has
+    # run it, before any stage writes into their slot again
+    block = _block_steps(lanes, sizes, n_steps)
     ring = np.empty((n_stages, block, lanes, n_total), dtype=bool)
     floats = np.empty((block, lanes, n_total))
     n_blocks = -(-n_steps // block)
@@ -246,9 +232,8 @@ def simulate_cascade(
         starts = [(i - s) * block for s in range(n_stages)]
         counts = [min(block, n_steps - k0) if 0 <= k0 < n_steps else 0 for k0 in starts]
         rows, masks = floats[: max(counts)], ring[i % n_stages, : max(counts)]
-        # each stage's drive for its block, from its input: the clipped
-        # input for stage 0, the block the previous stage decoded and clipped
-        # one iteration earlier for a later one. A stage's steps outside its
+        # each stage clips its block of `decoded` at its own radius, in
+        # place, and computes its drive from it. A stage's steps outside its
         # block get a drive of exactly 0: a stage that has not started stays
         # at rest (v, refr and its synapse hold +0.0, and it never spikes),
         # and one that has finished is never read again
@@ -256,8 +241,11 @@ def simulate_cascade(
             k0, n = starts[s], counts[s]
             drive = rows[:, :, cols[s]]
             if n:
-                x = x_in[k0 : k0 + n] if s == 0 else decoded[:, k0 : k0 + n].T
-                np.multiply(gain_enc[s], x[..., None], out=drive[:n])
+                x = decoded[:, k0 : k0 + n]
+                np.divide(x, e.radius, out=x)
+                np.maximum(x, -1.0, out=x)
+                np.minimum(x, 1.0, out=x)
+                np.multiply(gain_enc[s], x.T[..., None], out=drive[:n])
                 drive[:n] += e.biases
             drive[n:] = 0.0
         # the LIF update, one call for every stage, is the only work that
@@ -266,23 +254,15 @@ def simulate_cascade(
             lif_step_arrays(v, refr, j, step_dt, mask)
         np.multiply(masks, out_syn.gain, out=rows)
         out_syn.run(rows)
-        # each stage decodes into its block's columns of `decoded`; a stage
-        # that feeds the next leaves its clipped output there as the next
-        # stage's input, which the next stage's output overwrites one
-        # iteration later
+        # each stage decodes its block over its input in `decoded`, where
+        # the next stage reads it one iteration later. One dot product per
+        # (step, lane) row: vecdot runs the same per-row dot as a one-lane
+        # run, where a single (lanes x n) @ (n,) product sums in a different
+        # order and drifts from it
         for s, e in enumerate(ensembles):
             k0, n = starts[s], counts[s]
-            if not n:
-                continue
-            out = decoded[:, k0 : k0 + n].T
-            # one dot product per (step, lane) row: vecdot runs the same
-            # per-row dot as a one-lane run, where a single (lanes x n) @ (n,)
-            # product sums in a different order and drifts from it
-            np.vecdot(rows[:n, :, cols[s]], e.decoders, out=out)
-            if s + 1 < n_stages:
-                np.divide(out, ensembles[s + 1].radius, out=out)
-                np.maximum(out, -1.0, out=out)
-                np.minimum(out, 1.0, out=out)
+            if n:
+                np.vecdot(rows[:n, :, cols[s]], e.decoders, out=decoded[:, k0 : k0 + n].T)
         # the last stage has now run time block i - (n_stages - 1): each
         # group of lanes adds its output rows inside its window, one per
         # step, and the block's masks are packed, each stage's from the slot
@@ -306,6 +286,16 @@ def simulate_cascade(
     for cut, start, stop in groups or ():
         rates[cut] /= stop - start
     return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)
+
+
+def _block_steps(lanes: int, sizes: Sequence[int], n_steps: int) -> int:
+    """Steps per block of the step loop: as many as fit in SPIKE_BLOCK_BYTES,
+    at least 1 and at most the run. A step holds, for every lane and every
+    neuron of every stage, one bool mask per stage (the mask ring's slots)
+    and one float64 (its drive, then its filtered output); a cascade also
+    packs from a transient side-by-side copy of one block's masks."""
+    step_bytes = lanes * sum(sizes) * (len(sizes) + 8)
+    return max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
 
 
 def _window_groups(windows, lanes: int, n_steps: int) -> list[tuple[slice, int, int]]:

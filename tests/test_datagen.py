@@ -120,3 +120,15 @@ def test_validation():
     with pytest.raises(ConfigError):
         # defect window must fit inside the series window
         gen_defective(GenParams(), DefectSpec(start_layer=648, n_layers=7))
+
+
+@pytest.mark.parametrize("bad", [
+    {"start_layer": 613.0}, {"start_layer": True}, {"n_layers": 7.0}, {"n_layers": True},
+    {"power_reduction_percent": "66"}, {"power_reduction_percent": float("nan")},
+    {"dip_fraction": None}, {"dip_fraction": True},
+])
+def test_defect_spec_checks_its_field_types(bad):
+    # a wrong type fails at construction with a ConfigError, not later inside
+    # gen_defective with a raw TypeError
+    with pytest.raises(ConfigError):
+        DefectSpec(**bad)

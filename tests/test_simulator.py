@@ -189,13 +189,10 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
     refs = [reference_cascade(ensembles, inputs[b], DT, taus[b]) for b in range(2)]
     # one spike block for the whole run, then blocks of 7 steps: 150 is not
     # a multiple of 7, so the last block is partial
-    # (a step of a block holds, for 2 lanes of every neuron of every stage,
-    # one spike mask per stage in the mask ring and one float64 drive or
-    # output value)
     # Windows: none, one shared by both lanes, and one per lane; each starts
     # and ends inside a 7-step block, and the second lane's runs to the end
-    for block_bytes in (simulator.SPIKE_BLOCK_BYTES, 7 * 2 * sum(sizes) * (len(sizes) + 8)):
-        monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", block_bytes)
+    for block in (150, 7):
+        monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
         for windows in (None, [(30, 125)] * 2, [(3, 139), (60, 150)]):
             res = simulate_cascade(ensembles, inputs, DT, taus, windows)
             for b, (decoded, spikes, rates) in enumerate(refs):
@@ -229,8 +226,7 @@ def test_one_lif_call_per_step_for_the_whole_cascade(monkeypatch):
     def calls(sizes, block=None):
         ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate(sizes)]
         if block is not None:
-            budget = block * 2 * sum(sizes) * (len(sizes) + 8)
-            monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
+            monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
         shapes.clear()
         simulate_cascade(ensembles, inputs, DT, [[0.002] * (len(sizes) + 1)] * 2)
         assert set(shapes) == {(2, sum(sizes))}
@@ -239,6 +235,16 @@ def test_one_lif_call_per_step_for_the_whole_cascade(monkeypatch):
     assert calls((60,)) == calls((60,), 7) == 97
     assert calls((40, 30), 7) == 97 + 7
     assert calls((40, 30, 25), 7) == 97 + 2 * 7
+
+
+def test_block_steps_fit_the_budget_within_the_run():
+    # a short run is one block; a long one is cut into blocks that fit in
+    # SPIKE_BLOCK_BYTES (104 steps for fpga-*'s 2 lanes of 250 + 250
+    # neurons); a step over the budget, or an empty run, gets 1-step blocks
+    assert simulator._block_steps(2, (40, 30), 150) == 150
+    assert simulator._block_steps(2, (250, 250), 30_000) == 104
+    assert simulator._block_steps(4096, (500,), 10) == 1
+    assert simulator._block_steps(2, (60,), 0) == 1
 
 
 def assert_same_run(batched, single):
@@ -281,9 +287,8 @@ def test_padded_lane_prefix_is_exact(ens, monkeypatch):
     alone = one_lane([ens], short, [0.003, 0.003], (20, 70))
     # the short lane's window ends at its own last step, before the padding,
     # in one block for the whole run and in blocks of 1 and of 7 steps
-    for steps in (None, 1, 7):
-        if steps is not None:
-            monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", steps * 2 * 9 * ens.n_neurons)
+    for block in (100, 1, 7):
+        monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
         res = simulate_cascade([ens], padded, DT, [[0.003, 0.003]] * 2, [(20, 70), (20, 100)])
         assert_same_run(res.lane(0, 70), alone)
 

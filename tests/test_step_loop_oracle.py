@@ -42,14 +42,6 @@ def ensembles():
     return [build_ensemble(n, 1100.0, s) for s, n in enumerate(SIZES)]
 
 
-def block_budget(lanes, chain, steps):
-    """The SPIKE_BLOCK_BYTES that makes the loop's blocks `steps` steps long:
-    each step holds, for every neuron of every stage, one bool mask per
-    stage (the mask ring's slots) and one float64 (its drive, then its
-    output rows)."""
-    return steps * lanes * sum(e.n_neurons for e in chain) * (len(chain) + 8)
-
-
 def window_cases(lanes, steps):
     """No windows, one window shared by every lane, and windows that differ
     between pairs of neighbouring lanes. At 97 steps each starts and ends
@@ -93,9 +85,8 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatc
     # a 12-step run is two blocks, fewer than 3 stages, so the pipeline of
     # stages never fills, a 5-step run is shorter than one block, and a
     # 0-step run has none
-    budgets = [simulator.SPIKE_BLOCK_BYTES] + [block_budget(lanes, chain, n) for n in (1, 7)]
-    for budget in budgets:
-        monkeypatch.setattr(simulator, "SPIKE_BLOCK_BYTES", budget)
+    for block in (STEPS, 1, 7):
+        monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
         for steps, taus, (decoded, spikes, rates) in cases:
             for windows in window_cases(lanes, steps):
                 res = simulate_cascade(chain, inputs[:, :steps], dt, taus, windows)
@@ -109,3 +100,22 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatc
                     np.testing.assert_array_equal(res.rates, np.array(means))
                 last_stage_spikes += np.unpackbits(spikes, axis=-1)[..., lo:hi].sum()
     assert last_stage_spikes > 0
+
+
+@pytest.mark.parametrize("block", [STEPS, 1, 7])
+def test_each_stage_clips_its_input_at_its_own_radius(block, monkeypatch):
+    # stages of unequal radii: the input clips at 1100 on both sides, stage
+    # 0's output at 600, and stage 2 scales stage 1's output by 1800, so a
+    # stage that divides by another stage's radius drifts from the reference
+    chain = [build_ensemble(n, r, s) for s, (n, r) in enumerate(zip(SIZES, (1100.0, 600.0, 1800.0)))]
+    rng = np.random.default_rng(5)
+    inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
+    taus = rng.uniform(0.0005, 0.012, (3, 4))
+    windows = [(10, 88), (10, 88), (2, 97)]
+    decoded, spikes, rates = reference_lanes(chain, inputs, 0.001, taus)
+    monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
+    res = simulate_cascade(chain, inputs, 0.001, taus, windows)
+    np.testing.assert_array_equal(res.decoded, decoded)
+    np.testing.assert_array_equal(res.spikes, spikes)
+    np.testing.assert_array_equal(res.rates, np.array([window_mean(r, w) for r, w in zip(rates, windows)]))
+    assert np.abs(reference_lanes(chain[:1], inputs, 0.001, taus[:, :2])[0]).max() > 600.0
