@@ -27,6 +27,7 @@ INTERCEPT_RANGE = (-0.95, 0.95)  # normalized input where each neuron starts fir
 MAX_RATE_RANGE = (200.0, 400.0)  # rate (Hz) at the end of each neuron's range
 DECODE_POINTS = 1000  # uniform grid over [-radius, radius] for the decoder solve
 DECODE_REG = 0.1  # ridge noise, as a fraction of the peak activity
+TABLE_CHUNK_BYTES = 1 << 18  # bytes of tuning-table rows filled per lif_rate call
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,15 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
     biases = 1.0 - gains * intercepts
 
     xs = np.linspace(-radius, radius, DECODE_POINTS)
-    a = _rates(gains * encoders, biases, xs / radius).T  # points x neurons
+    # the table is an argument only, so it is freed before the solve copies the Gram
+    decoders = _solve(*_normal_equations(_rates(gains * encoders, biases, xs / radius), xs))
     arrays = dict(
         encoders=encoders,
         gains=gains,
         biases=biases,
         intercepts=intercepts,
         max_rates=max_rates,
-        decoders=solve_decoders(a, xs),
+        decoders=decoders,
     )
     for arr in arrays.values():
         arr.flags.writeable = False
@@ -81,9 +83,19 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
 
 
 def _rates(gain_enc: np.ndarray, biases: np.ndarray, x_norm: np.ndarray) -> np.ndarray:
-    """Steady-state rates (neurons x points) at normalized inputs, clipped to [-1, 1]."""
+    """Steady-state rates (neurons x points) at normalized inputs, clipped to [-1, 1].
+
+    The table is allocated once and filled TABLE_CHUNK_BYTES of rows at a
+    time, so the drive and lif_rate's temporaries are chunk-sized. Every
+    element gets the arithmetic of one whole-table lif_rate call.
+    """
     x_norm = np.clip(x_norm, -1.0, 1.0)
-    return lif_rate(gain_enc[:, None] * x_norm[None, :] + biases[:, None])
+    table = np.empty((len(biases), len(x_norm)))
+    rows = max(1, TABLE_CHUNK_BYTES // max(1, table.itemsize * len(x_norm)))
+    for start in range(0, len(table), rows):
+        chunk = slice(start, start + rows)
+        table[chunk] = lif_rate(gain_enc[chunk, None] * x_norm[None, :] + biases[chunk, None])
+    return table
 
 
 def solve_decoders(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -94,16 +106,35 @@ def solve_decoders(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     the n_eval points, with sigma = DECODE_REG * max(A), so DECODE_REG is
     a dimensionless noise fraction.
     """
+    return _solve(*_normal_equations(a.T, xs))
+
+
+def _normal_equations(table: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The ridge Gram, the right-hand side, the peak activity and the number
+    of points, from the rate table (neurons x points) measured at xs.
+
+    Both products run over the whole table, through its transposed view
+    `a` (points x neurons): their bits depend on the BLAS call, so they are
+    never split over points. The ridge term is added on the diagonal in
+    place: the same values as adding ridge * eye(n).
+    """
+    a = table.T
     n_eval, n_neurons = a.shape
-    sigma = DECODE_REG * a.max()
-    gram = a.T @ a + n_eval * sigma**2 * np.eye(n_neurons)
-    rhs = a.T @ xs
+    peak = a.max()
+    sigma = DECODE_REG * peak
+    gram = a.T @ a
+    gram.flat[:: n_neurons + 1] += n_eval * sigma**2
+    return gram, a.T @ xs, peak, n_eval
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray, peak: float, n_eval: int) -> np.ndarray:
+    """Decoders from the normal equations; NumericError when the solve fails."""
     try:
         d = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as err:
         raise NumericError(
-            f"decoder solve failed for {n_neurons} neurons, {n_eval} points "
-            f"(peak activity {a.max():.3g} Hz): {err}"
+            f"decoder solve failed for {len(gram)} neurons, {n_eval} points "
+            f"(peak activity {peak:.3g} Hz): {err}"
         ) from err
     if not np.all(np.isfinite(d)):
         raise NumericError(

@@ -123,8 +123,8 @@ class FilterConfig:
         check_int("stages", self.stages, 1)
         for name in ("radius", "dt", "presentation_time", "tau_in", "tau_out"):
             check_real(name, getattr(self, name))
-        if not self.radius > 0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
+        if not (self.radius > 0 and math.isfinite(2.0 * self.radius)):
+            raise ConfigError(f"radius must be positive with a finite span 2*radius, got {self.radius}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.tau_in > 0 and self.tau_out > 0):

@@ -2,8 +2,10 @@
 
 Nothing in the package calls these: the exact scalar synapse step, the
 LIF rate formula evaluated at every point, the out-of-place LIF step and a
-one-lane cascade loop built on it, the mean of its rates over a step
-window, the steady-state tuning curves of a population, and the validated
+one-lane cascade loop built on it, the same cascade with each population
+replaced by its steady-state rates, the mean of its rates over a step
+window, the steady-state tuning curves of a population, a population's
+decoders solved from its whole tuning table at once, and the validated
 cross-entropy of a probability table.
 """
 
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from snndetect.classifier import _mean_nll, _warn_on_zero
-from snndetect.ensembles import Ensemble, _rates
+from snndetect.ensembles import DECODE_POINTS, DECODE_REG, INTERCEPT_RANGE, MAX_RATE_RANGE, Ensemble
 from snndetect.errors import ConfigError, DataError
-from snndetect.neurons import TAU_RC, TAU_REF
+from snndetect.neurons import TAU_RC, TAU_REF, drive_for_rate, lif_rate
+from snndetect.synapses import lowpass_series
 
 
 @dataclass
@@ -115,12 +118,54 @@ def window_mean(rates, window):
     return total / (stop - start)
 
 
+def rate_twin(ensembles, signal, dt, taus, block=1000):
+    """The cascade of populations with each one replaced by its
+    steady-state rates: no spikes, the same clip, links and decoders.
+
+    The input is filtered at taus[0]; then each stage's rates lif_rate(gain
+    * encoder * clip(y / radius) + bias), decoded, are filtered at that
+    stage's tau. lif_rate runs on `block` steps at a time. Returns the last
+    stage's filtered output (steps,).
+    """
+    y = lowpass_series(signal, taus[0], dt)
+    for e, tau in zip(ensembles, taus[1:]):
+        decoded = np.concatenate([_table(e.gains * e.encoders, e.biases, y[i:i + block] / e.radius).T
+                                  @ e.decoders for i in range(0, len(y), block)])
+        y = lowpass_series(decoded, tau, dt)
+    return y
+
+
+def _table(gain_enc, biases, x_norm):
+    """Steady-state rates (neurons x points) at normalized inputs clipped to
+    [-1, 1], through one lif_rate call over the whole table."""
+    x_norm = np.clip(x_norm, -1.0, 1.0)
+    return lif_rate(gain_enc[:, None] * x_norm[None, :] + biases[:, None])
+
+
 def tuning_curves(e: Ensemble, xs) -> np.ndarray:
     """Steady-state rates (neurons x points) at the given raw input values."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
-    return _rates(e.gains * e.encoders, e.biases, xs / e.radius)
+    return _table(e.gains * e.encoders, e.biases, xs / e.radius)
+
+
+def reference_decoders(n, radius, seed):
+    """A population's decoders, built the direct way: the tunings sampled
+    as build_ensemble samples them, the whole (points x neurons) table
+    through lif_rate at once, the ridge term added as n_eval * sigma^2 *
+    eye(n), then np.linalg.solve."""
+    rng = np.random.default_rng(seed)
+    encoders = rng.choice(np.array([-1.0, 1.0]), size=n)
+    intercepts = rng.uniform(*INTERCEPT_RANGE, size=n)
+    max_rates = rng.uniform(*MAX_RATE_RANGE, size=n)
+    gains = (drive_for_rate(max_rates) - 1.0) / (1.0 - intercepts)
+    biases = 1.0 - gains * intercepts
+    xs = np.linspace(-radius, radius, DECODE_POINTS)
+    a = _table(gains * encoders, biases, xs / radius).T
+    sigma = DECODE_REG * a.max()
+    gram = a.T @ a + len(xs) * sigma**2 * np.eye(n)
+    return np.linalg.solve(gram, a.T @ xs)
 
 
 def _validate_probs_labels(probs: np.ndarray, labels: np.ndarray) -> None:

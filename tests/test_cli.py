@@ -672,6 +672,27 @@ def test_energy_config_integer_beyond_float_range_is_an_error(workdir, capsys):
     assert not (out / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "energy", "raster"])
+def test_radius_whose_span_overflows_exits_2(workdir, capsys, command):
+    # the decode grid spans [-radius, radius]; past about 9e307 its span
+    # 2 * radius overflowed, numpy warned, and lif_rate's ValueError ended
+    # the run in a traceback
+    path = workdir / "huge-span.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "radius": 1e308}))
+    out = workdir / "huge-span"
+    data = workdir / "data"
+    args = {
+        "detect": ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv")],
+        "energy": list(ENERGY_ARGS),
+        "raster": ["--input", str(data / "defective.csv")],
+    }[command]
+    code = main([command, *args, "--config", str(path), "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: radius must be positive with a finite span") and err.count("\n") == 1
+    assert not (out.exists() and any(out.iterdir()))
+
+
 def test_energy_that_overflows_is_an_error(workdir, capsys):
     # a finite constant whose product with the op counts is not finite
     profiles = workdir / "huge-profiles.json"

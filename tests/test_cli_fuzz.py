@@ -137,6 +137,7 @@ def detect_args(fx, config, truth):
 @given(text=mutated(CONFIG, drop=False))  # a dropped key falls back to a 500-neuron default
 @example(text="not json")
 @example(text=json.dumps({**CONFIG, "radius": 10**400}))
+@example(text=json.dumps({**CONFIG, "radius": 1e308}))  # 2 * radius overflows
 @example(text='{"radius": %s}' % LONG_INT)
 def test_config_documents(fx, text):
     run_cli(fx, "fuzz-config.json", text,

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import tuning_curves
+from oracles import reference_decoders, tuning_curves
 
-from snndetect.ensembles import build_ensemble, solve_decoders
+from snndetect.ensembles import DECODE_POINTS, TABLE_CHUNK_BYTES, build_ensemble, solve_decoders
 from snndetect.errors import ConfigError, NumericError
 from snndetect.neurons import lif_rate, lif_step_arrays
 from snndetect.pipeline import FilterConfig
@@ -140,7 +142,7 @@ def test_more_neurons_decode_better():
 def test_config_validation():
     # neuron count and radius are the only population inputs; FilterConfig
     # checks them before any population is built
-    for bad in ({"neurons": 0}, {"radius": 0.0}, {"radius": -1100.0}):
+    for bad in ({"neurons": 0}, {"radius": 0.0}, {"radius": -1100.0}, {"radius": 1e308}):
         with pytest.raises(ConfigError):
             FilterConfig(**bad)
 
@@ -152,5 +154,40 @@ def test_non_finite_inputs_rejected(ens):
 
 def test_silent_population_fails_the_solve():
     # no activity anywhere leaves the ridge term at zero and the system singular
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"3 neurons, 10 points \(peak activity 0 Hz\)"):
         solve_decoders(np.zeros((10, 3)), np.linspace(-1.0, 1.0, 10))
+
+
+CHUNK_ROWS = TABLE_CHUNK_BYTES // (8 * DECODE_POINTS)
+
+
+@pytest.mark.parametrize("n, radius, seed", [
+    (1, 1100.0, 3), (7, 1100.0, 4), (250, 1100.0, 7), (333, 1100.0, 8), (500, 1100.0, 42),
+    (1000, 1100.0, 9),
+    (CHUNK_ROWS, 1100.0, 10),  # exactly one chunk of the table
+    (CHUNK_ROWS + 1, 1100.0, 11),  # one chunk and one row
+    (500, 37.5, 12), (250, 1800.0, 13),
+])
+def test_decoders_equal_the_whole_table_solve_bit_for_bit(n, radius, seed):
+    # the table is filled a chunk of rows at a time and the ridge term is
+    # added on the diagonal in place; every decoder bit must be the one the
+    # whole table through lif_rate at once, plus n_eval * sigma^2 * eye(n),
+    # gives
+    built = build_ensemble.__wrapped__(n, radius, seed).decoders
+    np.testing.assert_array_equal(built.view(np.uint64), reference_decoders(n, radius, seed).view(np.uint64))
+
+
+def test_build_memory_stays_near_one_tuning_table():
+    # the (neurons x points) tuning table of 500 neurons is 4 MB and the
+    # Gram 2 MB; whole-table temporaries (drive, mask, compacted drive,
+    # log1p) and a table kept alive through the solve's copy of the Gram
+    # took the peak to 12.5 MB. numpy reports its buffers to tracemalloc;
+    # OpenBLAS's and LAPACK's own workspace is not seen
+    table_bytes = 500 * DECODE_POINTS * 8
+    tracemalloc.start()
+    try:
+        build_ensemble.__wrapped__(500, 1100.0, 42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * table_bytes, f"build peaked at {peak} B, table {table_bytes} B"

@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import reference_cascade, tuning_curves, window_mean
+from oracles import rate_twin, reference_cascade, tuning_curves, window_mean
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
 from snndetect.errors import ConfigError
 from snndetect.neurons import TAU_REF
+from snndetect.pipeline import build_filter_ensembles
+from snndetect.presets import get_preset
 from snndetect.simulator import simulate_cascade
 
 DT = 0.001
@@ -352,3 +354,27 @@ def test_spike_counts_of_one_signal_and_of_no_steps():
         empty = simulate_cascade(ensembles, inputs, DT, [taus] * len(inputs))
         assert_counts_match_raster(empty)
         assert not empty.spike_counts().any()
+
+
+TWIN_LEVELS = (-900.0, -600.0, -300.0, 0.0, 400.0, 800.0, 1090.0)
+
+
+@pytest.mark.parametrize("preset, bound, top_bound", [
+    # measured gaps: at most 0.004 on one stage; on two, at most 0.45 below
+    # 1090 and 6.4 at it, where stage 0's spike noise clips at stage 1's
+    # radius and the twin, without noise, does not clip
+    ("cpu-pd1-66", 0.1, 0.1),
+    ("fpga-pd1-66", 1.0, 10.0),
+])
+def test_settled_decode_matches_the_rate_twin(preset, bound, top_bound):
+    # each population's spiking decode of a constant level, averaged once
+    # settled, is the level its steady-state rates decode to: ties the
+    # stepped neurons to lif_rate, which the decoders were solved from
+    cfg = get_preset(preset, seed=7)
+    ensembles = build_filter_ensembles(cfg)
+    taus = [cfg.tau_in] + [cfg.tau_out] * cfg.stages
+    inputs = np.repeat(np.array(TWIN_LEVELS)[:, None], 20_000, axis=1)
+    decoded = simulate_cascade(ensembles, inputs, cfg.dt, [taus] * len(TWIN_LEVELS)).decoded
+    for level, spiking, row in zip(TWIN_LEVELS, decoded, inputs):
+        gap = spiking[2_000:].mean() - rate_twin(ensembles, row, cfg.dt, taus)[2_000:].mean()
+        assert abs(gap) <= (top_bound if level == TWIN_LEVELS[-1] else bound), (level, gap)
