@@ -293,7 +293,7 @@ def _cmd_raster(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
     series = load_layer_series(args.input)
-    _, sim = run_filter(series, cfg)
+    _, sim = run_filter(series, cfg, decode=False)
     raster = sim.raster
     # one format call per row on Python ints and floats: str(int) and
     # repr(float), which is what _fmt writes for each cell
@@ -368,8 +368,8 @@ def _cmd_energy(args) -> int:
         for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
     ]
     counts = {
-        sample_id: count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=len(sim.decoded))
-        for (sample_id, _, _), sim in zip(ENERGY_SAMPLES, run_filter(samples, cfg)[1])
+        sample_id: count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=len(sim.spikes))
+        for (sample_id, _, _), sim in zip(ENERGY_SAMPLES, run_filter(samples, cfg, decode=False)[1])
     }
 
     if args.profiles:

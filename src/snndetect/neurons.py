@@ -72,6 +72,7 @@ def lif_step_arrays(
     j: np.ndarray,
     dt: float | np.ndarray,
     spiked: np.ndarray | None = None,
+    decay: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized one-step LIF update, in place; returns (v, refr, spiked).
 
@@ -79,22 +80,31 @@ def lif_step_arrays(
     consumed by the refractory period. A threshold crossing inside the step
     is located analytically, and the refractory clock starts at the crossing
     rather than at the step edge, so spike timing does not inherit the step
-    quantization. `v` and `refr` are overwritten with the next state and the
-    spike mask is written into `spiked`, a bool array of the same shape
-    (allocated when omitted); `j` is not modified. `dt` may be a float or a
-    0-d float64 array; a loop that passes the 0-d array spares each ufunc
-    call the conversion of a Python scalar, with identical results.
+    quantization. `v` and `refr` are overwritten with the next state; `j` is
+    not modified. `dt` may be a float or a 0-d float64 array; a loop that
+    passes the 0-d array spares each ufunc call the conversion of a Python
+    scalar, with identical results.
 
-    Precondition: `refr >= 0`, as the step leaves it. Then the integrated
-    part of the step, max(dt - refr, 0), never exceeds dt, and one
-    difference s = dt - refr gives both it and the refractory time left,
+    Two optional buffers of the state's shape take the step's arrays: the
+    spike mask goes into `spiked` (bool) and the decay factor into `decay`
+    (float64); each is allocated when omitted. With both given, a step
+    allocates no array of the state's shape; the only temporaries are the
+    gathered entries of the neurons that spiked. Either buffer may be a
+    strided view.
+
+    Preconditions: `v` and `refr` are C-contiguous, since the spike reset
+    writes them through flat views (a ValueError names the one that is
+    not); and `refr >= 0`, as the step leaves it. Then the integrated part
+    of the step, max(dt - refr, 0), never exceeds dt, and one difference
+    s = dt - refr gives both it and the refractory time left,
     max(s, 0) - s, which equals max(refr - dt, 0) exactly (IEEE subtraction
-    is antisymmetric), signed zeros included. Beyond the decay factor, the
-    only temporaries are the gathered entries of the neurons that spiked.
+    is antisymmetric), signed zeros included.
     """
-    dt = np.asarray(dt, dtype=float)
+    for name, arr in (("v", v), ("refr", refr)):
+        if not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be C-contiguous: the spike reset writes it through a flat view")
     np.subtract(dt, refr, out=refr)  # refr holds s for the next two lines
-    decay = np.maximum(refr, _ZERO)  # the integrated part of the step
+    decay = np.maximum(refr, _ZERO, out=decay)  # the integrated part of the step
     np.subtract(decay, refr, out=refr)
     np.divide(decay, _NEG_TAU_RC, out=decay)
     np.exp(decay, out=decay)
@@ -110,16 +120,18 @@ def lif_step_arrays(
     if hit.size:
         # the time between the crossing and the end of the step,
         # -TAU_RC * log1p(-overshoot), sets the refractory time left;
-        # 1 - v is -(v - 1) exactly, so t ends up as -overshoot
-        t = v.take(hit)
+        # 1 - v is -(v - 1) exactly, so t ends up as -overshoot. v and refr
+        # are C-contiguous, so their ravel() views alias them
+        vf = v.ravel()
+        t = vf[hit]
         np.subtract(_ONE, t, out=t)
-        jh = j.take(hit)
+        jh = j.ravel()[hit]
         jh -= _ONE
         t /= jh
         np.log1p(t, out=t)
         t *= _NEG_TAU_RC
         np.subtract(_TAU_REF, t, out=t)
         np.maximum(t, _ZERO, out=t)
-        refr.put(hit, t)
-        v.put(hit, _ZERO)
+        refr.ravel()[hit] = t
+        vf[hit] = 0.0
     return v, refr, spiked

@@ -166,7 +166,8 @@ def run_filter(
     series: SignalSeries | Sequence[SignalSeries],
     cfg: FilterConfig | Sequence[FilterConfig],
     windows: Sequence[tuple[int, int]] | None = None,
-) -> tuple[SignalSeries, SimResult] | tuple[list[SignalSeries], list[SimResult]]:
+    decode: bool = True,
+) -> tuple[SignalSeries | None, SimResult] | tuple[list[SignalSeries] | None, list[SimResult]]:
     """Filter series through the spiking network; also return the raw runs.
 
     `series` is one SignalSeries or a sequence of them, one per lane, and
@@ -184,6 +185,10 @@ def run_filter(
     `windows`, when given, holds one step range (start, stop) per lane
     (see simulate_cascade), and each run's `rates` is then the last
     stage's filtered rates averaged over that lane's window.
+
+    `decode=False` runs without the output link (see simulate_cascade), for
+    a caller that reads only the runs' spikes: the filtered part is then
+    None and each run's `decoded` is None.
 
     Returns (filtered, run) for one series, or (filtered, runs) with one
     entry per lane in each list for a sequence; either way `[0]` is the
@@ -216,9 +221,11 @@ def run_filter(
     for b, s in enumerate(lanes):
         inputs[b, : s.layers.size * m] = np.repeat(s.values, m)
     taus = [[c.tau_in] + [c.tau_out] * c.stages for c in cfgs]
-    result = simulate_cascade(ensembles, inputs, base.dt, taus, windows)
+    result = simulate_cascade(ensembles, inputs, base.dt, taus, windows, decode)
 
     runs = [result.lane(b, s.layers.size * m) for b, s in enumerate(lanes)]
+    if not decode:
+        return (None, runs[0]) if single else (None, runs)
     filtered = [SignalSeries(layers=s.layers, values=run.decoded[m - 1 :: m])
                 for s, run in zip(lanes, runs)]
     return (filtered[0], runs[0]) if single else (filtered, runs)

@@ -65,14 +65,15 @@ class SpikeRaster:
 class SimResult:
     """Output of one run.
 
-    A run has `decoded` of shape (lanes, steps) and, when it was given step
+    A run has `decoded` of shape (lanes, steps), or None when it ran
+    without its output link (`decode=False`), and, when it was given step
     windows, `rates` of shape (lanes, neurons): each lane's filtered rates
     of the last stage, averaged over its window. A single lane (see `lane`)
     drops the lane axis from both. `spikes` holds one bit per neuron and
     step, packed along the neuron axis: (steps, lanes, ceil(neurons / 8)).
     """
 
-    decoded: np.ndarray
+    decoded: np.ndarray | None
     spikes: np.ndarray
     n_neurons: int
     dt: float
@@ -83,7 +84,7 @@ class SimResult:
         (its window mean is kept whole)."""
         cut = slice(None, steps)
         return SimResult(
-            decoded=self.decoded[b, cut],
+            decoded=None if self.decoded is None else self.decoded[b, cut],
             spikes=self.spikes[cut, b : b + 1],
             n_neurons=self.n_neurons,
             dt=self.dt,
@@ -125,6 +126,7 @@ def simulate_cascade(
     dt: float,
     taus,
     windows: Sequence[tuple[int, int]] | None = None,
+    decode: bool = True,
 ) -> SimResult:
     """Run a chain of populations over time-stepped input signals.
 
@@ -148,9 +150,10 @@ def simulate_cascade(
     iteration, every stage reads its block from `decoded` (the filtered
     input for stage 0, the block the previous stage decoded one iteration
     earlier for a later one), clips it at its own radius and computes its
-    drive in two calls; one output synapse, with each stage's coefficients
-    over its neurons, filters the iteration's masks, and one stacked vecdot
-    per stage decodes its block back into `decoded`. A stage outside its
+    drive in two calls (an einsum outer product and the bias add); one
+    output synapse, with each stage's coefficients over its neurons,
+    filters the iteration's masks, and one stacked vecdot per stage decodes
+    its block back into `decoded`. A stage outside its
     blocks, before its first (ramp-up) or after its last (drain, or past
     the end of a short last block), gets a drive of exactly 0, which keeps
     a stage that has not started at rest. So a run of `block`-step blocks
@@ -165,6 +168,13 @@ def simulate_cascade(
     window's length once at the end: the same doubles as averaging the
     recorded rows with mean(axis=0), without a buffer as long as the run.
     Neighbouring lanes that share a window are summed by one add per step.
+
+    With `decode=False` the last stage's output link is not computed: its
+    output is not decoded (nor, in a one-stage run, filtered), and the
+    result's `decoded` is None. A stage that feeds the next one is still
+    filtered and decoded, so the spikes are those of `decode=True`. It is
+    for a caller that reads only spikes; `windows` need the last stage's
+    filtered rates, so they are a ConfigError without it.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
@@ -194,19 +204,28 @@ def simulate_cascade(
     n_total = sum(sizes)
     cols = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]  # each stage's neurons
     groups = None if windows is None else _window_groups(windows, lanes, n_steps)
+    if groups is not None and not decode:
+        raise ConfigError("step windows average the last stage's filtered rates, so they need decode=True")
 
     # every stage's neurons sit side by side on one (lanes, n_total) axis, and
     # every loop buffer is allocated here and updated in place by the loop.
     # One output synapse covers the axis with each stage's coefficients over
     # its own neurons; the unit spike current 1/dt is folded into its gain,
-    # so it takes the bool spike masks as they are
-    stage_syns = [Lowpass(taus[:, s + 1], dt, (lanes, n)) for s, n in enumerate(sizes)]
-    out_syn = Lowpass(taus[:, 1], dt, (lanes, n_total))
-    out_syn.decay = np.concatenate([syn.decay for syn in stage_syns], axis=1)
-    out_syn.gain = np.concatenate([syn.gain for syn in stage_syns], axis=1) * (1.0 / dt)
+    # so a spike's row entry is 1.0 times the gain. The first n_dec stages
+    # are decoded, the last one only when `decode`; the synapse runs when
+    # any is. A cascade without `decode` filters its last stage too, unread:
+    # one pass over the whole contiguous axis measured faster than a strided
+    # pass over the stages that feed another
+    n_dec = n_stages if decode else n_stages - 1
+    if n_dec:
+        stage_syns = [Lowpass(taus[:, s + 1], dt, (lanes, n)) for s, n in enumerate(sizes)]
+        out_syn = Lowpass(taus[:, 1], dt, (lanes, n_total))
+        out_syn.decay = np.concatenate([syn.decay for syn in stage_syns], axis=1)
+        out_syn.gain = np.concatenate([syn.gain for syn in stage_syns], axis=1) * (1.0 / dt)
     gain_enc = [e.gains * e.encoders for e in ensembles]
     v = np.zeros((lanes, n_total))
     refr = np.zeros((lanes, n_total))
+    decay = np.empty((lanes, n_total))  # the LIF step's decay factor, so it allocates none
     step_dt = np.asarray(dt, dtype=float)  # 0-d: spares each ufunc call a conversion
 
     # the input link sees only the input, so each lane's series is filtered
@@ -236,7 +255,11 @@ def simulate_cascade(
         # place, and computes its drive from it. A stage's steps outside its
         # block get a drive of exactly 0: a stage that has not started stays
         # at rest (v, refr and its synapse hold +0.0, and it never spikes),
-        # and one that has finished is never read again
+        # and one that has finished is never read again. The einsum writes
+        # one product per element, but sums it into a zeroed output, so a
+        # -0.0 product lands as +0.0; the bias add then gives the doubles
+        # of the plain product, as a bias (1 - gain * intercept) is never
+        # -0.0
         for s, e in enumerate(ensembles):
             k0, n = starts[s], counts[s]
             drive = rows[:, :, cols[s]]
@@ -245,21 +268,25 @@ def simulate_cascade(
                 np.divide(x, e.radius, out=x)
                 np.maximum(x, -1.0, out=x)
                 np.minimum(x, 1.0, out=x)
-                np.multiply(gain_enc[s], x.T[..., None], out=drive[:n])
+                np.einsum("kb,i->kbi", x.T, gain_enc[s], out=drive[:n])
                 drive[:n] += e.biases
             drive[n:] = 0.0
         # the LIF update, one call for every stage, is the only work that
         # runs per step
         for j, mask in zip(rows, masks):
-            lif_step_arrays(v, refr, j, step_dt, mask)
-        np.multiply(masks, out_syn.gain, out=rows)
-        out_syn.run(rows)
+            lif_step_arrays(v, refr, j, step_dt, mask, decay)
+        # the masks as 0.0 and 1.0 times the gain: a float product, cheaper
+        # than a bool one and the same doubles
+        if n_dec:
+            rows[...] = masks
+            np.multiply(rows, out_syn.gain, out=rows)
+            out_syn.run(rows)
         # each stage decodes its block over its input in `decoded`, where
         # the next stage reads it one iteration later. One dot product per
         # (step, lane) row: vecdot runs the same per-row dot as a one-lane
         # run, where a single (lanes x n) @ (n,) product sums in a different
         # order and drifts from it
-        for s, e in enumerate(ensembles):
+        for s, e in enumerate(ensembles[:n_dec]):
             k0, n = starts[s], counts[s]
             if n:
                 np.vecdot(rows[:n, :, cols[s]], e.decoders, out=decoded[:, k0 : k0 + n].T)
@@ -285,7 +312,8 @@ def simulate_cascade(
 
     for cut, start, stop in groups or ():
         rates[cut] /= stop - start
-    return SimResult(decoded=decoded, spikes=spikes, n_neurons=n_total, dt=dt, rates=rates)
+    return SimResult(decoded=decoded if decode else None, spikes=spikes, n_neurons=n_total, dt=dt,
+                     rates=rates)
 
 
 def _block_steps(lanes: int, sizes: Sequence[int], n_steps: int) -> int:

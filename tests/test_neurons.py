@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,7 +178,8 @@ def test_in_place_step_matches_the_out_of_place_reference(case, dt):
         v[:, ::4] = 1.0
     j_before = j.copy()
     want_v, want_refr = v.copy(), refr.copy()
-    # a strided view, as the simulator hands in a stage's columns of a wider block
+    # a strided mask buffer: the step only reads it through a flat copy, so
+    # any layout works (the simulator hands in whole (lanes, neurons) rows)
     spiked = np.ones((shape[0], shape[1] + 50), dtype=bool)[:, 20 : 20 + shape[1]]
     fired = 0
     for _ in range(300):
@@ -210,6 +212,58 @@ def test_step_takes_dt_as_float_or_0d_array():
         for a, b in zip(*got):
             np.testing.assert_array_equal(a, b)
     assert got[0][2].any()
+
+
+def test_step_writes_v_and_refr_only_when_c_contiguous():
+    # the spike reset writes v and refr through flat views, which would be
+    # copies of a strided array and silently lose the reset
+    rng = np.random.default_rng(6)
+    shape = (2, 300)
+    j = rng.uniform(2.0, 8.0, shape)
+    for name in ("v", "refr"):
+        state = {"v": np.full(shape, 0.99), "refr": np.zeros(shape)}
+        state[name] = np.zeros((shape[0], 2 * shape[1]))[:, ::2]
+        with pytest.raises(ValueError, match=f"^{name} must be C-contiguous"):
+            lif_step_arrays(state["v"], state["refr"], j, 0.001)
+    # j, spiked and decay may be strided: the step gives the reference's bits
+    v, refr = np.full(shape, 0.99), np.zeros(shape)
+    want_v, want_refr, want_spiked = reference_step(v.copy(), refr.copy(), j, 0.001)
+    wide = np.zeros((shape[0], 2 * shape[1]))
+    wide[:, ::2] = j
+    spiked = np.zeros((shape[0], 2 * shape[1]), dtype=bool)[:, 1::2]
+    decay = np.zeros((shape[0], 2 * shape[1]))[:, 1::2]
+    lif_step_arrays(v, refr, wide[:, ::2], 0.001, spiked, decay)
+    assert want_spiked.all()
+    np.testing.assert_array_equal(v.view(np.uint64), want_v.view(np.uint64))
+    np.testing.assert_array_equal(refr.view(np.uint64), want_refr.view(np.uint64))
+    np.testing.assert_array_equal(spiked, want_spiked)
+
+
+def test_a_step_with_both_buffers_allocates_no_state_sized_array():
+    rng = np.random.default_rng(5)
+    shape = (2, 500)
+    v = rng.uniform(0.0, 1.0, shape)
+    refr = np.zeros(shape)
+    j = rng.uniform(-3.0, 8.0, shape)
+    spiked = np.empty(shape, dtype=bool)
+    decay = np.empty(shape)
+    dt = np.asarray(0.001)
+    for _ in range(20):
+        lif_step_arrays(v, refr, j, dt, spiked, decay)
+    # each step's mask is copied into a buffer made before tracing and
+    # counted after it: a bool sum allocates a cast buffer of its own
+    masks = np.empty((50,) + shape, dtype=bool)
+    tracemalloc.start()
+    try:
+        for mask in masks:
+            out = lif_step_arrays(v, refr, j, dt, spiked, decay)
+            mask[...] = spiked
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[2] is spiked
+    assert masks.sum() > 50 * 50  # about 80 spikes a step: the spike branch ran
+    assert peak < v.size * 8  # less than one float64 array of the state's shape
 
 
 def test_step_constants_are_read_only():

@@ -239,6 +239,21 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
         assert_same_filter_run((f, r), run_filter(s, c, [w]))
 
 
+@pytest.mark.parametrize("stages", [1, 2])
+def test_run_filter_without_decode_gives_the_spikes_of_a_decoded_run(stages):
+    cfg = FilterConfig(neurons=120, seed=7, stages=stages)
+    lanes = lane_series()
+    filtered, runs = run_filter(lanes, cfg, decode=False)
+    assert filtered is None
+    for r, (_, full) in zip(runs, (run_filter(s, cfg) for s in lanes)):
+        assert r.decoded is None
+        np.testing.assert_array_equal(r.spikes, full.spikes)
+        assert len(r.spikes) == len(full.decoded)
+    assert run_filter(lanes[0], cfg, decode=False)[0] is None
+    with pytest.raises(ConfigError):
+        run_filter(lanes[0], cfg, [(0, 10)], decode=False)
+
+
 def test_run_filter_lane_configs_may_differ_only_in_taus():
     lanes = lane_series()[:2]
     cfg = FilterConfig(neurons=50, seed=7)

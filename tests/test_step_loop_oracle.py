@@ -10,7 +10,8 @@ reproduce the reference exactly; the tolerance is 0 (array_equal) on
 decoded values, packed spikes and the window means of the last stage's
 rates, and the runs and windows cross block boundaries. Every lane, stage and block-size case also runs at a dt
 of 0.0005 and 0.0025, where the 2 ms refractory period lasts four steps
-and less than one.
+and less than one. A run without its output link (`decode=False`) must
+give the same packed spikes.
 """
 
 import numpy as np
@@ -19,7 +20,9 @@ from oracles import reference_cascade, window_mean
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
+from snndetect.errors import ConfigError
 from snndetect.simulator import simulate_cascade
+from snndetect.synapses import lowpass_series
 
 STEPS = 97  # not a multiple of the small blocks below
 SIZES = (40, 30, 25)
@@ -119,3 +122,69 @@ def test_each_stage_clips_its_input_at_its_own_radius(block, monkeypatch):
     np.testing.assert_array_equal(res.spikes, spikes)
     np.testing.assert_array_equal(res.rates, np.array([window_mean(r, w) for r, w in zip(rates, windows)]))
     assert np.abs(reference_lanes(chain[:1], inputs, 0.001, taus[:, :2])[0]).max() > 600.0
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_a_run_without_its_output_link_spikes_as_the_reference(ensembles, stages, monkeypatch):
+    # decode=False skips the last stage's output synapse and decode; every
+    # stage that feeds another is still filtered and decoded, so the spikes
+    # are the reference's and those of decode=True, at tolerance 0
+    chain = ensembles[:stages]
+    rng = np.random.default_rng(7 + stages)
+    inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
+    taus = rng.uniform(0.0005, 0.012, (3, stages + 1))
+    _, spikes, _ = reference_lanes(chain, inputs, 0.001, taus)
+    lo = sum(SIZES[: stages - 1])  # the last stage's first neuron
+    assert np.unpackbits(spikes, axis=-1)[..., lo : sum(SIZES[:stages])].any()
+    for block in (STEPS, 1, 7):
+        monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
+        full = simulate_cascade(chain, inputs, 0.001, taus)
+        res = simulate_cascade(chain, inputs, 0.001, taus, decode=False)
+        assert res.decoded is None and res.rates is None
+        np.testing.assert_array_equal(res.spikes, spikes)
+        np.testing.assert_array_equal(res.spikes, full.spikes)
+        np.testing.assert_array_equal(res.spike_counts(), full.spike_counts())
+        one = res.lane(1, 50)
+        assert one.decoded is None
+        np.testing.assert_array_equal(one.spikes, spikes[:50, 1:2])
+        np.testing.assert_array_equal(one.raster.neuron_ids, full.lane(1, 50).raster.neuron_ids)
+    with pytest.raises(ConfigError, match="decode=True"):
+        simulate_cascade(chain, inputs, 0.001, taus, [(10, 88)] * 3, decode=False)
+
+
+@pytest.mark.parametrize("decode", [True, False])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_each_lif_call_gets_the_reference_drive_bits(ensembles, stages, decode, monkeypatch):
+    # the spikes, and so the decoded output, rarely see an ulp of the drive,
+    # so the drive handed to each LIF call is compared as bits: stage s's
+    # neurons at call c get step c - s of its input (blocks of one step),
+    # clipped at its radius, times gain * encoder, plus bias, and exactly
+    # +0.0 outside its steps
+    chain = ensembles[:stages]
+    rng = np.random.default_rng(11 + stages)
+    inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
+    taus = rng.uniform(0.0005, 0.012, (3, stages + 1))
+    dt = 0.001
+    stage_inputs = [np.array([lowpass_series(x, row[0], dt) for x, row in zip(inputs, taus)])]
+    stage_inputs += [reference_lanes(chain[:s], inputs, dt, taus[:, : s + 1])[0] for s in range(1, stages)]
+    drives = []
+    lif_step = simulator.lif_step_arrays
+
+    def recorded(v, refr, j, *args):
+        drives.append(j.copy())
+        return lif_step(v, refr, j, *args)
+
+    monkeypatch.setattr(simulator, "lif_step_arrays", recorded)
+    monkeypatch.setattr(simulator, "_block_steps", lambda *_: 1)
+    simulate_cascade(chain, inputs, dt, taus, decode=decode)
+    assert len(drives) == STEPS + stages - 1
+    ends = np.cumsum(SIZES[:stages])
+    for c, j in enumerate(drives):
+        for s, e in enumerate(chain):
+            k = c - s
+            want = np.zeros((3, e.n_neurons))
+            if 0 <= k < STEPS:
+                x = np.clip(stage_inputs[s][:, k : k + 1] / e.radius, -1.0, 1.0)
+                want = e.gains * e.encoders * x + e.biases
+            got = j[:, ends[s] - e.n_neurons : ends[s]]
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
