@@ -17,7 +17,9 @@ of `dt` 0.0005 and 0.0025 (20 and 4 steps per layer), so the neurons'
 2 ms refractory time spans four steps and less than one. classify runs
 once more under fpga-pd1-66 on a manifest whose window lies strictly
 inside samples of 81 and 111 layers (a fourth gen-data pair covers layers
-590-700), so the lanes average their rates over different steps. One
+590-700), so the lanes average their rates over different steps, and once
+more on a manifest with no window over the 81- and 111-layer pairs, so each
+lane averages over its own whole series. One
 `sha256  relpath` line is printed per file. snndetect is imported from
 PYTHONPATH, so pointing it at another checkout's src/ lists that
 checkout's digests; `diff` two listings to see which artifacts moved.
@@ -83,6 +85,9 @@ def digests(out: Path) -> None:
     (out / "window.json").write_text(json.dumps({"window": [600, 640], "samples": samples}))
     run("classify", "--manifest", out / "window.json", "--preset", "fpga-pd1-66", "--seed", 7,
         "--outdir", out / "window")
+    (out / "whole.json").write_text(json.dumps({"samples": samples[:4]}))
+    run("classify", "--manifest", out / "whole.json", "--preset", "fpga-pd1-66", "--seed", 7,
+        "--outdir", out / "whole")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out), sep="  ")
 

@@ -1,9 +1,10 @@
 """Softmax readout over time-averaged spiking-filter activity.
 
-Each sample series is pushed through the spiking filter and every
-neuron's output-filtered rate is averaged over the configured layer
-window, giving one fixed-length feature vector per sample. A linear
-softmax layer on top is trained by full-batch gradient descent on the
+The sample series run through the spiking filter as the lanes of one
+run, and every neuron's output-filtered rate is averaged over a layer
+window, giving a (samples, neurons) feature matrix, one row per sample.
+A linear softmax layer on top is trained on that matrix, with one class
+label per row beside it, by full-batch gradient descent on the
 multi-class cross-entropy; the spiking population itself is never
 trained. Features are standardized internally (rates span hundreds of
 Hz) and the scaling is stored in the model so prediction sees the same
@@ -24,21 +25,6 @@ from .pipeline import FilterConfig, SignalSeries, run_filter
 PROB_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SampleFeature:
-    sample_id: str
-    feature: np.ndarray  # per-neuron mean filtered rate (Hz)
-    label: int
-
-    def __post_init__(self) -> None:
-        feature = np.asarray(self.feature, dtype=float)
-        object.__setattr__(self, "feature", feature)
-        if feature.ndim != 1:
-            raise DataError("feature must be a 1-D vector")
-        if np.any(feature < 0) or not np.all(np.isfinite(feature)):
-            raise DataError("features are rates and must be finite and >= 0")
-
-
 @dataclass
 class ClassifierModel:
     weights: np.ndarray        # classes x features
@@ -56,51 +42,24 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ez / ez.sum(axis=axis, keepdims=True)
 
 
-def window_steps(series: SignalSeries, cfg: FilterConfig,
-                 window: tuple[int, int] | None = None) -> slice:
-    """The presentation steps of an inclusive layer window of a series.
-
-    The window must be covered by the series; it defaults to the whole
-    series.
-    """
-    if window is None:
-        window = (int(series.layers[0]), int(series.layers[-1]))
-    lo, hi = window
-    if lo > hi or lo < series.layers[0] or hi > series.layers[-1]:
-        raise DataError(
-            f"window {window} is not covered by series layers "
-            f"{series.layers[0]}..{series.layers[-1]}"
-        )
-    m = cfg.presentation_steps
-    return slice(series.layer_index(lo) * m, (series.layer_index(hi) + 1) * m)
-
-
 def encode_sample(
     series: Sequence[SignalSeries],
     cfg: FilterConfig,
     window: tuple[int, int] | None,
-    labels: Sequence[int],
-    sample_ids: Sequence[str],
-) -> list[SampleFeature]:
+) -> np.ndarray:
     """Per-neuron mean output-filtered rate over a layer window, one
-    feature per series.
+    float64 row per series: (series, neurons).
 
     The series run as the lanes of one filter run (see run_filter), each
-    with its own label and sample id. The network is the one `cfg`
-    describes, so a cascade is read at the rates of its last stage. Each
-    feature averages the rates across the window's presentation steps
-    (see window_steps); the run sums them as it goes, so its memory grows
-    with lanes x neurons, not with the length of the series.
+    averaged over the inclusive layer window, or over its own first to last
+    layer when `window` is None. The network is the one `cfg` describes,
+    so a cascade is read at the rates of its last stage. The run sums the
+    rates as it goes, so its memory grows with lanes x neurons, not with
+    the length of the series.
     """
-    if not len(labels) == len(sample_ids) == len(series):
-        raise ConfigError(f"need one label and sample id per series, got {len(labels)} "
-                          f"and {len(sample_ids)} for {len(series)}")
-    steps = [window_steps(s, cfg, window) for s in series]
-    _, runs = run_filter(series, cfg, windows=[(st.start, st.stop) for st in steps])
-    return [
-        SampleFeature(sample_id=i, feature=sim.rates, label=l)
-        for sim, l, i in zip(runs, labels, sample_ids)
-    ]
+    windows = [(int(s.layers[0]), int(s.layers[-1])) if window is None else window for s in series]
+    _, runs = run_filter(series, cfg, windows)
+    return np.stack([run.rates for run in runs])
 
 
 def _mean_nll(true_p: np.ndarray) -> np.ndarray:
@@ -121,35 +80,45 @@ def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
 
 
 def train_classifier(
-    samples: Sequence[SampleFeature],
+    features,
+    labels: Sequence[int],
     epochs: int,
     lr: float,
 ) -> ClassifierModel:
     """Full-batch gradient descent on the cross-entropy of a softmax readout.
+
+    `features` is a (samples, features) array of rates, finite and >= 0,
+    and `labels` holds one class index per row.
 
     Weights start at zero (the problem is convex), so the first recorded
     loss is exactly ln(n_classes). Training fails if a loss is not within
     ten times its initial value (a runaway learning rate, or NaN); the
     epochs run to the end and the losses are scored after the loop.
     """
-    if len(samples) < 2:
+    try:
+        x = np.asarray(features, dtype=float)
+    except ValueError as err:
+        raise ConfigError(f"features must be equal-length rows of numbers: {err}") from err
+    if x.ndim != 2:
+        raise ConfigError(f"features must be a (samples, features) array, got shape {x.shape}")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise DataError("features are rates and must be finite and >= 0")
+    if len(x) < 2:
         raise ConfigError("need at least two samples to train")
-    labels = [s.label for s in samples]
+    labels = list(labels)
+    if len(labels) != len(x):
+        raise ConfigError(f"need one label per sample, got {len(labels)} for {len(x)}")
     n_classes = max(labels) + 1
     if min(labels) < 0:
         raise ConfigError("labels must be non-negative class indices")
     if len(set(labels)) < 2:
         raise ConfigError("need at least two distinct classes")
-    dims = {s.feature.size for s in samples}
-    if len(dims) != 1:
-        raise ConfigError(f"inconsistent feature lengths: {sorted(dims)}")
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     check_real("lr", lr)
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
 
-    x = np.stack([s.feature for s in samples])
     y = one_hot(labels, n_classes)
     mean = x.mean(axis=0)
     scale = x.std(axis=0)

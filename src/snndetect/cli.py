@@ -333,19 +333,19 @@ def _cmd_classify(args) -> int:
         check_int(f"label of sample entry {i}", label, 0)
         labels.append(label)
         series.append(load_layer_series(sample_path))
-    features = encode_sample(series, cfg, window, labels, ids)
+    features = encode_sample(series, cfg, window)
 
-    model = train_classifier(features, epochs=args.epochs, lr=args.lr)
+    model = train_classifier(features, labels, epochs=args.epochs, lr=args.lr)
     _atomic_write(
         out / "loss.csv",
         _csv_text(meta, ["epoch", "loss"], enumerate(model.training_history)),
     )
     rows = []
     correct = 0
-    for f in features:
-        predicted = int(np.argmax(predict(model, f.feature)))
-        correct += predicted == f.label
-        rows.append((f.sample_id, f.label, predicted))
+    for sample_id, label, feature in zip(ids, labels, features):
+        predicted = int(np.argmax(predict(model, feature)))
+        correct += predicted == label
+        rows.append((sample_id, label, predicted))
     _atomic_write(
         out / "predictions.csv",
         _csv_text(meta, ["sample_id", "target", "predicted"], rows),

@@ -182,9 +182,10 @@ def run_filter(
     response). Inter-stage links reuse tau_out, so a two-stage cascade
     applies three filter passes in total.
 
-    `windows`, when given, holds one step range (start, stop) per lane
-    (see simulate_cascade), and each run's `rates` is then the last
-    stage's filtered rates averaged over that lane's window.
+    `windows`, when given, holds one inclusive layer window (first, last)
+    per lane, each bound a layer of that lane's series (else a DataError);
+    each run's `rates` is then the last stage's filtered rates averaged
+    over the presentation steps of its window's layers (see simulate_cascade).
 
     `decode=False` runs without the output link (see simulate_cascade), for
     a caller that reads only the runs' spikes: the filtered part is then
@@ -207,6 +208,14 @@ def run_filter(
         raise ConfigError("lane configs may differ only in tau_in and tau_out")
 
     m = base.presentation_steps
+    if windows is not None:
+        try:
+            windows = [tuple(w) for w in windows]
+        except TypeError as err:
+            raise ConfigError(f"layer windows must be (first, last) pairs: {err}") from err
+        if len(windows) != len(lanes):
+            raise ConfigError(f"need one layer window per series, got {len(windows)} for {len(lanes)}")
+        windows = [_window_steps(s, w, m) for s, w in zip(lanes, windows)]
     steps = max(s.layers.size for s in lanes) * m
     # lanes x steps x neurons bounds the size of every array of the run
     # (inputs, spikes), so an unusable size fails here, before a population
@@ -229,6 +238,23 @@ def run_filter(
     filtered = [SignalSeries(layers=s.layers, values=run.decoded[m - 1 :: m])
                 for s, run in zip(lanes, runs)]
     return (filtered[0], runs[0]) if single else (filtered, runs)
+
+
+def _window_steps(series: SignalSeries, window: tuple, m: int) -> tuple[int, int]:
+    """The step range [start, stop) of an inclusive layer window (first,
+    last) of a series whose layers are held for `m` steps each. Both bounds
+    must be layers of the series."""
+    if len(window) != 2:
+        raise ConfigError(f"a layer window is (first, last), got {window}")
+    lo, hi = window
+    check_int("layer window bound", lo)
+    check_int("layer window bound", hi)
+    if lo > hi or lo < series.layers[0] or hi > series.layers[-1]:
+        raise DataError(
+            f"window {(lo, hi)} is not covered by series layers "
+            f"{series.layers[0]}..{series.layers[-1]}"
+        )
+    return series.layer_index(lo) * m, (series.layer_index(hi) + 1) * m
 
 
 @dataclass(frozen=True)

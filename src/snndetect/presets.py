@@ -42,7 +42,7 @@ def preset_names() -> list[str]:
     ]
 
 
-def get_preset(name: str, seed: int = 0) -> FilterConfig:
+def get_preset(name: str) -> FilterConfig:
     """Resolve a preset name to a FilterConfig (same tau on input and output)."""
     parts = name.lower().split("-")
     if len(parts) != 3:
@@ -55,4 +55,4 @@ def get_preset(name: str, seed: int = 0) -> FilterConfig:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         ) from None
-    return FilterConfig(tau_in=tau, tau_out=tau, seed=seed, stages=STAGES[hw])
+    return FilterConfig(tau_in=tau, tau_out=tau, stages=STAGES[hw])

@@ -209,19 +209,17 @@ def simulate_cascade(
 
     # every stage's neurons sit side by side on one (lanes, n_total) axis, and
     # every loop buffer is allocated here and updated in place by the loop.
-    # One output synapse covers the axis with each stage's coefficients over
-    # its own neurons; the unit spike current 1/dt is folded into its gain,
-    # so a spike's row entry is 1.0 times the gain. The first n_dec stages
+    # One output synapse covers the axis, each stage's time constant over its
+    # own neurons; the unit spike current 1/dt is folded into the spike gain,
+    # so a spike's row entry is 1.0 times that gain. The first n_dec stages
     # are decoded, the last one only when `decode`; the synapse runs when
     # any is. A cascade without `decode` filters its last stage too, unread:
     # one pass over the whole contiguous axis measured faster than a strided
     # pass over the stages that feed another
     n_dec = n_stages if decode else n_stages - 1
     if n_dec:
-        stage_syns = [Lowpass(taus[:, s + 1], dt, (lanes, n)) for s, n in enumerate(sizes)]
-        out_syn = Lowpass(taus[:, 1], dt, (lanes, n_total))
-        out_syn.decay = np.concatenate([syn.decay for syn in stage_syns], axis=1)
-        out_syn.gain = np.concatenate([syn.gain for syn in stage_syns], axis=1) * (1.0 / dt)
+        out_syn = Lowpass(np.repeat(taus[:, 1:], sizes, axis=1), dt, (lanes, n_total))
+        spike_gain = out_syn.gain * (1.0 / dt)
     gain_enc = [e.gains * e.encoders for e in ensembles]
     v = np.zeros((lanes, n_total))
     refr = np.zeros((lanes, n_total))
@@ -279,7 +277,7 @@ def simulate_cascade(
         # than a bool one and the same doubles
         if n_dec:
             rows[...] = masks
-            np.multiply(rows, out_syn.gain, out=rows)
+            np.multiply(rows, spike_gain, out=rows)
             out_syn.run(rows)
         # each stage decodes its block over its input in `decoded`, where
         # the next stage reads it one iteration later. One dot product per

@@ -35,19 +35,23 @@ class Lowpass:
     """Stateful per-lane filter for simulation loops.
 
     Each step is y' = y*a + x*(1 - a), a = exp(-dt/tau): unit DC gain, so a
-    constant input passes through unchanged once settled. `taus` holds one
-    time constant per lane, along the leading axis of `shape`. Each decay
-    is math.exp(-dt / tau), so a lane filters exactly as it would alone.
-    `decay` and `gain` are stored at the state's full shape, each lane's
-    coefficient repeated along its row, so a step broadcasts nothing.
+    constant input passes through unchanged once settled. `taus` holds the
+    time constants over the leading axes of `shape`: one per lane, or a
+    (lanes, n) grid with one per element of a lane's row. Each distinct
+    decay is math.exp(-dt / tau), so an element filters exactly as it
+    would alone. `decay` and `gain` are stored at the state's full shape,
+    each time constant's coefficient repeated along the trailing axes, so a
+    step broadcasts nothing.
     """
 
     def __init__(self, taus, dt: float, shape: int | tuple):
         shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
-        if np.ndim(taus) != 1 or not shape or len(taus) != shape[0]:
-            raise ConfigError(f"expected one time constant per lane for shape {shape}, got {taus}")
-        decays = np.array([_decay(t, dt) for t in taus])
-        column = decays.reshape((-1,) + (1,) * (len(shape) - 1))
+        taus = np.asarray(taus, dtype=float)
+        if taus.ndim == 0 or taus.shape != shape[: taus.ndim]:
+            raise ConfigError(f"time constants must span the leading axes of {shape}, got {taus.tolist()}")
+        values, index = np.unique(taus, return_inverse=True)
+        decays = np.array([_decay(t, dt) for t in values.tolist()])[index]
+        column = decays.reshape(taus.shape + (1,) * (len(shape) - taus.ndim))
         self.decay = np.broadcast_to(column, shape).copy()
         self.gain = 1.0 - self.decay
         self.y = np.zeros(shape)

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from oracles import SynapseState, cross_entropy, synapse_step
 
 from snndetect.baselines import BaselineFilterSpec, apply_baseline_filter, default_specs
 from snndetect.classifier import (
-    SampleFeature,
     encode_sample,
     one_hot,
     predict,
@@ -152,7 +152,7 @@ def test_c03_synapse_exactness():
 def test_c04_end_to_end_detection(case_pd1_66, noisy_sweep):
     start = time.monotonic()
     defective, healthy, truth = case_pd1_66
-    cfg = get_preset("cpu-pd1-66", seed=7)
+    cfg = replace(get_preset("cpu-pd1-66"), seed=7)
     filtered = [run_filter(defective, cfg)[0], run_filter(healthy, cfg)[0]]
     report = evaluate(filtered, truth.default_policy(), truth)
     assert report.metrics.f1 == 1.0
@@ -187,7 +187,7 @@ def test_c06_raster_rarefaction():
     p = GenParams(layer_range=WINDOW, noise_std=20.0, junction_period=10, seed=42)
     spec = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=66.0)
     defective = gen_defective(p, spec)
-    cfg = get_preset("cpu-pd1-66", seed=7)
+    cfg = replace(get_preset("cpu-pd1-66"), seed=7)
     _, sim = run_filter(defective, cfg)
     ens = build_filter_ensembles(cfg)[0]
 
@@ -241,16 +241,15 @@ def test_c07_cross_entropy_correctness():
     assert abs(cross_entropy(probs, labels) - math.log(14)) <= 1e-9
 
     rng = np.random.default_rng(0)
-    separable = []
+    separable, labels = [], []
     for label in range(3):
         center = np.zeros(8)
         center[label] = 100.0
         for k in range(5):
-            separable.append(
-                SampleFeature(f"s{label}-{k}", np.abs(center + rng.normal(0, 1, 8)), label)
-            )
-    model = train_classifier(separable, epochs=500, lr=0.05)
-    acc = np.mean([np.argmax(predict(model, s.feature)) == s.label for s in separable])
+            separable.append(np.abs(center + rng.normal(0, 1, 8)))
+            labels.append(label)
+    model = train_classifier(separable, labels, epochs=500, lr=0.05)
+    acc = np.mean([np.argmax(predict(model, f)) == l for f, l in zip(separable, labels)])
     assert acc == 1.0
 
     # 14 one-sample classes built from actual spiking-filter features
@@ -261,10 +260,8 @@ def test_c07_cross_entropy_correctness():
     for label, (n_layers, reduction) in enumerate(combos):
         params = GenParams(layer_range=WINDOW, noise_std=20.0, seed=200 + label)
         spec = DefectSpec(start_layer=613, n_layers=n_layers, power_reduction_percent=reduction)
-        features.append(
-            encode_sample([gen_defective(params, spec)], cfg, (613, 621), [label], [f"S{label}"])[0]
-        )
-    model14 = train_classifier(features, epochs=500, lr=0.05)
+        features.append(encode_sample([gen_defective(params, spec)], cfg, (613, 621))[0])
+    model14 = train_classifier(features, list(range(len(combos))), epochs=500, lr=0.05)
     assert model14.training_history[0] == pytest.approx(math.log(14), abs=1e-9)
     assert model14.training_history[-1] < model14.training_history[0]
     print(f"\n[acceptance] C7 cross-entropy: PASS (grad err {worst:.1e}, "
@@ -272,7 +269,7 @@ def test_c07_cross_entropy_correctness():
 
 
 def test_c08_energy_model():
-    cfg = get_preset("cpu-pd1-66", seed=7)
+    cfg = replace(get_preset("cpu-pd1-66"), seed=7)
     samples = (("S1V3", 33.0, 3), ("S1V7", 33.0, 7), ("S2V3", 66.0, 3),
                ("S2V7", 66.0, 7), ("S3V3", 100.0, 3), ("S3V7", 100.0, 7))
     counts = {}
@@ -377,7 +374,7 @@ def test_c10_baseline_filters(case_pd1_66):
     np.testing.assert_allclose(bw.values, bw.values[::-1], atol=1e-9)
 
     defective, healthy, truth = case_pd1_66
-    cfg = get_preset("cpu-pd1-66", seed=7)
+    cfg = replace(get_preset("cpu-pd1-66"), seed=7)
     rows = compare_filters(defective, healthy, default_specs(), cfg, truth, truth.default_policy())
     assert len(rows) == 5
     for row in rows:

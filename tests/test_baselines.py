@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_compare_rows_match_scipy(monkeypatch):
                                         seed=42), defect)
     healthy = gen_healthy(GenParams(layer_range=window, noise_std=20.0, junction_period=8, seed=43))
     truth = evaluation.GroundTruth(defect_layers=frozenset(defect.layers), window=window)
-    cfg = get_preset("cpu-pd1-66", seed=7)
+    cfg = replace(get_preset("cpu-pd1-66"), seed=7)
 
     policy = truth.default_policy()
     rows = evaluation.compare_filters(defective, healthy, default_specs(), cfg, truth, policy)

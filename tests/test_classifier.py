@@ -9,7 +9,6 @@ from oracles import cross_entropy
 
 from snndetect.classifier import (
     ClassifierModel,
-    SampleFeature,
     encode_sample,
     one_hot,
     predict,
@@ -90,67 +89,62 @@ def test_softmax_shift_invariance(logits, shift):
 # ------------------------------------------------------------ training
 
 def separable_samples(rng, n_per_class=5, n_classes=3, dim=8):
-    out = []
+    """(features, labels): n_per_class rows per class, each near its own axis."""
+    rows, labels = [], []
     for label in range(n_classes):
         center = np.zeros(dim)
         center[label] = 100.0
         for k in range(n_per_class):
-            feature = np.abs(center + rng.normal(0, 1, dim))
-            out.append(SampleFeature(f"s{label}-{k}", feature, label))
-    return out
+            rows.append(np.abs(center + rng.normal(0, 1, dim)))
+            labels.append(label)
+    return np.stack(rows), labels
 
 
 def test_separable_classes_reach_perfect_accuracy():
     rng = np.random.default_rng(0)
-    samples = separable_samples(rng)
-    model = train_classifier(samples, epochs=500, lr=0.05)
-    correct = sum(int(np.argmax(predict(model, s.feature)) == s.label) for s in samples)
-    assert correct == len(samples)
+    x, labels = separable_samples(rng)
+    model = train_classifier(x, labels, epochs=500, lr=0.05)
+    correct = sum(int(np.argmax(predict(model, f)) == l) for f, l in zip(x, labels))
+    assert correct == len(labels)
     assert model.training_history[0] == pytest.approx(math.log(3), abs=1e-9)
 
 
 def test_fourteen_singleton_classes_reduce_loss():
     rng = np.random.default_rng(1)
-    samples = [
-        SampleFeature(f"s{i}", np.abs(rng.normal(100, 30, 40)), i) for i in range(14)
-    ]
-    model = train_classifier(samples, epochs=300, lr=0.05)
+    x = np.stack([np.abs(rng.normal(100, 30, 40)) for _ in range(14)])
+    model = train_classifier(x, list(range(14)), epochs=300, lr=0.05)
     assert model.training_history[0] == pytest.approx(math.log(14), abs=1e-9)
     assert model.training_history[-1] < model.training_history[0]
 
 
 def test_loss_non_increasing_over_ten_epoch_windows():
     rng = np.random.default_rng(2)
-    model = train_classifier(separable_samples(rng), epochs=400, lr=0.05)
+    model = train_classifier(*separable_samples(rng), epochs=400, lr=0.05)
     h = np.array(model.training_history)
     assert np.all(h[10:] <= h[:-10] + 1e-12)
 
 
 def test_zero_learning_rate_keeps_model_flat():
     rng = np.random.default_rng(3)
-    model = train_classifier(separable_samples(rng), epochs=50, lr=0.0)
+    model = train_classifier(*separable_samples(rng), epochs=50, lr=0.0)
     np.testing.assert_array_equal(model.weights, 0.0)
     assert all(l == model.training_history[0] for l in model.training_history)
 
 
+# conflicting labels on near-identical features make a huge step rate
+# oscillate instead of converging
+DIVERGING = (np.array([[1.0, 0.0], [1.001, 0.0], [0.0, 1.0]]), [0, 1, 1])
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_divergent_learning_rate_aborts():
-    # conflicting labels on near-identical features make a huge step rate
-    # oscillate instead of converging
-    samples = [
-        SampleFeature("a", np.array([1.0, 0.0]), 0),
-        SampleFeature("b", np.array([1.001, 0.0]), 1),
-        SampleFeature("c", np.array([0.0, 1.0]), 1),
-    ]
     with pytest.raises(NumericError):
-        train_classifier(samples, epochs=200, lr=1e3)
+        train_classifier(*DIVERGING, epochs=200, lr=1e3)
 
 
-def reference_training(samples, epochs, lr):
+def reference_training(x, labels, epochs, lr):
     """The epoch loop with every loss taken through the validating
     cross_entropy; returns (history, weights, biases)."""
-    labels = [s.label for s in samples]
-    x = np.stack([s.feature for s in samples])
     y = one_hot(labels, max(labels) + 1)
     scale = x.std(axis=0)
     scale[scale == 0] = 1.0
@@ -164,7 +158,7 @@ def reference_training(samples, epochs, lr):
         history.append(loss)
         if loss > 10.0 * history[0]:
             raise NumericError(f"training diverged at epoch {epoch}")
-        grad = (probs - y) / len(samples)
+        grad = (probs - y) / len(labels)
         w -= lr * (grad.T @ xs)
         b -= lr * grad.sum(axis=0)
     return history, w, b
@@ -173,9 +167,8 @@ def reference_training(samples, epochs, lr):
 def conflicting_samples(n=8):
     # one sample labelled against n near-copies: a large step puts exactly
     # zero probability on its true class without diverging
-    samples = [SampleFeature(f"a{i}", np.array([1.0 + 0.01 * i, 0.0]), 0) for i in range(n)]
-    samples += [SampleFeature(f"b{i}", np.array([0.0, 1.0 + 0.01 * i]), 1) for i in range(n)]
-    return samples + [SampleFeature("odd", np.array([1.0, 0.0]), 1)]
+    rows = [[1.0 + 0.01 * i, 0.0] for i in range(n)] + [[0.0, 1.0 + 0.01 * i] for i in range(n)]
+    return np.array(rows + [[1.0, 0.0]]), [0] * n + [1] * n + [1]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -183,12 +176,12 @@ def conflicting_samples(n=8):
 def test_training_equals_the_cross_entropy_loop(case):
     # tolerance 0: history, weights and biases are bit-equal
     if case == "zero-probability":
-        samples, epochs, lr = conflicting_samples(), 10, 1e3
+        (x, labels), epochs, lr = conflicting_samples(), 10, 1e3
     else:
-        samples = separable_samples(np.random.default_rng(4))
+        x, labels = separable_samples(np.random.default_rng(4))
         epochs, lr = 300, 0.0 if case == "lr-0" else 0.05
-    model = train_classifier(samples, epochs=epochs, lr=lr)
-    history, w, b = reference_training(samples, epochs, lr)
+    model = train_classifier(x, labels, epochs=epochs, lr=lr)
+    history, w, b = reference_training(x, labels, epochs, lr)
     assert model.training_history == history
     np.testing.assert_array_equal(model.weights, w)
     np.testing.assert_array_equal(model.biases, b)
@@ -196,41 +189,62 @@ def test_training_equals_the_cross_entropy_loop(case):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_training_diverges_at_the_cross_entropy_loop_epoch():
-    samples = [
-        SampleFeature("a", np.array([1.0, 0.0]), 0),
-        SampleFeature("b", np.array([1.001, 0.0]), 1),
-        SampleFeature("c", np.array([0.0, 1.0]), 1),
-    ]
     with pytest.raises(NumericError) as ref:
-        reference_training(samples, 200, 1e3)
+        reference_training(*DIVERGING, 200, 1e3)
     with pytest.raises(NumericError) as got:
-        train_classifier(samples, epochs=200, lr=1e3)
+        train_classifier(*DIVERGING, epochs=200, lr=1e3)
     assert str(got.value).startswith(f"{ref.value}:")
 
 
 def test_nan_loss_counts_as_divergence():
     # a finite but huge step overflows the logits of 50 features to a NaN
     # loss, which never compares greater than the bound
-    samples = [SampleFeature(f"s{i}", np.random.default_rng(i).uniform(0, 100, 50), i % 2)
-               for i in range(4)]
+    x = np.stack([np.random.default_rng(i).uniform(0, 100, 50) for i in range(4)])
     with pytest.raises(NumericError, match=r"diverged at epoch 1: loss nan"):
-        train_classifier(samples, epochs=3, lr=1e308)
+        train_classifier(x, [0, 1, 0, 1], epochs=3, lr=1e308)
 
 
 def test_zero_probability_warns_during_training():
     with pytest.warns(UserWarning, match="zero probability on a true class"):
-        model = train_classifier(conflicting_samples(), epochs=10, lr=1e3)
+        model = train_classifier(*conflicting_samples(), epochs=10, lr=1e3)
     assert all(math.isfinite(l) for l in model.training_history)
 
 
 def test_training_validation():
-    f = SampleFeature("a", np.ones(4), 0)
+    f = np.ones(4)
     with pytest.raises(ConfigError):
-        train_classifier([f], epochs=10, lr=0.05)
+        train_classifier([f], [0], epochs=10, lr=0.05)
     with pytest.raises(ConfigError):
-        train_classifier([f, SampleFeature("b", np.ones(4), 0)], epochs=10, lr=0.05)
+        train_classifier([f, np.ones(4)], [0, 0], epochs=10, lr=0.05)
     with pytest.raises(ConfigError):
-        train_classifier([f, SampleFeature("b", np.ones(5), 1)], epochs=10, lr=0.05)
+        train_classifier([f, np.ones(5)], [0, 1], epochs=10, lr=0.05)
+
+
+TWO = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("features, labels, error, match", [
+    (np.ones(4), [0, 1], ConfigError, "shape"),                             # 1-D
+    ([np.ones(4), np.ones(5)], [0, 1], ConfigError, "equal-length"),        # ragged rows
+    ([[1.0, 2.0], [3.0]], [0, 1], ConfigError, "equal-length"),
+    (TWO, [0, 1, 1], ConfigError, "one label per sample"),
+    (TWO, [0], ConfigError, "one label per sample"),
+    (np.array([[1.0, np.nan], [3.0, 4.0]]), [0, 1], DataError, "finite"),
+    (np.array([[1.0, np.inf], [3.0, 4.0]]), [0, 1], DataError, "finite"),
+    (np.array([[1.0, -0.5], [3.0, 4.0]]), [0, 1], DataError, ">= 0"),
+    (TWO, [0, -1], ConfigError, "non-negative"),
+    (TWO, [1, 1], ConfigError, "two distinct classes"),
+], ids=["1-d", "ragged", "ragged-lists", "more-labels", "fewer-labels", "nan", "inf",
+        "negative-rate", "negative-label", "one-class"])
+def test_training_rejects_a_bad_matrix_or_labels(features, labels, error, match):
+    with pytest.raises(error, match=match):
+        train_classifier(features, labels, epochs=10, lr=0.05)
+
+
+@pytest.mark.parametrize("epochs, lr", [(0, 0.05), (10, -0.1), (10, float("nan")), (10, True)])
+def test_training_rejects_bad_epochs_or_lr(epochs, lr):
+    with pytest.raises(ConfigError):
+        train_classifier(TWO, [0, 1], epochs=epochs, lr=lr)
 
 
 # ------------------------------------------------------------ predict
@@ -270,21 +284,29 @@ CFG = FilterConfig(neurons=150, tau_in=0.004, tau_out=0.004, seed=7)
 def test_encoding_is_deterministic():
     p = GenParams(seed=31)
     s = gen_healthy(p)
-    a = encode_sample([s], CFG, (600, 640), [0], [""])[0]
-    b = encode_sample([s], CFG, (600, 640), [0], [""])[0]
-    np.testing.assert_array_equal(a.feature, b.feature)
-    assert a.feature.size == 150
+    a = encode_sample([s], CFG, (600, 640))
+    b = encode_sample([s], CFG, (600, 640))
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (1, 150) and a.dtype == np.float64
 
 
 def test_batched_rates_give_the_encoded_features():
     # the classify command encodes every sample in one lane-batched run
     samples = [gen_healthy(GenParams(seed=31)),
                gen_defective(GenParams(seed=32, layer_range=(580, 650)), DefectSpec())]
-    batched = encode_sample(samples, CFG, (600, 640), [0, 1], ["a", "b"])
-    for s, f, label, sample_id in zip(samples, batched, (0, 1), ("a", "b")):
-        np.testing.assert_array_equal(f.feature,
-                                      encode_sample([s], CFG, (600, 640), [0], [""])[0].feature)
-        assert (f.label, f.sample_id) == (label, sample_id)
+    batched = encode_sample(samples, CFG, (600, 640))
+    assert batched.shape == (2, 150)
+    for s, f in zip(samples, batched):
+        np.testing.assert_array_equal(f, encode_sample([s], CFG, (600, 640))[0])
+
+
+def test_no_window_averages_each_series_over_its_own_layers():
+    samples = [gen_healthy(GenParams(seed=31)),
+               gen_defective(GenParams(seed=32, layer_range=(580, 650)), DefectSpec())]
+    whole = encode_sample(samples, CFG, None)
+    for s, f in zip(samples, whole):
+        np.testing.assert_array_equal(
+            f, encode_sample([s], CFG, (int(s.layers[0]), int(s.layers[-1])))[0])
 
 
 def test_encoding_memory_tracks_the_window_not_the_series():
@@ -301,24 +323,24 @@ def test_encoding_memory_tracks_the_window_not_the_series():
     bound = lanes * steps * cfg.neurons * 8 // 4
     tracemalloc.start()
     try:
-        features = encode_sample(samples, cfg, (600, 800), [0, 1], ["h", "d"])
+        features = encode_sample(samples, cfg, (600, 800))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [f.feature.shape for f in features] == [(cfg.neurons,)] * 2
+    assert features.shape == (2, cfg.neurons)
     assert peak < bound, f"encode_sample peaked at {peak} B, bound {bound} B"
 
 
 def test_encoding_window_mismatch():
     s = gen_healthy(GenParams(seed=31))
     with pytest.raises(DataError):
-        encode_sample([s], CFG, (560, 640), [0], [""])
+        encode_sample([s], CFG, (560, 640))
 
 
 def test_encoding_reads_the_last_cascade_stage():
     s = gen_healthy(GenParams(seed=31))
-    feat = encode_sample([s], FilterConfig(neurons=150, stages=2, seed=7), (600, 640), [0], [""])[0]
-    assert feat.feature.size == 75
+    feat = encode_sample([s], FilterConfig(neurons=150, stages=2, seed=7), (600, 640))
+    assert feat.shape == (1, 75)
 
 
 def test_input_between_intercepts_gives_silent_features():
@@ -340,8 +362,8 @@ def test_dip_sample_feature_differs_from_healthy():
     p = GenParams(seed=31)
     d = DefectSpec(start_layer=613, n_layers=7, power_reduction_percent=66.0)
     window = (613, 621)
-    healthy = encode_sample([gen_healthy(p)], CFG, window, [0], [""])[0]
-    dipped = encode_sample([gen_defective(p, d)], CFG, window, [0], [""])[0]
-    scale = np.maximum(healthy.feature, 1.0)
-    rel = np.abs(dipped.feature - healthy.feature) / scale
+    healthy = encode_sample([gen_healthy(p)], CFG, window)[0]
+    dipped = encode_sample([gen_defective(p, d)], CFG, window)[0]
+    scale = np.maximum(healthy, 1.0)
+    rel = np.abs(dipped - healthy) / scale
     assert np.mean(rel > 0.10) >= 0.01

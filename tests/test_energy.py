@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_counts_match_independent_recount(tmp_path):
 @pytest.mark.parametrize("preset", ["cpu-pd1-66", "fpga-pd1-66"])
 def test_counts_equal_a_raster_recount_on_the_energy_samples(preset):
     # the six samples the energy command prices, in one batched run
-    cfg = get_preset(preset, seed=7)
+    cfg = replace(get_preset(preset), seed=7)
     sizes = cfg.stage_sizes()
     # a neuron's fan-out is the size of the next stage, or 1 in the last one
     stage_ends, fans = np.cumsum(sizes), np.array(sizes[1:] + [1])

@@ -15,12 +15,14 @@ from snndetect.pipeline import (
     FilterConfig,
     FixedPolicy,
     SignalSeries,
+    build_filter_ensembles,
     flag_anomalies,
     load_layer_series,
     percent_deviation,
     run_filter,
 )
 from snndetect.presets import TAU_TABLE, get_preset, preset_names
+from snndetect.simulator import simulate_cascade
 
 
 def series(layers, values):
@@ -229,9 +231,9 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
     base = FilterConfig(neurons=120, tau_in=0.002, tau_out=0.003, seed=7, stages=stages)
     lanes = lane_series()
     cfgs = [replace(base, tau_in=t, tau_out=2 * t) for t in (0.001, 0.004, 0.008)]
-    # each lane averages its rates over a window of its own steps; the
+    # each lane averages its rates over a window of its own layers; the
     # shortest lane (41 layers, 410 steps) is padded to the longest
-    windows = [(5, 803), (37, 600), (400, 410)]
+    windows = [(571, 650), (578, 634), (600, 600)]
     filtered, runs = run_filter(lanes, cfgs if per_lane_taus else base, windows)
     assert len(filtered) == len(runs) == len(lanes)
     for s, c, w, f, r in zip(lanes, cfgs if per_lane_taus else [base] * 3, windows, filtered, runs):
@@ -251,7 +253,41 @@ def test_run_filter_without_decode_gives_the_spikes_of_a_decoded_run(stages):
         assert len(r.spikes) == len(full.decoded)
     assert run_filter(lanes[0], cfg, decode=False)[0] is None
     with pytest.raises(ConfigError):
-        run_filter(lanes[0], cfg, [(0, 10)], decode=False)
+        run_filter(lanes[0], cfg, [(570, 571)], decode=False)
+
+
+def test_run_filter_windows_are_layer_windows():
+    # a window of layers (first, last) averages the steps those layers are
+    # held for, so it equals the simulator's mean over that step range
+    cfg = FilterConfig(neurons=60, seed=7)
+    s = series([10, 11, 12, 15, 16], [900.0, 1000.0, 1100.0, 950.0, 1050.0])
+    m = cfg.presentation_steps
+    _, run = run_filter(s, cfg, [(11, 15)])
+    inputs = np.repeat(s.values, m)[None]
+    taus = [[cfg.tau_in, cfg.tau_out]]
+    ref = simulate_cascade(build_filter_ensembles(cfg), inputs, cfg.dt, taus, [(m, 4 * m)])
+    np.testing.assert_array_equal(run.rates, ref.rates[0])
+
+
+@pytest.mark.parametrize("windows, error, match", [
+    ([(10, 16), (10, 16)], ConfigError, "one layer window per series"),
+    ([], ConfigError, "one layer window per series"),
+    ([(9, 12)], DataError, "not covered"),
+    ([(12, 17)], DataError, "not covered"),
+    ([(12, 11)], DataError, "not covered"),
+    ([(10, 12.0)], ConfigError, "must be an integer"),
+    ([(True, 12)], ConfigError, "must be an integer"),
+    ([(10, 12, 14)], ConfigError, "first, last"),
+    ([10, 12], ConfigError, "pairs"),
+    (5, ConfigError, "pairs"),
+    ([(13, 15)], DataError, "layer 13 is not in the series"),
+    ([(11, 14)], DataError, "layer 14 is not in the series"),
+], ids=["count", "none", "before", "after", "reversed", "float-bound", "bool-bound",
+        "not-a-pair", "flat-pair", "not-a-list", "gap-first", "gap-last"])
+def test_run_filter_rejects_a_bad_layer_window(windows, error, match):
+    s = series([10, 11, 12, 15, 16], [900.0, 1000.0, 1100.0, 950.0, 1050.0])
+    with pytest.raises(error, match=match):
+        run_filter(s, FilterConfig(neurons=20, seed=7), windows)
 
 
 def test_run_filter_lane_configs_may_differ_only_in_taus():

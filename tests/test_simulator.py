@@ -370,7 +370,7 @@ def test_settled_decode_matches_the_rate_twin(preset, bound, top_bound):
     # each population's spiking decode of a constant level, averaged once
     # settled, is the level its steady-state rates decode to: ties the
     # stepped neurons to lif_rate, which the decoders were solved from
-    cfg = get_preset(preset, seed=7)
+    cfg = replace(get_preset(preset), seed=7)
     ensembles = build_filter_ensembles(cfg)
     taus = [cfg.tau_in] + [cfg.tau_out] * cfg.stages
     inputs = np.repeat(np.array(TWIN_LEVELS)[:, None], 20_000, axis=1)

@@ -120,6 +120,26 @@ def test_lowpass_per_lane_time_constants():
         Lowpass([0.001, -0.002], dt, 2)
 
 
+def test_lowpass_time_constant_grid_equals_one_lowpass_per_column_block():
+    # a (lanes, n) grid, as the simulator's output link has it: each stage's
+    # time constant repeated over its neurons, one row of stages per lane
+    dt = 0.001
+    taus = np.array([[0.002, 0.005, 0.002], [0.0007, 0.002, 0.03]])
+    sizes = [3, 1, 2]
+    grid = Lowpass(np.repeat(taus, sizes, axis=1), dt, (2, sum(sizes)))
+    start = 0
+    for s, n in enumerate(sizes):
+        block = Lowpass(taus[:, s], dt, (2, n))
+        for name in ("decay", "gain", "y"):
+            got = getattr(grid, name)[:, start : start + n]
+            np.testing.assert_array_equal(got.view(np.uint64), getattr(block, name).view(np.uint64))
+        start += n
+    with pytest.raises(ConfigError):
+        Lowpass(taus, dt, (2, 4))  # the grid must cover the leading axes
+    with pytest.raises(ConfigError):
+        Lowpass(taus, dt, (2,))
+
+
 @pytest.mark.parametrize("shape", [3, (3, 4), (3, 2, 2)])
 def test_lowpass_coefficients_have_the_state_shape(shape):
     dt, taus = 0.001, [0.001, 0.004, 0.02]
