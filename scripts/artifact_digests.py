@@ -12,9 +12,11 @@ inside a packed spike byte, which the raster's events pin bit for bit. detect ru
 threshold, so its report has no metrics, and compare once more under a
 `--config` whose `baseline` list holds a 5-layer and a 101-layer moving
 average; the 101-layer window is longer than the 81-layer series, so its
-row is an error row of `nan`s. detect runs twice more under a `--config`
-of `dt` 0.0005 and 0.0025 (20 and 4 steps per layer), so the neurons'
-2 ms refractory time spans four steps and less than one. classify runs
+row is an error row of `nan`s. detect and raster run twice more under a
+`--config` of `dt` 0.0005 and 0.0025 (20 and 4 steps per layer), so the
+neurons' 2 ms refractory time spans four steps and less than one, and the
+raster's spike times print as long reprs such as 0.0045000000000000005,
+which pin how each step's time is computed. classify runs
 once more under fpga-pd1-66 on a manifest whose window lies strictly
 inside samples of 81 and 111 layers (a fourth gen-data pair covers layers
 590-700), so the lanes average their rates over different steps, and once
@@ -77,8 +79,9 @@ def digests(out: Path) -> None:
         "--outdir", out / "baseline")
     for dt in ("0.0005", "0.0025"):
         (out / f"dt-{dt}.json").write_text(json.dumps({"dt": float(dt)}))
-        run("detect", *pair, "--config", out / f"dt-{dt}.json", "--seed", 7,
-            "--outdir", out / f"dt-{dt}")
+        net = ("--config", out / f"dt-{dt}.json", "--seed", 7, "--outdir", out / f"dt-{dt}")
+        run("detect", *pair, *net)
+        run("raster", "--input", data / "defective.csv", *net)
     run("gen-data", "--seed", 45, "--window", "590:700", "--outdir", out / "data-long")
     samples = [{"path": f"data-{d}/{kind}.csv", "label": int(kind == "defective"),
                 "sample_id": f"{kind}-{d}"} for d in (33, "long", 66) for kind in ("healthy", "defective")]

@@ -14,6 +14,7 @@ against it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,9 +91,13 @@ def _savgol_kernel(window: int, polyorder: int) -> np.ndarray:
     return np.linalg.lstsq(vander, target, rcond=None)[0]
 
 
+@functools.lru_cache
 def _butter(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Digital low-pass Butterworth `b`, `a`: the analog prototype's poles,
     prewarped to `cutoff` and mapped by the bilinear transform at fs = 2.
+    Each (order, cutoff) is designed once per process, since a spec is
+    checked by designing it and then filtered with the design; `b` and `a`
+    are shared, so they are read-only.
 
     The exact poles lie inside the unit circle, but at high order and low
     cutoff the rounded coefficients of `a` put roots on or outside it, and
@@ -119,6 +124,8 @@ def _butter(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
             f"{unstable}: its denominator has a root with |z| = {radius:.3g} >= 1; "
             f"lower the order or raise the cutoff"
         )
+    b.flags.writeable = False
+    a.flags.writeable = False
     return b, a
 
 

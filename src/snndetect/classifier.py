@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, check_real
+from .errors import MAX_INT, ConfigError, DataError, NumericError, check_int, check_real
 from .pipeline import FilterConfig, SignalSeries, run_filter
 
 PROB_EPS = 1e-12
@@ -113,8 +113,11 @@ def train_classifier(
         raise ConfigError("labels must be non-negative class indices")
     if len(set(labels)) < 2:
         raise ConfigError("need at least two distinct classes")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    check_int("epochs", epochs, 1)
+    if int(epochs) * len(x) > MAX_INT:
+        raise ConfigError(
+            f"epochs x samples must be at most {MAX_INT} (2**53 - 1), got {epochs} x {len(x)}"
+        )
     check_real("lr", lr)
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
@@ -130,21 +133,44 @@ def train_classifier(
     b = np.zeros(n_classes)
     # softmax rows and one-hot labels are valid by construction, so each
     # epoch keeps its true-class probabilities and one pass after the loop
-    # scores them all; the rows grow with the loop, so no epochs x samples
-    # block is allocated up front
-    true_class = (np.arange(n), np.asarray(labels))
-    rows = []
+    # scores them all. The loop is bound by numpy's per-call cost, so every
+    # buffer it writes, the epochs x samples table of those probabilities
+    # included, is allocated here once, and each epoch is 16 calls that
+    # write through `out`, passed positionally where a ufunc takes it so
+    # (numpy parses that faster): the same operations on the same operands
+    # as softmax and the plain-expression step, so the same doubles
+    true_p = np.empty((epochs, n))
+    true_index = np.arange(n) * n_classes + np.asarray(labels)  # into the flat probabilities
+    z = np.empty((n, n_classes))         # logits, then the probabilities, then the gradient
+    z_row = np.empty((n, 1))             # each row's max, then its sum
+    grad_w = np.empty_like(w)
+    grad_b = np.empty_like(b)
+    w_t, z_t = w.T, z.T                  # views, so they follow the in-place updates
+    step = np.asarray(lr, dtype=float)   # 0-d: spares each ufunc call a conversion
+    count = np.asarray(n, dtype=float)
     # a runaway step overflows to inf and NaN; the check after the loop
     # reports it, so numpy's warnings are not printed on the way
     with np.errstate(all="ignore"):
-        for _ in range(epochs):
-            probs = softmax(xs @ w.T + b, axis=1)
-            rows.append(probs[true_class])
-            grad = (probs - y) / n
-            w -= lr * (grad.T @ xs)
-            b -= lr * grad.sum(axis=0)
+        for row in true_p:
+            np.matmul(xs, w_t, z)
+            np.add(z, b, z)
+            np.maximum.reduce(z, axis=1, keepdims=True, out=z_row)
+            np.subtract(z, z_row, z)
+            np.exp(z, z)
+            np.add.reduce(z, axis=1, keepdims=True, out=z_row)
+            np.divide(z, z_row, z)
+            # the indices are valid, so "clip" never clips; it spares the
+            # copy that the default "raise" makes of `out`
+            z.take(true_index, out=row, mode="clip")
+            np.subtract(z, y, z)
+            np.divide(z, count, z)
+            np.matmul(z_t, xs, grad_w)
+            np.multiply(step, grad_w, grad_w)
+            np.subtract(w, grad_w, w)
+            np.add.reduce(z, axis=0, out=grad_b)
+            np.multiply(step, grad_b, grad_b)
+            np.subtract(b, grad_b, b)
 
-    true_p = np.stack(rows)
     losses = _mean_nll(true_p)
     bad = np.flatnonzero(~(losses <= 10.0 * losses[0]))  # NaN is never <=
     last = int(bad[0]) if bad.size else epochs - 1

@@ -9,6 +9,7 @@ codes: 0 on success, 1 on usage errors, 2 on data or numeric errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -294,13 +295,18 @@ def _cmd_raster(args) -> int:
     cfg, meta, _ = _resolve_config(args)
     series = load_layer_series(args.input)
     _, sim = run_filter(series, cfg, decode=False)
-    raster = sim.raster
-    # one format call per row on Python ints and floats: str(int) and
-    # repr(float), which is what _fmt writes for each cell
-    rows = map("{},{!r}".format, raster.neuron_ids.tolist(), raster.times.tolist())
+    # one row per spike, ordered by step, then neuron id, read straight from
+    # the packed bits. The cells are what _fmt writes: str of the neuron id
+    # and repr of the step's time k * dt, each made once per id and per step
+    steps, lanes, _ = sim.spikes.shape
+    n_ids = lanes * sim.n_neurons
+    bits = np.unpackbits(sim.spikes, axis=-1, count=sim.n_neurons).reshape(steps, n_ids)
+    k, ids = np.nonzero(bits)
+    names = list(map(str, range(n_ids)))
+    times = ["," + repr(t) for t in (np.arange(steps) * sim.dt).tolist()]
+    rows = [names[i] + times[t] for t, i in zip(k.tolist(), ids.tolist())]
     _atomic_write(out / "raster.csv", _csv_lines(meta, ["neuron", "time"], rows))
-    print(f"{len(raster.neuron_ids)} spikes from {raster.n_neurons} neurons "
-          f"over {raster.duration:.3g} s")
+    print(f"{k.size} spikes from {n_ids} neurons over {steps * sim.dt:.3g} s")
     return 0
 
 
@@ -336,9 +342,12 @@ def _cmd_classify(args) -> int:
     features = encode_sample(series, cfg, window)
 
     model = train_classifier(features, labels, epochs=args.epochs, lr=args.lr)
+    # the losses are Python floats, so each row is the str and repr that
+    # _fmt writes, without its per-cell type checks
     _atomic_write(
         out / "loss.csv",
-        _csv_text(meta, ["epoch", "loss"], enumerate(model.training_history)),
+        _csv_lines(meta, ["epoch", "loss"],
+                   (f"{epoch},{loss!r}" for epoch, loss in enumerate(model.training_history))),
     )
     rows = []
     correct = 0
@@ -392,7 +401,11 @@ def _cmd_energy(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse makes a fresh
+    namespace, no argument has a mutable default, and usage errors and
+    --version write to sys.stderr and sys.stdout as they are at the call."""
     parser = _Parser(prog="snndetect", description=__doc__)
     parser.add_argument("--version", action="version", version=f"snndetect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

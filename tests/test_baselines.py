@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snndetect.baselines import KINDS, BaselineFilterSpec, apply_baseline_filter, default_specs
+from snndetect.baselines import (
+    KINDS,
+    BaselineFilterSpec,
+    _butter,
+    apply_baseline_filter,
+    default_specs,
+)
 from snndetect.errors import ConfigError, DataError, NumericError
 from snndetect.pipeline import SignalSeries
 
@@ -162,6 +168,14 @@ def test_unstable_butterworth_is_rejected(order):
     # outside the unit circle (|z| about 1.08, 1.23, 2.05)
     with pytest.raises(NumericError, match=f"order {order} at cutoff 0.05 is unstable"):
         BaselineFilterSpec(kind="butterworth", cutoff=0.05, order=order)
+
+
+def test_a_butterworth_design_is_shared_and_read_only():
+    # each (order, cutoff) is designed once per process, so callers share it
+    b, a = _butter(2, 0.5)
+    assert _butter(2, 0.5)[0] is b
+    with pytest.raises(ValueError):
+        a[0] = 2.0
 
 
 def test_order_twelve_butterworth_stays_within_the_series():

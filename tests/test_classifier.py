@@ -17,7 +17,7 @@ from snndetect.classifier import (
 )
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.ensembles import build_ensemble
-from snndetect.errors import ConfigError, DataError, NumericError
+from snndetect.errors import MAX_INT, ConfigError, DataError, NumericError
 from snndetect.pipeline import FilterConfig
 from snndetect.simulator import simulate_cascade
 
@@ -172,11 +172,18 @@ def conflicting_samples(n=8):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("case", ["separable", "lr-0", "zero-probability"])
+@pytest.mark.parametrize("case", ["separable", "lr-0", "zero-probability", "fourteen-singletons",
+                                  "one-epoch"])
 def test_training_equals_the_cross_entropy_loop(case):
     # tolerance 0: history, weights and biases are bit-equal
     if case == "zero-probability":
         (x, labels), epochs, lr = conflicting_samples(), 10, 1e3
+    elif case == "fourteen-singletons":
+        x = np.stack([np.abs(np.random.default_rng(1).normal(100, 30, 40)) for _ in range(14)])
+        labels, epochs, lr = list(range(14)), 300, 0.05
+    elif case == "one-epoch":
+        x, labels = separable_samples(np.random.default_rng(4))
+        epochs, lr = 1, 0.05
     else:
         x, labels = separable_samples(np.random.default_rng(4))
         epochs, lr = 300, 0.0 if case == "lr-0" else 0.05
@@ -241,10 +248,25 @@ def test_training_rejects_a_bad_matrix_or_labels(features, labels, error, match)
         train_classifier(features, labels, epochs=10, lr=0.05)
 
 
-@pytest.mark.parametrize("epochs, lr", [(0, 0.05), (10, -0.1), (10, float("nan")), (10, True)])
+@pytest.mark.parametrize("epochs, lr", [(0, 0.05), (2.5, 0.05), (True, 0.05), (10, -0.1),
+                                       (10, float("nan")), (10, True)])
 def test_training_rejects_bad_epochs_or_lr(epochs, lr):
     with pytest.raises(ConfigError):
         train_classifier(TWO, [0, 1], epochs=epochs, lr=lr)
+
+
+@pytest.mark.parametrize("epochs, samples", [
+    (MAX_INT, 2),
+    (MAX_INT // 2 + 1, 2),
+    # as a numpy integer, epochs x samples wraps past int64 to a negative
+    (np.int64(2**52), 2**11),
+], ids=["max-int", "just-past", "int64-wrap"])
+def test_training_rejects_an_epochs_by_samples_table_past_the_integer_bound(epochs, samples):
+    # the table of true-class probabilities is allocated before the loop,
+    # so its size is checked first, with no allocation attempted
+    x = np.tile([[1.0], [2.0]], (samples // 2, 1))
+    with pytest.raises(ConfigError, match="epochs x samples"):
+        train_classifier(x, [0, 1] * (samples // 2), epochs=epochs, lr=0.05)
 
 
 # ------------------------------------------------------------ predict

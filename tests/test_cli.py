@@ -1,10 +1,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from snndetect import __version__, pipeline
-from snndetect.cli import main
+from snndetect import __version__, baselines, pipeline
+from snndetect.cli import build_parser, main
 
 FAST_CONFIG = {
     "neurons": 200,
@@ -162,6 +163,32 @@ def test_raster_export(workdir):
     neuron, time = lines[2].split(",")
     assert 0 <= int(neuron) < FAST_CONFIG["neurons"]
     assert float(time) >= 0.0
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.0005])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_raster_rows_equal_the_event_raster(workdir, tmp_path, capsys, stages, dt):
+    # the command writes its rows straight from the packed bits; the oracle
+    # is the formatting of SimResult.raster's events, one str(id) and
+    # repr(time) per spike. 200 neurons in 3 stages put both stage
+    # boundaries inside a packed byte, and at dt 0.0005 the times print as
+    # long reprs such as 0.0045000000000000005
+    config = {**FAST_CONFIG, "stages": stages, "dt": dt}
+    path = tmp_path / "raster-config.json"
+    path.write_text(json.dumps(config))
+    data = workdir / "data"
+    out = workdir / f"raster-{stages}-{dt}"
+    capsys.readouterr()
+    assert main(["raster", "--input", str(data / "defective.csv"), "--config", str(path),
+                 "--outdir", str(out)]) == 0
+    _, sim = pipeline.run_filter(pipeline.load_layer_series(data / "defective.csv"),
+                                 pipeline.FilterConfig.from_dict(config), decode=False)
+    raster = sim.raster
+    rows = [f"{i},{t!r}" for i, t in zip(raster.neuron_ids.tolist(), raster.times.tolist())]
+    assert (out / "raster.csv").read_text().splitlines()[2:] == rows
+    assert capsys.readouterr().out == (
+        f"{len(raster.neuron_ids)} spikes from {raster.n_neurons} neurons "
+        f"over {raster.duration:.3g} s\n")
 
 
 def test_classify_outputs(workdir):
@@ -490,6 +517,35 @@ def test_unstable_butterworth_config_exits_2(workdir, tmp_path, capsys, recwarn,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("cutoff,order,code", [
+    pytest.param(0.05, 12, 0, id="12-0"),
+    # unstable, so rejected when the spec is read: one design, 1.2 s of it
+    pytest.param(0.02, 500, 2, id="0.02-500-2"),
+])
+def test_compare_designs_each_butterworth_once(workdir, tmp_path, capsys, monkeypatch,
+                                               cutoff, order, code):
+    # the spec check and the filter of both series share one design, and
+    # the design's eigenvalue solve is its one np.roots call
+    calls = []
+    roots = np.roots
+
+    def counting(p):
+        calls.append(len(p))
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", counting)
+    baselines._butter.cache_clear()
+    path = tmp_path / "butter.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "baseline": {
+        "kind": "butterworth", "cutoff": cutoff, "order": order}}))
+    data = workdir / "data"
+    assert main(["compare", "--defective", str(data / "defective.csv"),
+                 "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+                 "--config", str(path), "--outdir", str(workdir / "butter-once")]) == code
+    assert calls == [order + 1]
+    assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+
+
 @pytest.mark.parametrize("truth", [
     {"defect_layers": ["x"], "window": [600, 640]},
     {"defect_layers": [620.7], "window": [600, 640]},
@@ -614,6 +670,46 @@ def test_classify_nan_loss_exits_2(workdir, capsys):
     assert err.startswith("error: training diverged at epoch 1: loss nan")
     assert "Traceback" not in err
     assert not (workdir / "non-finite" / "loss.csv").exists()
+
+
+def test_classify_epochs_past_the_integer_bound_exits_2(workdir, capsys):
+    argv = _float_flag_argv(workdir, "classify", "--lr", "0.05")
+    argv[argv.index("--epochs") + 1] = "10000000000000000"
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: epochs must") and len(err.splitlines()) == 1
+    assert not (workdir / "non-finite" / "loss.csv").exists()
+
+
+def test_the_parser_is_built_once_and_reused(workdir, capsys):
+    # a fixed-policy detect and then a plain one in one process: the second
+    # parse starts from the defaults, so its report is the adaptive one a
+    # fresh process writes, byte for byte
+    import os
+    import subprocess
+    import sys
+
+    import snndetect
+
+    assert build_parser() is build_parser()
+    data = workdir / "data"
+    inputs = ["detect", "--defective", str(data / "defective.csv"),
+              "--healthy", str(data / "healthy.csv"), "--config", str(workdir / "config.json")]
+    assert main([*inputs, "--policy", "fixed", "--threshold", "20",
+                 "--outdir", str(workdir / "fixed")]) == 0
+    assert json.loads((workdir / "fixed" / "report.json").read_text())["policy"].startswith("fixed")
+    assert main([*inputs, "--outdir", str(workdir / "reused")]) == 0
+    report = (workdir / "reused" / "report.json").read_text()
+    assert json.loads(report)["policy"].startswith("adaptive")
+    src = os.path.dirname(os.path.dirname(snndetect.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    script = "import sys\nfrom snndetect.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-c", script, *inputs, "--outdir", str(workdir / "fresh")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (workdir / "fresh" / "report.json").read_text() == report
+    assert capsys.readouterr().err == ""
 
 
 FLOAT_FLAGS = [
