@@ -51,11 +51,18 @@ class BaselineFilterSpec:
             if not (0.0 < self.cutoff < 1.0):
                 raise ConfigError(f"normalized cutoff must lie in (0, 1), got {self.cutoff}")
             check_int("order", self.order, minimum=1)
-            _butter(self.order, self.cutoff)  # rejects an unstable design before any run
         if self.kind == "gaussian":
             check_real("sigma", self.sigma)
             if not (self.sigma > 0 and math.isfinite(4.0 * self.sigma)):
                 raise ConfigError(f"sigma must be positive with a finite half-width 4*sigma, got {self.sigma}")
+
+    def check_design(self) -> None:
+        """Design a Butterworth spec (once per process, see _butter), which
+        raises NumericError when the design is unstable; the other kinds
+        need no design. Construction checks only types and ranges, so a spec
+        that is never run costs no design."""
+        if self.kind == "butterworth":
+            _butter(self.order, self.cutoff)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineFilterSpec":

@@ -79,6 +79,20 @@ def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
     return y
 
 
+def check_training(epochs: int, lr: float, samples: int) -> None:
+    """Raise ConfigError unless `epochs` is an integer >= 1, epochs x
+    `samples` is at most MAX_INT, and `lr` is finite and >= 0: the checks of
+    train_classifier's parameters, which the CLI runs before it encodes."""
+    check_int("epochs", epochs, 1)
+    if int(epochs) * samples > MAX_INT:
+        raise ConfigError(
+            f"epochs x samples must be at most {MAX_INT} (2**53 - 1), got {epochs} x {samples}"
+        )
+    check_real("lr", lr)
+    if lr < 0:
+        raise ConfigError(f"lr must be >= 0, got {lr}")
+
+
 def train_classifier(
     features,
     labels: Sequence[int],
@@ -113,14 +127,7 @@ def train_classifier(
         raise ConfigError("labels must be non-negative class indices")
     if len(set(labels)) < 2:
         raise ConfigError("need at least two distinct classes")
-    check_int("epochs", epochs, 1)
-    if int(epochs) * len(x) > MAX_INT:
-        raise ConfigError(
-            f"epochs x samples must be at most {MAX_INT} (2**53 - 1), got {epochs} x {len(x)}"
-        )
-    check_real("lr", lr)
-    if lr < 0:
-        raise ConfigError(f"lr must be >= 0, got {lr}")
+    check_training(epochs, lr, len(x))
 
     y = one_hot(labels, n_classes)
     mean = x.mean(axis=0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineFilterSpec, default_specs
-from .classifier import encode_sample, predict, train_classifier
+from .classifier import check_training, encode_sample, predict, train_classifier
 from .datagen import NOISE_STD, DefectSpec, GenParams, gen_defective, gen_healthy
 from .energy import (
     HARDWARE_ORDER,
@@ -322,6 +322,7 @@ def _cmd_classify(args) -> int:
         raise DataError(f"{path}: expected a 'samples' list: {err}") from err
     if not isinstance(entries, list):
         raise DataError(f"{path}: 'samples' must be a list, got {entries!r}")
+    check_training(args.epochs, args.lr, len(entries))
     if window is not None:
         if len(window) != 2:
             raise DataError(f"{path}: 'window' must be two layers, got {list(window)}")
@@ -367,6 +368,7 @@ def _cmd_classify(args) -> int:
 def _cmd_energy(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
+    profiles = profiles_from_dict(_read_json(args.profiles, "profiles")) if args.profiles else None
     lo, hi = args.window
     samples = [
         gen_defective(
@@ -381,9 +383,7 @@ def _cmd_energy(args) -> int:
         for (sample_id, _, _), sim in zip(ENERGY_SAMPLES, run_filter(samples, cfg, decode=False)[1])
     }
 
-    if args.profiles:
-        profiles = profiles_from_dict(_read_json(args.profiles, "profiles"))
-    else:
+    if profiles is None:
         profiles = reference_profiles(counts[ENERGY_REFERENCE_SAMPLE])
 
     names = [n for n in HARDWARE_ORDER if n in profiles]

@@ -197,7 +197,13 @@ def compare_filters(
     truth: GroundTruth,
     policy: FixedPolicy | AdaptivePolicy,
 ) -> list[ScoreRow]:
-    """One scored row per classical filter plus one for the spiking filter."""
+    """One scored row per classical filter plus one for the spiking filter.
+
+    Every spec is designed first (see BaselineFilterSpec.check_design), so
+    an unstable Butterworth raises NumericError before any filter runs.
+    """
+    for spec in specs:
+        spec.check_design()
     rows = [
         _score_row(spec.kind,
                    lambda spec=spec: [apply_baseline_filter(s, spec) for s in (defective, healthy)],

@@ -165,9 +165,11 @@ def test_butterworth_matches_scipy(order):
 @pytest.mark.parametrize("order", [16, 20, 40])
 def test_unstable_butterworth_is_rejected(order):
     # at cutoff 0.05 the rounded denominators of these orders have a root
-    # outside the unit circle (|z| about 1.08, 1.23, 2.05)
+    # outside the unit circle (|z| about 1.08, 1.23, 2.05). Building the
+    # spec checks only types and ranges; designing it rejects it
+    spec = BaselineFilterSpec(kind="butterworth", cutoff=0.05, order=order)
     with pytest.raises(NumericError, match=f"order {order} at cutoff 0.05 is unstable"):
-        BaselineFilterSpec(kind="butterworth", cutoff=0.05, order=order)
+        spec.check_design()
 
 
 def test_a_butterworth_design_is_shared_and_read_only():

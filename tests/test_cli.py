@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from snndetect import __version__, baselines, pipeline
+from snndetect import __version__, baselines, classifier, cli, evaluation, pipeline
 from snndetect.cli import build_parser, main
 
 FAST_CONFIG = {
@@ -506,10 +506,11 @@ def test_unstable_butterworth_config_exits_2(workdir, tmp_path, capsys, recwarn,
         assert f"order {order} at cutoff {cutoff}" in err
         assert len(err.splitlines()) == 1
         assert not (out / "compare.csv").exists()
-        # every --config command validates the baseline, detect included
-        assert main(["detect", *inputs]) == code
-        assert capsys.readouterr().err == err
-        assert not (out / "report.json").exists()
+        # only compare designs the baseline; detect does not run it, so the
+        # same config detects
+        assert main(["detect", *inputs]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "report.json").exists()
     else:
         assert err == ""
         rows = (out / "compare.csv").read_text().splitlines()
@@ -879,3 +880,78 @@ def test_missing_document_exits_2(workdir, capsys, kind):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {kind} file does not exist: {missing}\n"
+
+
+UNSTABLE_BUTTERWORTH = json.dumps({**FAST_CONFIG, "baseline": {
+    "kind": "butterworth", "cutoff": 0.05, "order": 16}})
+
+
+@pytest.mark.parametrize("command, flags, document, message", [
+    pytest.param("classify", ["--epochs", "0"], None, "epochs must be >= 1, got 0",
+                 id="epochs-0"),
+    pytest.param("classify", ["--epochs", str(2**52)], None, "epochs x samples must be at most",
+                 id="epochs-x-samples"),
+    pytest.param("classify", ["--lr", "-0.5"], None, "lr must be >= 0, got -0.5",
+                 id="lr-negative"),
+    pytest.param("classify", ["--lr", "nan"], None, "lr must be a finite number, got nan",
+                 id="lr-nan"),
+    pytest.param("energy", [], None, "profiles file does not exist", id="profiles-missing"),
+    pytest.param("energy", [], "{not json", "invalid JSON", id="profiles-not-json"),
+    pytest.param("energy", [], '{"CPU": {"e_synop": -1.0}}', "e_synop of profile 'CPU'",
+                 id="profiles-negative"),
+    pytest.param("compare", [], UNSTABLE_BUTTERWORTH,
+                 "butterworth of order 16 at cutoff 0.05 is unstable", id="butterworth-unstable"),
+])
+def test_invocation_checks_run_before_the_filter(workdir, capsys, monkeypatch, command, flags,
+                                                 document, message):
+    # the filter run raises something no subcommand catches, so each case
+    # exits 2 with its own message only if its check runs first. `document`
+    # is the text of the --profiles file (energy) or of the --config file
+    # (compare)
+    def no_run(*args, **kwargs):
+        raise AssertionError("the filter ran before the invocation was checked")
+
+    for module in (cli, classifier, evaluation):
+        monkeypatch.setattr(module, "run_filter", no_run)
+    data = workdir / "data"
+    path = workdir / "early.json"
+    if document is not None:
+        path.write_text(document)
+    config = ["--config", str(workdir / "config.json")]
+    if command == "classify":
+        manifest = workdir / "early-manifest.json"
+        manifest.write_text(json.dumps({"window": [620, 628], "samples": [
+            {"path": "data/healthy.csv", "label": 0},
+            {"path": "data/defective.csv", "label": 1},
+        ]}))
+        argv = ["classify", "--manifest", str(manifest), *config, *flags]
+    elif command == "energy":
+        argv = ["energy", *config, *ENERGY_ARGS, "--profiles", str(path)]
+    else:
+        argv = ["compare", "--defective", str(data / "defective.csv"),
+                "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+                "--config", str(path)]
+    out = workdir / "early"
+    assert main([*argv, "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_only_compare_designs_the_baseline(workdir, capsys, monkeypatch):
+    # a design that would take seconds (order 500) is never made by the
+    # subcommands that do not run the baseline filters
+    def no_design(*args):
+        raise AssertionError("designed a baseline filter")
+
+    monkeypatch.setattr(baselines, "_butter", no_design)
+    path = workdir / "slow-butter.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "baseline": {
+        "kind": "butterworth", "cutoff": 0.02, "order": 500}}))
+    data = workdir / "data"
+    config = ["--config", str(path), "--outdir", str(workdir / "no-design")]
+    pair = ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv")]
+    assert main(["detect", *pair, *config]) == 0
+    assert main(["raster", "--input", str(data / "defective.csv"), *config]) == 0
+    assert main(["energy", *ENERGY_ARGS, *config]) == 0
+    assert capsys.readouterr().err == ""

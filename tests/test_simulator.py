@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 import warnings
 from dataclasses import replace
 
@@ -112,19 +115,22 @@ def test_rates_recording_shape(ens):
     assert one_lane([ens], np.full(50, 100.0), [0.003, 0.003]).rates is None
 
 
+BAD_WINDOWS = [
+    [(0, 10)],                      # one window for two lanes
+    [(0, 10)] * 3,                  # three windows for two lanes
+    [(0, 10), (4, 4)],              # an empty window
+    [(0, 10), (6, 3)],              # a window that ends before it starts
+    [(-1, 10), (0, 10)],            # starts before step 0
+    [(0, 10), (0, 11)],             # ends after the last step
+    [(0, 10), (0.0, 10)],           # a bound that is not an integer
+    [(0, 10), (0, 5, 10)],          # not a (start, stop) pair
+    [(0, 10), 5],                   # not a pair at all
+]
+
+
 @pytest.mark.parametrize(
     "windows",
-    [
-        [(0, 10)],                      # one window for two lanes
-        [(0, 10)] * 3,                  # three windows for two lanes
-        [(0, 10), (4, 4)],              # an empty window
-        [(0, 10), (6, 3)],              # a window that ends before it starts
-        [(-1, 10), (0, 10)],            # starts before step 0
-        [(0, 10), (0, 11)],             # ends after the last step
-        [(0, 10), (0.0, 10)],           # a bound that is not an integer
-        [(0, 10), (0, 5, 10)],          # not a (start, stop) pair
-        [(0, 10), 5],                   # not a pair at all
-    ],
+    BAD_WINDOWS,
     ids=["too-few", "too-many", "empty", "reversed", "before-start", "past-end",
          "float-bound", "triple", "scalar"],
 )
@@ -378,3 +384,188 @@ def test_settled_decode_matches_the_rate_twin(preset, bound, top_bound):
     for level, spiking, row in zip(TWIN_LEVELS, decoded, inputs):
         gap = spiking[2_000:].mean() - rate_twin(ensembles, row, cfg.dt, taus)[2_000:].mean()
         assert abs(gap) <= (top_bound if level == TWIN_LEVELS[-1] else bound), (level, gap)
+
+
+# ------------------------------------------------------------ process split
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+
+
+def force_workers(monkeypatch, cpus, min_work=1):
+    """Make simulate_cascade see `cpus` CPUs and split runs of any size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
+    monkeypatch.setattr(simulator, "FORK_MIN_NEURON_STEPS", min_work)
+
+
+def count_forks(monkeypatch):
+    """Count os.fork calls (made in this process) in the returned list."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_arrays(split, whole):
+    for name in ("decoded", "spikes", "rates"):
+        a, b = getattr(split, name), getattr(whole, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def split_cases(lanes, steps):
+    """(windows, decode) cases: no windows, one shared window, a window per
+    lane, and a run without its output link."""
+    return [(None, True), ([(10, 88)] * lanes, True),
+            ([(3 + b, steps - 2 * b) for b in range(lanes)], True), (None, False)]
+
+
+@needs_fork
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("lanes", [2, 3, 4, 5, 6, 7])
+def test_split_runs_equal_one_process(lanes, stages, monkeypatch):
+    # at tolerance 0: lanes never interact, so every slice, here or in a
+    # child, writes the bits the one-process run does. 97 steps in blocks of
+    # 7 end in a short block
+    ensembles = [build_ensemble(n, 1100.0, s) for s, n in enumerate((40, 30, 25)[:stages])]
+    inputs = lane_signals(lanes, 97)
+    taus = np.random.default_rng(lanes).uniform(0.0005, 0.012, (lanes, stages + 1))
+    forks = count_forks(monkeypatch)
+    for block in (97, 7):
+        monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
+        for windows, decode in split_cases(lanes, 97):
+            force_workers(monkeypatch, 1)
+            whole = simulate_cascade(ensembles, inputs, DT, taus, windows, decode)
+            assert not forks
+            for workers in (2, 3):
+                force_workers(monkeypatch, workers)
+                split = simulate_cascade(ensembles, inputs, DT, taus, windows, decode)
+                assert len(forks) == min(workers, lanes) - 1
+                forks.clear()
+                assert_no_child_left()
+                assert_same_arrays(split, whole)
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["exit", "raise", "kill"])
+def test_a_failed_child_leaves_its_slice_to_this_process(failure, monkeypatch):
+    ensembles = [build_ensemble(40, 1100.0, 1), build_ensemble(30, 1100.0, 2)]
+    inputs = lane_signals(5, 60)
+    taus = np.full((5, 3), 0.003)
+    windows = [(5, 60), (5, 60), (0, 30), (20, 50), (20, 50)]
+    whole = simulate_cascade(ensembles, inputs, DT, taus, windows)
+    parent, ran_here = os.getpid(), []
+    run_slice = simulator._run_slice
+
+    def failing(*args):
+        if os.getpid() != parent:
+            run_slice(*args)  # a child that fails after writing its rows
+            if failure == "exit":
+                os._exit(3)
+            if failure == "raise":
+                raise RuntimeError("a failing child")
+            os.kill(os.getpid(), signal.SIGKILL)
+        ran_here.append(len(args[1]))
+        run_slice(*args)
+
+    monkeypatch.setattr(simulator, "_run_slice", failing)
+    force_workers(monkeypatch, 3)
+    split = simulate_cascade(ensembles, inputs, DT, taus, windows)
+    assert_no_child_left()
+    assert ran_here == [1, 2, 2]  # this process's slice, then each child's again
+    assert_same_arrays(split, whole)
+
+
+@needs_fork
+def test_a_fork_that_fails_leaves_its_slice_to_this_process(monkeypatch):
+    ensembles = [build_ensemble(40, 1100.0, 1)]
+    inputs = lane_signals(4, 60)
+    taus = np.full((4, 2), 0.003)
+    whole = simulate_cascade(ensembles, inputs, DT, taus, [(5, 50)] * 4)
+
+    def no_fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    force_workers(monkeypatch, 2)
+    assert_same_arrays(simulate_cascade(ensembles, inputs, DT, taus, [(5, 50)] * 4), whole)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_interrupted_run_leaves_no_child(error, monkeypatch):
+    # this process's own slice raises while its children still run: each
+    # is killed and reaped before the error propagates
+    parent = os.getpid()
+
+    def slow_children(*args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        raise error("stop")
+
+    monkeypatch.setattr(simulator, "_run_slice", slow_children)
+    force_workers(monkeypatch, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(error):
+        simulate_cascade([build_ensemble(20, 1100.0, 1)], lane_signals(3, 30), DT,
+                         np.full((3, 2), 0.003))
+    assert time.perf_counter() - t0 < 10
+    assert_no_child_left()
+
+
+def test_no_fork_where_none_is_due(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    ensembles = [build_ensemble(40, 1100.0, 1)]
+    inputs = lane_signals(4, 50)
+    taus = np.full((4, 2), 0.003)
+    # one CPU
+    force_workers(monkeypatch, 1)
+    simulate_cascade(ensembles, inputs, DT, taus)
+    # two CPUs, but one worker's share: 4 lanes x 50 steps x 40 neurons
+    force_workers(monkeypatch, 2, min_work=4 * 50 * 40 // 2 + 1)
+    simulate_cascade(ensembles, inputs, DT, taus)
+    # no affinity to read (outside Linux)
+    monkeypatch.setattr(simulator, "FORK_MIN_NEURON_STEPS", 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    simulate_cascade(ensembles, inputs, DT, taus)
+
+
+def test_slices_follow_cpus_lanes_and_work(monkeypatch):
+    force_workers(monkeypatch, 2, min_work=simulator.FORK_MIN_NEURON_STEPS)
+    # the measured table: 81 layers x 10 steps of a 500-neuron population
+    assert simulator._lane_slices(2, 810 * 500) == [(0, 2)]
+    assert simulator._lane_slices(4, 810 * 500) == [(0, 4)]
+    assert simulator._lane_slices(5, 810 * 500) == [(0, 2), (2, 5)]
+    assert simulator._lane_slices(16, 810 * 500) == [(0, 8), (8, 16)]
+    assert simulator._lane_slices(2, 30_000 * 500) == [(0, 1), (1, 2)]
+    force_workers(monkeypatch, 8, min_work=1)
+    assert simulator._lane_slices(3, 10) == [(0, 1), (1, 2), (2, 3)]
+    assert simulator._lane_slices(20, 10) == [(0, 2), (2, 5), (5, 7), (7, 10), (10, 12),
+                                              (12, 15), (15, 17), (17, 20)]
+    assert simulator._lane_slices(0, 10) == [(0, 0)]
+
+
+def test_checks_run_before_any_fork(ens, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before the checks")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    force_workers(monkeypatch, 2)
+    for windows in BAD_WINDOWS:
+        with pytest.raises(ConfigError):
+            simulate_cascade([ens], np.zeros((2, 10)), DT, [[0.003, 0.003]] * 2, windows)
+    with pytest.raises(ConfigError, match="decode=True"):
+        simulate_cascade([ens], np.zeros((2, 10)), DT, [[0.003, 0.003]] * 2, [(0, 10)] * 2,
+                         decode=False)
