@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -106,7 +106,10 @@ def _csv_lines(meta: dict, columns: list[str], lines) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    # mode 0o666 less the umask, as open(path, "w") gives (mkstemp's is 0o600);
+    # O_EXCL and the random name keep each writer to a temp file of its own
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -480,7 +483,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # the process is about to exit: spare finalization's full collections the
+    # ~23k objects numpy and the package leave behind (about 20 ms a run)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

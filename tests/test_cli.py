@@ -1,5 +1,9 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -292,6 +296,75 @@ def test_exit_codes(workdir, capsys):
         "--outdir", str(workdir / "x"),
     ])
     assert code == 2
+
+
+def _fresh_cli(*argv):
+    """`python -m snndetect.cli ARGV` in a fresh interpreter on this package."""
+    import snndetect
+
+    src = os.path.dirname(os.path.dirname(snndetect.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "snndetect.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_matches_main(workdir, capsys):
+    # run() ends the process after main() returns: the exit code, every
+    # output line and the artifacts are those of the same main() call in-process
+    data = workdir / "data"
+    pair = ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv")]
+    good = ["detect", *pair, "--truth", str(data / "truth.json"),
+            "--config", str(workdir / "config.json")]
+    cases = [
+        (good, 0),
+        (["detect", "--unknown-flag"], 1),
+        (["detect", "--defective", str(workdir / "missing.csv"), pair[2], pair[3]], 2),
+    ]
+    for argv, code in cases:
+        proc = _fresh_cli(*argv, "--outdir", str(workdir / "fresh"))
+        assert main([*argv, "--outdir", str(workdir / "inproc")]) == code
+        captured = capsys.readouterr()
+        assert proc.returncode == code, proc.stderr
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        assert proc.stdout.endswith("\n") if code == 0 else proc.stderr.endswith("\n")
+    names = sorted(p.name for p in (workdir / "fresh").iterdir())
+    assert names == ["deviations.csv", "report.json"]
+    for name in names:
+        assert sha(workdir / "fresh" / name) == sha(workdir / "inproc" / name)
+
+
+def test_only_run_freezes_the_heap(workdir, monkeypatch):
+    frozen = gc.get_freeze_count()
+    data = workdir / "data"
+    assert main(["detect", "--defective", str(data / "defective.csv"),
+                 "--healthy", str(data / "healthy.csv"), "--config", str(workdir / "config.json"),
+                 "--outdir", str(workdir / "out")]) == 0
+    assert gc.get_freeze_count() == frozen
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 2
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_take_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["gen-data", "--outdir", str(tmp_path), "--window", "600:610",
+                     "--defect-start", "605", "--defect-layers", "1"]) == 0
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(tmp_path / "bad.txt", "\udcff")
+    finally:
+        os.umask(old)
+    # the failed write left no temp file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "defective.csv", "healthy.csv", "truth.json"]
+    for p in tmp_path.iterdir():
+        assert p.stat().st_mode & 0o777 == mode
 
 
 def test_unknown_preset_is_config_error(workdir):
