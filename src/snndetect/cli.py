@@ -105,6 +105,15 @@ def _csv_lines(meta: dict, columns: list[str], lines) -> str:
     return "\n".join([*header, *lines]) + "\n"
 
 
+def _check_cell(what: str, name: str, row_start: bool = False) -> None:
+    """Raise DataError unless `name` fits in one CSV cell, as the first of
+    its row when `row_start`: CSV readers skip a line that starts with #."""
+    if any(c in name for c in ",\r\n"):
+        raise DataError(f"{what} {name!r} holds a comma or a line break, which would break its CSV row")
+    if row_start and name.startswith("#"):
+        raise DataError(f"{what} {name!r} starts with #, which would make its CSV row a comment")
+
+
 def _atomic_write(path: Path, text: str) -> None:
     # mode 0o666 less the umask, as open(path, "w") gives (mkstemp's is 0o600);
     # O_EXCL and the random name keep each writer to a temp file of its own
@@ -320,17 +329,11 @@ def _cmd_classify(args) -> int:
     manifest = _read_json(path, "manifest")
     try:
         entries = manifest["samples"]
-        window = tuple(manifest["window"]) if "window" in manifest else None
     except (KeyError, TypeError) as err:
         raise DataError(f"{path}: expected a 'samples' list: {err}") from err
     if not isinstance(entries, list):
         raise DataError(f"{path}: 'samples' must be a list, got {entries!r}")
     check_training(args.epochs, args.lr, len(entries))
-    if window is not None:
-        if len(window) != 2:
-            raise DataError(f"{path}: 'window' must be two layers, got {list(window)}")
-        for bound in window:
-            check_int("manifest window bound", bound)
 
     series, labels, ids = [], [], []
     for i, entry in enumerate(entries):
@@ -340,10 +343,13 @@ def _cmd_classify(args) -> int:
             ids.append(str(entry.get("sample_id", f"sample{i}")))
         except (KeyError, TypeError) as err:
             raise DataError(f"{path}: bad sample entry {i}: {err}") from err
+        _check_cell(f"sample_id of sample entry {i}", ids[-1], row_start=True)
         check_int(f"label of sample entry {i}", label, 0)
         labels.append(label)
         series.append(load_layer_series(sample_path))
-    features = encode_sample(series, cfg, window)
+    # run_filter checks the window, before it builds a population; null, as
+    # no window, averages each sample over its own layers
+    features = encode_sample(series, cfg, manifest.get("window"))
 
     model = train_classifier(features, labels, epochs=args.epochs, lr=args.lr)
     # the losses are Python floats, so each row is the str and repr that
@@ -372,6 +378,8 @@ def _cmd_energy(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
     profiles = profiles_from_dict(_read_json(args.profiles, "profiles")) if args.profiles else None
+    for name in profiles or ():
+        _check_cell("profile name", name)
     lo, hi = args.window
     samples = [
         gen_defective(

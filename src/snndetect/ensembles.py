@@ -98,20 +98,12 @@ def _rates(gain_enc: np.ndarray, biases: np.ndarray, x_norm: np.ndarray) -> np.n
     return table
 
 
-def solve_decoders(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Ridge-regularized least-squares weights that decode xs from the
-    activities `a` (points x neurons) measured at xs.
-
-    The weights minimize ||A d - x||^2 + n_eval * sigma^2 * ||d||^2 over
-    the n_eval points, with sigma = DECODE_REG * max(A), so DECODE_REG is
-    a dimensionless noise fraction.
-    """
-    return _solve(*_normal_equations(a.T, xs))
-
-
 def _normal_equations(table: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
     """The ridge Gram, the right-hand side, the peak activity and the number
-    of points, from the rate table (neurons x points) measured at xs.
+    of points, from the rate table (neurons x points) measured at xs. The
+    decoders d they give minimize ||A d - x||^2 + n_eval * sigma^2 * ||d||^2
+    over the n_eval points, with sigma = DECODE_REG * max(A), so DECODE_REG
+    is a dimensionless noise fraction.
 
     Both products run over the whole table, through its transposed view
     `a` (points x neurons): their bits depend on the BLAS call, so they are

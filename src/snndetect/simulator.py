@@ -181,7 +181,8 @@ def simulate_cascade(
     a (lanes, neurons) sum in step order, and the sum is divided by the
     window's length once at the end: the same doubles as averaging the
     recorded rows with mean(axis=0), without a buffer as long as the run.
-    Neighbouring lanes that share a window are summed by one add per step.
+    Neighbouring lanes of one lane slice (see below) that share a window
+    are summed by one add per step.
 
     With `decode=False` the last stage's output link is not computed: its
     output is not decoded (nor, in a one-stage run, filtered), and the
@@ -194,8 +195,9 @@ def simulate_cascade(
     slices (`_lane_slices`): one per CPU this process may run on, as long
     as each gets FORK_MIN_NEURON_STEPS of work. The first slice runs here
     and every other one in a forked child (`_run_split`); each writes its
-    rows of the result arrays, which then view one shared anonymous
-    mapping. Lanes never interact, so the bits do not depend on the split.
+    rows of the result arrays. Every run, split or not, allocates them in
+    shared anonymous mappings (`_result_arrays`), so one path serves both.
+    Lanes never interact, so the bits do not depend on the split.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
@@ -223,33 +225,33 @@ def simulate_cascade(
 
     sizes = [e.n_neurons for e in ensembles]
     n_total = sum(sizes)
-    groups = None if windows is None else _window_groups(windows, lanes, n_steps)
-    if groups is not None and not decode:
-        raise ConfigError("step windows average the last stage's filtered rates, so they need decode=True")
+    if windows is not None:
+        windows = _check_windows(windows, lanes, n_steps)
+        if not decode:
+            raise ConfigError("step windows average the last stage's filtered rates, "
+                              "so they need decode=True")
 
     # every check has run: the lanes are split into slices, and each slice
-    # writes its rows of the result arrays, shared ones when a slice runs in
-    # another process
-    slices = _lane_slices(lanes, n_steps * n_total)
-    decoded, spikes, rates = _result_arrays(
-        lanes, n_steps, n_total, None if groups is None else sizes[-1], shared=len(slices) > 1
-    )
+    # writes its rows of the shared result arrays, here or in another process
+    decoded, spikes, rates = _result_arrays(lanes, n_steps, n_total,
+                                            None if windows is None else sizes[-1])
 
     def run_slice(lo: int, hi: int) -> None:
-        _run_slice(ensembles, inputs[lo:hi], dt, taus[lo:hi], _slice_groups(groups, lo, hi),
-                   decode, decoded[lo:hi], spikes[:, lo:hi],
-                   None if rates is None else rates[lo:hi])
+        _run_slice(ensembles, inputs[lo:hi], dt, taus[lo:hi],
+                   None if windows is None else windows[lo:hi], decode, decoded[lo:hi],
+                   spikes[:, lo:hi], None if rates is None else rates[lo:hi])
 
-    _run_split(slices, run_slice)
+    _run_split(_lane_slices(lanes, n_steps * n_total), run_slice)
     return SimResult(decoded=decoded if decode else None, spikes=spikes, n_neurons=n_total, dt=dt,
                      rates=rates)
 
 
-def _run_slice(ensembles, inputs, dt, taus, groups, decode, decoded, spikes, rates) -> None:
+def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, rates) -> None:
     """The step loop over one slice of lanes, writing its rows of the result
     arrays in place: `decoded` (lanes, steps), `spikes` (steps, lanes,
-    bytes) and, with window `groups`, `rates` (lanes, neurons). Every row it
-    writes is overwritten or zeroed first, so a slice can run again."""
+    bytes) and, with one step window per lane, `rates` (lanes, neurons).
+    Every row it writes is overwritten or zeroed first, so a slice can run
+    again."""
     n_stages = len(ensembles)
     lanes, n_steps = inputs.shape
     sizes = [e.n_neurons for e in ensembles]
@@ -279,6 +281,14 @@ def _run_slice(ensembles, inputs, dt, taus, groups, decode, decoded, spikes, rat
     # in plain floats before the loop, as stage 0's input in `decoded`
     for b in range(lanes):
         decoded[b] = lowpass_series(inputs[b], taus[b, 0], dt)
+    # neighbouring lanes that share a window, (lane slice, start, stop), are
+    # summed by one add per step
+    groups = []
+    for b, window in enumerate(windows or ()):
+        if groups and groups[-1][1:] == window:
+            groups[-1] = (slice(groups[-1][0].start, b + 1), *window)
+        else:
+            groups.append((slice(b, b + 1), *window))
     if rates is not None:
         rates[...] = 0.0
     # in iteration i stage s runs time block i - s. One float64 buffer holds
@@ -344,7 +354,7 @@ def _run_slice(ensembles, inputs, dt, taus, groups, decode, decoded, spikes, rat
         if not n:
             continue
         last = rows[:n, :, cols[-1]]
-        for cut, start, stop in groups or ():
+        for cut, start, stop in groups:
             acc = rates[cut]
             for row in last[max(start - k0, 0) : max(stop - k0, 0), cut]:
                 acc += row
@@ -356,7 +366,7 @@ def _run_slice(ensembles, inputs, dt, taus, groups, decode, decoded, spikes, rat
             )
         spikes[k0 : k0 + n] = np.packbits(spiked, axis=-1)
 
-    for cut, start, stop in groups or ():
+    for cut, start, stop in groups:
         rates[cut] /= stop - start
 
 
@@ -382,10 +392,10 @@ def _lane_slices(lanes: int, lane_work: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _result_arrays(lanes: int, n_steps: int, n_total: int, n_rates: int | None, shared: bool):
+def _result_arrays(lanes: int, n_steps: int, n_total: int, n_rates: int | None):
     """A run's `decoded` (lanes, steps), `spikes` (steps, lanes, bytes) and
-    `rates` (lanes, n_rates) or None. When `shared`, all three view one
-    anonymous shared mapping, which a forked child writes into as well.
+    `rates` (lanes, n_rates) or None, each viewing an anonymous shared
+    mapping of its own, which a forked child writes into as well.
 
     Every array keeps its lanes apart: `spikes` is a (steps, lanes, bytes)
     view of lane-major bits, so each lane slice's rows are contiguous and
@@ -393,27 +403,16 @@ def _result_arrays(lanes: int, n_steps: int, n_total: int, n_rates: int | None, 
     every page of a split run's spikes went into both processes: over the
     `research-batch` op cycle run in one process, the peak resident size
     rose 0.86 MB above a run that never forks, and 0.43 MB lane-major."""
-    # the uint8 array last keeps the float64 ones aligned in the mapping
-    layout = [((lanes, n_steps), np.float64), ((lanes, n_rates or 0), np.float64),
-              ((lanes, n_steps, (n_total + 7) // 8), np.uint8)]
-    if shared:
-        nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
-        buf = mmap.mmap(-1, sum(nbytes))
-        offsets = accumulate(nbytes, initial=0)
-        decoded, rates, spikes = [np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
-                                  for (shape, dtype), offset in zip(layout, offsets)]
-    else:
-        decoded, rates, spikes = [np.empty(shape, dtype) for shape, dtype in layout]
-    return decoded, spikes.transpose(1, 0, 2), None if n_rates is None else rates
 
+    def shared(shape, dtype):
+        count = math.prod(shape)
+        # mmap rejects a length of 0, as a run of no steps would ask for
+        buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+        return np.frombuffer(buf, dtype, count).reshape(shape)
 
-def _slice_groups(groups, lo: int, hi: int):
-    """The window groups (see _window_groups) of lanes [lo, hi), with each
-    lane slice counted from `lo`."""
-    if groups is None:
-        return None
-    return [(slice(max(cut.start, lo) - lo, min(cut.stop, hi) - lo), start, stop)
-            for cut, start, stop in groups if cut.start < hi and cut.stop > lo]
+    decoded = shared((lanes, n_steps), np.float64)
+    spikes = shared((lanes, n_steps, (n_total + 7) // 8), np.uint8).transpose(1, 0, 2)
+    return decoded, spikes, None if n_rates is None else shared((lanes, n_rates), np.float64)
 
 
 def _run_split(slices: Sequence[tuple[int, int]], run) -> None:
@@ -465,28 +464,22 @@ def _run_split(slices: Sequence[tuple[int, int]], run) -> None:
                 pass
 
 
-def _window_groups(windows, lanes: int, n_steps: int) -> list[tuple[slice, int, int]]:
-    """Check one non-empty step window per lane within [0, n_steps), and
-    group neighbouring lanes that share a window: (lane slice, start, stop)."""
+def _check_windows(windows, lanes: int, n_steps: int) -> list[tuple[int, int]]:
+    """One non-empty step window (start, stop) per lane within [0, n_steps),
+    checked."""
     try:
         windows = [tuple(w) for w in windows]
     except TypeError as err:
         raise ConfigError(f"step windows must be (start, stop) pairs: {err}") from err
     if len(windows) != lanes:
         raise ConfigError(f"need one step window per lane, got {len(windows)} for {lanes} lanes")
-    groups = []
     for b, w in enumerate(windows):
         if len(w) != 2:
             raise ConfigError(f"a step window is (start, stop), got {w} for lane {b}")
         for k in w:
             check_int(f"step window bound of lane {b}", k)
-        start, stop = int(w[0]), int(w[1])
-        if not 0 <= start < stop <= n_steps:
+        if not 0 <= w[0] < w[1] <= n_steps:
             raise ConfigError(
-                f"step window [{start}, {stop}) of lane {b} is empty or outside [0, {n_steps})"
+                f"step window [{w[0]}, {w[1]}) of lane {b} is empty or outside [0, {n_steps})"
             )
-        if groups and groups[-1][1:] == (start, stop):
-            groups[-1] = (slice(groups[-1][0].start, b + 1), start, stop)
-        else:
-            groups.append((slice(b, b + 1), start, stop))
-    return groups
+    return [(int(start), int(stop)) for start, stop in windows]

@@ -657,6 +657,98 @@ def test_manifest_rejected_by_type(workdir, capsys, label, window):
     assert not (workdir / "typed-cls" / "loss.csv").exists()
 
 
+@pytest.mark.parametrize("window, message", [
+    (5, "layer windows must be (first, last) pairs: 'int' object is not iterable"),
+    (True, "layer windows must be (first, last) pairs: 'bool' object is not iterable"),
+    ([620, 624, 628], "a layer window is (first, last), got (620, 624, 628)"),
+    ({}, "a layer window is (first, last), got ()"),
+    ("ab", "layer window bound must be an integer, got 'a'"),
+    ([620, 2**53], "layer window bound must lie within"),
+], ids=["int", "bool", "triple", "object", "string", "huge-bound"])
+def test_manifest_window_is_checked_by_run_filter(workdir, capsys, monkeypatch, window, message):
+    # classify hands the manifest's window to run_filter as it is, which
+    # rejects it before a population is built; a scalar window used to be
+    # reported as a missing 'samples' list
+    def unreachable(cfg):
+        raise AssertionError("a population was built for a bad window")
+
+    monkeypatch.setattr(pipeline, "build_filter_ensembles", unreachable)
+    manifest = workdir / "window-manifest.json"
+    manifest.write_text(json.dumps({"window": window, "samples": [
+        {"path": "data/healthy.csv", "label": 0},
+        {"path": "data/defective.csv", "label": 1},
+    ]}))
+    out = workdir / "bad-window"
+    code = main(["classify", "--manifest", str(manifest), "--config", str(workdir / "config.json"),
+                 "--epochs", "5", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not any(out.iterdir())
+
+
+def test_null_manifest_window_is_no_window(workdir):
+    # null averages each sample over its own layers, as a manifest without
+    # a window does
+    outputs = []
+    for name, extra in (("null", {"window": None}), ("absent", {})):
+        manifest = workdir / f"{name}-manifest.json"
+        manifest.write_text(json.dumps({**extra, "samples": [
+            {"path": "data/healthy.csv", "label": 0},
+            {"path": "data/defective.csv", "label": 1},
+        ]}))
+        out = workdir / f"{name}-window"
+        assert main(["classify", "--manifest", str(manifest), "--config",
+                     str(workdir / "config.json"), "--epochs", "5", "--outdir", str(out)]) == 0
+        outputs.append([sha(out / "loss.csv"), sha(out / "predictions.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("sample_id", ["a,b", "a\rb", "a\nb", "#a"],
+                         ids=["comma", "cr", "lf", "hash"])
+def test_sample_id_that_breaks_a_csv_row_exits_2_before_the_filter(workdir, capsys, monkeypatch,
+                                                                  sample_id):
+    # "a,b" used to write the row a,b,0,0 under a 3-column header and exit 0;
+    # a row that starts with # is a comment to the CSV readers here
+    def no_run(*args, **kwargs):
+        raise AssertionError("the filter ran before the sample ids were checked")
+
+    monkeypatch.setattr(classifier, "run_filter", no_run)
+    manifest = workdir / "id-manifest.json"
+    manifest.write_text(json.dumps({"samples": [
+        {"path": "data/healthy.csv", "label": 0, "sample_id": "h"},
+        {"path": "data/defective.csv", "label": 1, "sample_id": sample_id},
+    ]}))
+    out = workdir / "bad-id"
+    code = main(["classify", "--manifest", str(manifest), "--config", str(workdir / "config.json"),
+                 "--epochs", "5", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: sample_id of sample entry 1 {sample_id!r} ")
+    assert len(err.splitlines()) == 1
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["a,b", "x\ry", "x\ny"], ids=["comma", "cr", "lf"])
+def test_profile_name_that_breaks_the_csv_header_exits_2_before_the_filter(
+        workdir, capsys, monkeypatch, name):
+    # {"a,b": ...} used to write the header sample,a,b and exit 0
+    def no_run(*args, **kwargs):
+        raise AssertionError("the filter ran before the profile names were checked")
+
+    monkeypatch.setattr(cli, "run_filter", no_run)
+    profiles = workdir / "named-profiles.json"
+    profiles.write_text(json.dumps({"CPU": {"e_synop": 1e-9}, name: {"e_synop": 1e-9}}))
+    out = workdir / "bad-profile"
+    code = main(["energy", "--profiles", str(profiles), "--config", str(workdir / "config.json"),
+                 *ENERGY_ARGS, "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: profile name {name!r} holds a comma or a line break")
+    assert len(err.splitlines()) == 1
+    assert not any(out.iterdir())
+
+
 def test_sweep_with_every_point_failing_names_the_reason(workdir, capsys):
     data = workdir / "data"
     code = main([

@@ -14,8 +14,11 @@ not a finite number >= 0 exits 2, and an integer beyond the float range
 is not one, nor is a document that does not parse; a
 valid one may also draw huge finite constants, and then it either exits 0
 with every energy finite or exits 2 because an energy overflows, without
-writing energy.csv. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps
-per layer), so each example runs in milliseconds.
+writing energy.csv. Manifest sample ids and profile names are drawn from
+text of commas, CRs, LFs and a leading `#`: a run either exits 2 and
+writes no artifact, or writes CSVs whose every data row has as many cells
+as the header. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps per
+layer), so each example runs in milliseconds.
 """
 
 import copy
@@ -54,6 +57,7 @@ BAD_CELL = st.one_of(
     st.floats().map(repr), st.integers(-2**70, 2**70).map(str),
 )
 FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
+NAME = st.text(alphabet="ab#,\r\n", max_size=4)  # a sample id or a profile name
 
 
 def _paths(doc, prefix=()):
@@ -227,6 +231,66 @@ def test_profiles_documents(fx, text):
     else:
         assert not energy_csv.exists(), text
         assert max_constant(text) >= SAFE_CONSTANT, text
+
+
+def csv_rows(out):
+    """Every CSV artifact in `out`, as the CSV readers here take it: lines
+    end at CR, LF or CRLF, `#` lines are skipped, cells split at commas."""
+    rows = {}
+    for path in out.glob("*.csv"):
+        with open(path) as fh:  # universal newlines
+            rows[path.name] = [line.rstrip("\n").split(",") for line in fh
+                               if not line.startswith("#")]
+    return rows
+
+
+def run_named(fx, name, doc, rows, *argv):
+    """Run a command over a document holding drawn names; on exit 0 every
+    CSV artifact has `rows[file]` data rows, each as wide as its header,
+    and on exit 2 nothing is written."""
+    out = fx / "out"
+    for path in out.glob("*"):
+        path.unlink()
+    code = run_cli(fx, name, json.dumps(doc), *argv)
+    if code:
+        assert not any(out.iterdir()), doc
+        return code
+    written = csv_rows(out)
+    assert set(written) == set(rows), doc
+    for file, (header, *data) in written.items():
+        assert len(data) == rows[file] and all(len(r) == len(header) for r in data), (file, doc)
+    return code
+
+
+def breaks_csv(name, row_start):
+    return any(c in name for c in ",\r\n") or (row_start and name.startswith("#"))
+
+
+@FUZZ
+@given(ids=st.lists(NAME, min_size=2, max_size=2))
+@example(ids=["a,b", "d"])
+@example(ids=["h", "#d"])
+@example(ids=["h\r", "d"])
+def test_manifest_sample_ids(fx, ids):
+    doc = copy.deepcopy(MANIFEST)
+    for sample, sample_id in zip(doc["samples"], ids):
+        sample["sample_id"] = sample_id
+    code = run_named(fx, "named-manifest.json", doc, {"loss.csv": 5, "predictions.csv": 2},
+                     "classify", "--manifest", str(fx / "named-manifest.json"),
+                     "--config", str(fx / "config.json"), "--epochs", "5")
+    assert code == (2 if any(breaks_csv(i, True) for i in ids) else 0), ids
+
+
+@FUZZ
+@given(names=st.lists(NAME, min_size=1, max_size=3, unique=True))
+@example(names=["a,b", "x\ny"])
+@example(names=["#a"])
+def test_profile_names(fx, names):
+    doc = {name: PROFILES["Loihi"] for name in names}
+    code = run_named(fx, "named-profiles.json", doc, {"energy.csv": 6}, "energy", "--profiles",
+                     str(fx / "named-profiles.json"), "--config", str(fx / "config.json"),
+                     "--window", "600:619", "--defect-start", "612")
+    assert code == (2 if any(breaks_csv(n, False) for n in names) else 0), names
 
 
 @FUZZ

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from oracles import reference_decoders, tuning_curves
 
-from snndetect.ensembles import DECODE_POINTS, TABLE_CHUNK_BYTES, build_ensemble, solve_decoders
+from snndetect.ensembles import (
+    DECODE_POINTS, TABLE_CHUNK_BYTES, _normal_equations, _solve, build_ensemble,
+)
 from snndetect.errors import ConfigError, NumericError
 from snndetect.neurons import lif_rate, lif_step_arrays
 from snndetect.pipeline import FilterConfig
@@ -155,7 +157,7 @@ def test_non_finite_inputs_rejected(ens):
 def test_silent_population_fails_the_solve():
     # no activity anywhere leaves the ridge term at zero and the system singular
     with pytest.raises(NumericError, match=r"3 neurons, 10 points \(peak activity 0 Hz\)"):
-        solve_decoders(np.zeros((10, 3)), np.linspace(-1.0, 1.0, 10))
+        _solve(*_normal_equations(np.zeros((3, 10)), np.linspace(-1.0, 1.0, 10)))
 
 
 CHUNK_ROWS = TABLE_CHUNK_BYTES // (8 * DECODE_POINTS)

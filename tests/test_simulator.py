@@ -424,9 +424,14 @@ def assert_same_arrays(split, whole):
 
 def split_cases(lanes, steps):
     """(windows, decode) cases: no windows, one shared window, a window per
-    lane, and a run without its output link."""
+    lane, a window per pair of neighbouring lanes, and a run without its
+    output link. In the pairs case a group of lanes that share a window
+    crosses a slice cut at 2 workers (2, 3, 6 and 7 lanes) and at 3 (3, 4
+    and 5 lanes), and groups start inside a slice, so each slice must group
+    its own lanes."""
     return [(None, True), ([(10, 88)] * lanes, True),
-            ([(3 + b, steps - 2 * b) for b in range(lanes)], True), (None, False)]
+            ([(3 + b, steps - 2 * b) for b in range(lanes)], True),
+            ([(3 + b // 2, steps - 2 * (b // 2)) for b in range(lanes)], True), (None, False)]
 
 
 @needs_fork
