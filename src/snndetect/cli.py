@@ -24,6 +24,8 @@ from .baselines import BaselineFilterSpec, default_specs
 from .classifier import check_training, encode_sample, predict, train_classifier
 from .datagen import NOISE_STD, DefectSpec, GenParams, gen_defective, gen_healthy
 from .energy import (
+    ENERGY_REFERENCE_SAMPLE,
+    ENERGY_SAMPLES,
     HARDWARE_ORDER,
     count_ops,
     estimate_energy,
@@ -44,19 +46,6 @@ from .pipeline import (
 from .presets import get_preset
 
 OUTDIR_ENV = "SNNDETECT_OUTDIR"
-
-# samples mirroring the three build batches (33/66/100 % reduction) with
-# short and long defect extents; the 66%/7-layer sample is the energy
-# calibration reference
-ENERGY_SAMPLES = (
-    ("S1V3", 33.0, 3),
-    ("S1V7", 33.0, 7),
-    ("S2V3", 66.0, 3),
-    ("S2V7", 66.0, 7),
-    ("S3V3", 100.0, 3),
-    ("S3V7", 100.0, 7),
-)
-ENERGY_REFERENCE_SAMPLE = "S2V7"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,9 +96,12 @@ def _csv_lines(meta: dict, columns: list[str], lines) -> str:
 
 def _check_cell(what: str, name: str, row_start: bool = False) -> None:
     """Raise DataError unless `name` fits in one CSV cell, as the first of
-    its row when `row_start`: CSV readers skip a line that starts with #."""
+    its row when `row_start`: CSV readers read a cell that starts with a
+    double quote up to the next one, and skip a line that starts with #."""
     if any(c in name for c in ",\r\n"):
         raise DataError(f"{what} {name!r} holds a comma or a line break, which would break its CSV row")
+    if name.startswith('"'):
+        raise DataError(f"{what} {name!r} starts with a double quote, which would open a quoted CSV cell")
     if row_start and name.startswith("#"):
         raise DataError(f"{what} {name!r} starts with #, which would make its CSV row a comment")
 
@@ -305,20 +297,16 @@ def _cmd_compare(args) -> int:
 def _cmd_raster(args) -> int:
     out = _outdir(args)
     cfg, meta, _ = _resolve_config(args)
-    series = load_layer_series(args.input)
-    _, sim = run_filter(series, cfg, decode=False)
-    # one row per spike, ordered by step, then neuron id, read straight from
-    # the packed bits. The cells are what _fmt writes: str of the neuron id
-    # and repr of the step's time k * dt, each made once per id and per step
-    steps, lanes, _ = sim.spikes.shape
-    n_ids = lanes * sim.n_neurons
-    bits = np.unpackbits(sim.spikes, axis=-1, count=sim.n_neurons).reshape(steps, n_ids)
-    k, ids = np.nonzero(bits)
-    names = list(map(str, range(n_ids)))
-    times = ["," + repr(t) for t in (np.arange(steps) * sim.dt).tolist()]
+    _, sim = run_filter(load_layer_series(args.input), cfg, decode=False)
+    # one row per spike, in spike_events' order. The cells are what _fmt
+    # writes: str of the neuron id and repr of the step's time k * dt, each
+    # made once per id and per step
+    k, ids = sim.spike_events()
+    names = list(map(str, range(sim.n_neurons)))
+    times = ["," + repr(t) for t in (np.arange(sim.n_steps) * sim.dt).tolist()]
     rows = [names[i] + times[t] for t, i in zip(k.tolist(), ids.tolist())]
     _atomic_write(out / "raster.csv", _csv_lines(meta, ["neuron", "time"], rows))
-    print(f"{k.size} spikes from {n_ids} neurons over {steps * sim.dt:.3g} s")
+    print(f"{k.size} spikes from {sim.n_neurons} neurons over {sim.n_steps * sim.dt:.3g} s")
     return 0
 
 
@@ -390,7 +378,7 @@ def _cmd_energy(args) -> int:
         for i, (_, reduction, n_layers) in enumerate(ENERGY_SAMPLES)
     ]
     counts = {
-        sample_id: count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=len(sim.spikes))
+        sample_id: count_ops(sim.spike_counts(), cfg.stage_sizes(), steps=sim.n_steps)
         for (sample_id, _, _), sim in zip(ENERGY_SAMPLES, run_filter(samples, cfg, decode=False)[1])
     }
 

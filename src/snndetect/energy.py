@@ -29,6 +29,19 @@ REFERENCE_ENERGY_UJ = {
 }
 HARDWARE_ORDER = tuple(REFERENCE_ENERGY_UJ)
 
+# the energy table's samples, (sample id, power reduction in percent, defect
+# layers): the three build batches (33/66/100 % reduction) with short and
+# long defect extents. The 66%/7-layer one is the reference run above
+ENERGY_SAMPLES = (
+    ("S1V3", 33.0, 3),
+    ("S1V7", 33.0, 7),
+    ("S2V3", 66.0, 3),
+    ("S2V7", 66.0, 7),
+    ("S3V3", 100.0, 3),
+    ("S3V7", 100.0, 7),
+)
+ENERGY_REFERENCE_SAMPLE = "S2V7"
+
 # priced per synaptic op; every other reference hardware is priced per inference
 SYNOP_DOMINATED = ("Loihi", "SpiNNaker2")
 

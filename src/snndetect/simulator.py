@@ -25,8 +25,8 @@ and its own row of synaptic time constants, so a whole tau sweep is one
 step loop. Lanes never interact; each lane of a batched run is
 bit-for-bit the run of that lane alone, and a large run splits its lanes
 over forked processes that write into shared result arrays. Spikes are
-kept as packed bits; per-neuron totals are counted straight from them,
-and (neuron, time) events are built only when a raster is read.
+kept as packed bits, which only `SimResult` unpacks: per-neuron totals
+and (step, neuron) events are read from them when asked for.
 """
 
 from __future__ import annotations
@@ -105,33 +105,39 @@ class SimResult:
             rates=None if self.rates is None else self.rates[b],
         )
 
+    @property
+    def n_steps(self) -> int:
+        """Steps the run took."""
+        return len(self.spikes)
+
+    def _bits(self) -> np.ndarray:
+        """The spike bits unpacked, (steps, lanes * n_neurons), one column
+        per neuron id (see `spike_events`)."""
+        steps, lanes, _ = self.spikes.shape
+        bits = np.unpackbits(self.spikes, axis=-1, count=self.n_neurons)
+        return bits.reshape(steps, lanes * self.n_neurons)
+
     def spike_counts(self) -> np.ndarray:
         """Total spikes per neuron, in the raster's id order.
 
         Counted from the packed bits without building events: equal to
         np.bincount(raster.neuron_ids, minlength=raster.n_neurons).
         """
-        lanes = self.spikes.shape[1]
-        bits = np.unpackbits(self.spikes, axis=-1, count=self.n_neurons)
-        return bits.sum(axis=0, dtype=np.int64).reshape(lanes * self.n_neurons)
+        return self._bits().sum(axis=0, dtype=np.int64)
+
+    def spike_events(self) -> tuple[np.ndarray, np.ndarray]:
+        """The step and the neuron id of every spike, as two arrays ordered
+        by step, then id. In a lane-batched run the lanes sit side by side:
+        neuron i of lane b has id b * n_neurons + i."""
+        return np.nonzero(self._bits())
 
     @cached_property
     def raster(self) -> SpikeRaster:
-        """Spike events, built from the packed bits on first read.
-
-        Events are ordered by step, then neuron id. In a lane-batched run
-        the lanes sit side by side: neuron i of lane b has id
-        b * n_neurons + i.
-        """
-        steps, lanes, _ = self.spikes.shape
-        bits = np.unpackbits(self.spikes, axis=-1, count=self.n_neurons)
-        k, ids = np.nonzero(bits.reshape(steps, lanes * self.n_neurons))
-        return SpikeRaster(
-            neuron_ids=ids.astype(np.int64),
-            times=k * self.dt,
-            n_neurons=lanes * self.n_neurons,
-            duration=steps * self.dt,
-        )
+        """Spike events, built from `spike_events` on first read."""
+        k, ids = self.spike_events()
+        return SpikeRaster(neuron_ids=ids.astype(np.int64), times=k * self.dt,
+                           n_neurons=self.spikes.shape[1] * self.n_neurons,
+                           duration=self.n_steps * self.dt)
 
 
 def simulate_cascade(

@@ -10,6 +10,7 @@ import pytest
 
 from snndetect import __version__, baselines, classifier, cli, evaluation, pipeline
 from snndetect.cli import build_parser, main
+from snndetect.datagen import GenParams, gen_healthy
 
 FAST_CONFIG = {
     "neurons": 200,
@@ -52,6 +53,33 @@ def test_gen_data_outputs(workdir):
     header = (data / "defective.csv").read_text().splitlines()[0]
     assert header.startswith("#") and "seed=42" in header and "version=" in header
 
+
+
+def test_gen_data_baseline_seed(tmp_path):
+    # the healthy reference is the series of its own seed, and both files
+    # say so; the defective build keeps --seed
+    out = tmp_path / "seeded"
+    assert main(["gen-data", "--outdir", str(out), "--seed", "42", "--baseline-seed", "99"]) == 0
+    assert "seed=99" in (out / "healthy.csv").read_text().splitlines()[0].split()
+    assert "seed=42" in (out / "defective.csv").read_text().splitlines()[0].split()
+    truth = json.loads((out / "truth.json").read_text())
+    assert truth["baseline_seed"] == 99 and truth["seed"] == 42
+    healthy = pipeline.load_layer_series(out / "healthy.csv")
+    expected = gen_healthy(GenParams(seed=99))
+    np.testing.assert_array_equal(healthy.layers, expected.layers)
+    np.testing.assert_array_equal(healthy.values, expected.values)
+
+
+def test_gen_data_junction_period(tmp_path):
+    # without noise, a layer rises above the baseline only at a junction,
+    # and the default defect layers (613-619) hold none
+    out = tmp_path / "junctions"
+    assert main(["gen-data", "--outdir", str(out), "--junction-period", "10",
+                 "--noise-std", "0"]) == 0
+    for name in ("healthy.csv", "defective.csv"):
+        series = pipeline.load_layer_series(out / name)
+        junctions = series.layers[series.values > GenParams.baseline_level]
+        assert junctions.tolist() == list(range(570, 651, 10)), name
 
 def test_detect_writes_report_and_deviations(workdir):
     data = workdir / "data"
@@ -172,7 +200,7 @@ def test_raster_export(workdir):
 @pytest.mark.parametrize("dt", [0.001, 0.0005])
 @pytest.mark.parametrize("stages", [1, 2, 3])
 def test_raster_rows_equal_the_event_raster(workdir, tmp_path, capsys, stages, dt):
-    # the command writes its rows straight from the packed bits; the oracle
+    # the command writes its rows from SimResult.spike_events; the oracle
     # is the formatting of SimResult.raster's events, one str(id) and
     # repr(time) per spike. 200 neurons in 3 stages put both stage
     # boundaries inside a packed byte, and at dt 0.0005 the times print as
@@ -704,12 +732,14 @@ def test_null_manifest_window_is_no_window(workdir):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("sample_id", ["a,b", "a\rb", "a\nb", "#a"],
-                         ids=["comma", "cr", "lf", "hash"])
+@pytest.mark.parametrize("sample_id", ["a,b", "a\rb", "a\nb", "#a", '"a'],
+                         ids=["comma", "cr", "lf", "hash", "quote"])
 def test_sample_id_that_breaks_a_csv_row_exits_2_before_the_filter(workdir, capsys, monkeypatch,
                                                                   sample_id):
     # "a,b" used to write the row a,b,0,0 under a 3-column header and exit 0;
-    # a row that starts with # is a comment to the CSV readers here
+    # a row that starts with # is a comment to the CSV readers here, and a
+    # cell that starts with " made csv.DictReader read the rest of the file
+    # as one cell
     def no_run(*args, **kwargs):
         raise AssertionError("the filter ran before the sample ids were checked")
 
@@ -729,10 +759,11 @@ def test_sample_id_that_breaks_a_csv_row_exits_2_before_the_filter(workdir, caps
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("name", ["a,b", "x\ry", "x\ny"], ids=["comma", "cr", "lf"])
+@pytest.mark.parametrize("name", ["a,b", "x\ry", "x\ny", '"x'], ids=["comma", "cr", "lf", "quote"])
 def test_profile_name_that_breaks_the_csv_header_exits_2_before_the_filter(
         workdir, capsys, monkeypatch, name):
-    # {"a,b": ...} used to write the header sample,a,b and exit 0
+    # {"a,b": ...} used to write the header sample,a,b and exit 0, and
+    # {'"x': ...} a header cell that opens a quoted cell
     def no_run(*args, **kwargs):
         raise AssertionError("the filter ran before the profile names were checked")
 
@@ -744,7 +775,8 @@ def test_profile_name_that_breaks_the_csv_header_exits_2_before_the_filter(
                  *ENERGY_ARGS, "--outdir", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: profile name {name!r} holds a comma or a line break")
+    reason = "starts with a double quote" if name.startswith('"') else "holds a comma or a line break"
+    assert err.startswith(f"error: profile name {name!r} {reason}")
     assert len(err.splitlines()) == 1
     assert not any(out.iterdir())
 

@@ -15,13 +15,14 @@ is not one, nor is a document that does not parse; a
 valid one may also draw huge finite constants, and then it either exits 0
 with every energy finite or exits 2 because an energy overflows, without
 writing energy.csv. Manifest sample ids and profile names are drawn from
-text of commas, CRs, LFs and a leading `#`: a run either exits 2 and
-writes no artifact, or writes CSVs whose every data row has as many cells
-as the header. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps per
+text of commas, CRs, LFs, double quotes and a leading `#`: a run either
+exits 2 and writes no artifact, or writes CSVs whose every data row, as
+Python's csv reader reads it, has as many cells as the header. Valid sizes stay tiny (32 neurons, 20 layers, 2 steps per
 layer), so each example runs in milliseconds.
 """
 
 import copy
+import csv
 import io
 import json
 import math
@@ -57,7 +58,7 @@ BAD_CELL = st.one_of(
     st.floats().map(repr), st.integers(-2**70, 2**70).map(str),
 )
 FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
-NAME = st.text(alphabet="ab#,\r\n", max_size=4)  # a sample id or a profile name
+NAME = st.text(alphabet='ab#,\r\n"', max_size=4)  # a sample id or a profile name
 
 
 def _paths(doc, prefix=()):
@@ -235,12 +236,13 @@ def test_profiles_documents(fx, text):
 
 def csv_rows(out):
     """Every CSV artifact in `out`, as the CSV readers here take it: lines
-    end at CR, LF or CRLF, `#` lines are skipped, cells split at commas."""
+    end at CR, LF or CRLF, `#` lines are skipped, and Python's csv reader
+    splits the rest into cells, so a cell that opens with a double quote
+    runs on to the next one."""
     rows = {}
     for path in out.glob("*.csv"):
         with open(path) as fh:  # universal newlines
-            rows[path.name] = [line.rstrip("\n").split(",") for line in fh
-                               if not line.startswith("#")]
+            rows[path.name] = list(csv.reader(line for line in fh if not line.startswith("#")))
     return rows
 
 
@@ -263,7 +265,8 @@ def run_named(fx, name, doc, rows, *argv):
 
 
 def breaks_csv(name, row_start):
-    return any(c in name for c in ",\r\n") or (row_start and name.startswith("#"))
+    return (any(c in name for c in ",\r\n") or name.startswith('"')
+            or (row_start and name.startswith("#")))
 
 
 @FUZZ
@@ -271,6 +274,7 @@ def breaks_csv(name, row_start):
 @example(ids=["a,b", "d"])
 @example(ids=["h", "#d"])
 @example(ids=["h\r", "d"])
+@example(ids=['"h', 'd"'])
 def test_manifest_sample_ids(fx, ids):
     doc = copy.deepcopy(MANIFEST)
     for sample, sample_id in zip(doc["samples"], ids):
@@ -285,6 +289,7 @@ def test_manifest_sample_ids(fx, ids):
 @given(names=st.lists(NAME, min_size=1, max_size=3, unique=True))
 @example(names=["a,b", "x\ny"])
 @example(names=["#a"])
+@example(names=['"a', 'b"'])
 def test_profile_names(fx, names):
     doc = {name: PROFILES["Loihi"] for name in names}
     code = run_named(fx, "named-profiles.json", doc, {"energy.csv": 6}, "energy", "--profiles",

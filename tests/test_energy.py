@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snndetect.cli import ENERGY_SAMPLES
 from snndetect.energy import (
+    ENERGY_SAMPLES,
     HARDWARE_ORDER,
     REFERENCE_ENERGY_UJ,
     HardwareEnergyProfile,

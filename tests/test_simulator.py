@@ -362,6 +362,22 @@ def test_spike_counts_of_one_signal_and_of_no_steps():
         assert not empty.spike_counts().any()
 
 
+
+def test_spike_events_read_the_bits_in_step_then_id_order():
+    # the oracle reads each bit by hand, the most significant first as
+    # np.packbits packs them; 13 + 20 neurons end inside a byte, and the
+    # lanes sit side by side as in the raster
+    ensembles = [build_ensemble(13, 1100.0, 1), build_ensemble(20, 1100.0, 2)]
+    res = simulate_cascade(ensembles, lane_signals(3, 60), DT, np.full((3, 3), 0.003))
+    n = res.n_neurons
+    expected = [(k, b * n + i) for k in range(60) for b in range(3) for i in range(n)
+                if res.spikes[k, b, i // 8] >> (7 - i % 8) & 1]
+    k, ids = res.spike_events()
+    assert expected and list(zip(k.tolist(), ids.tolist())) == expected
+    assert res.n_steps == 60 and res.lane(1, 25).n_steps == 25
+    np.testing.assert_array_equal(res.raster.neuron_ids, ids)
+    np.testing.assert_array_equal(res.raster.times, k * DT)
+
 TWIN_LEVELS = (-900.0, -600.0, -300.0, 0.0, 400.0, 800.0, 1090.0)
 
 
