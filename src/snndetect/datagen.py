@@ -82,7 +82,8 @@ def _raw_healthy(p: GenParams) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(p.seed)
     noise = rng.normal(0.0, p.noise_std, size=layers.size)
     junction = p.junction_spike_amplitude * (layers % p.junction_period == 0)
-    return layers, p.baseline_level + junction + noise
+    with np.errstate(over="ignore"):  # SignalSeries rejects the non-finite sums
+        return layers, p.baseline_level + junction + noise
 
 
 def gen_healthy(p: GenParams) -> SignalSeries:

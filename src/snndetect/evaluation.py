@@ -78,8 +78,8 @@ class GroundTruth:
         return AdaptivePolicy(k=k, calibration=(self.window[0], last))
 
 
-def f1_score(flags: Iterable[int], truth: GroundTruth) -> tuple[float, float, float]:
-    """Per-layer (precision, recall, f1) against the known defect layers."""
+def f1_score(flags: Iterable[int], truth: GroundTruth) -> DetectionMetrics:
+    """Per-layer precision, recall and f1 against the known defect layers."""
     flags = {int(l) for l in flags}
     lo, hi = truth.window
     outside = {l for l in flags if not lo <= l <= hi}
@@ -91,7 +91,7 @@ def f1_score(flags: Iterable[int], truth: GroundTruth) -> tuple[float, float, fl
     precision = tp / (tp + fp) if flags else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return precision, recall, f1
+    return DetectionMetrics(precision, recall, f1)
 
 
 def window_flags(report: DetectionReport, truth: GroundTruth) -> set[int]:
@@ -111,8 +111,7 @@ def evaluate(
     report = flag_anomalies(percent_deviation(*filtered), policy)
     if truth is None:
         return report
-    p, r, f1 = f1_score(window_flags(report, truth), truth)
-    return replace(report, metrics=DetectionMetrics(precision=p, recall=r, f1=f1))
+    return replace(report, metrics=f1_score(window_flags(report, truth), truth))
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,7 @@ def _score_row(
     except SnnDetectError as err:
         nan = float("nan")
         return ScoreRow(key, nan, nan, nan, 0, str(err))
-    m = report.metrics
-    return ScoreRow(key, m.precision, m.recall, m.f1, len(window_flags(report, truth)))
+    return ScoreRow(key, *report.metrics, len(window_flags(report, truth)))
 
 
 @dataclass(frozen=True)

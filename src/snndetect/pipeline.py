@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,34 +258,23 @@ def _window_steps(series: SignalSeries, window: tuple, m: int) -> tuple[int, int
 
 
 @dataclass(frozen=True)
-class DeviationSeries:
+class DeviationSeries(SignalSeries):
     """Signed percent deviation per layer, over the common layer domain.
 
     Layers where the healthy reference is too close to zero for a ratio to
     mean anything are listed in `undefined` and excluded from flagging.
     """
 
-    layers: np.ndarray
-    values: np.ndarray
     undefined: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        layers = np.asarray(self.layers, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "values", values)
-        if layers.shape != values.shape or layers.ndim != 1:
-            raise DataError("layers and values must be 1-D arrays of equal length")
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(l): float(v) for l, v in zip(self.layers, self.values)}
 
 
 def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> DeviationSeries:
     """100 * (defective - healthy) / healthy per layer on the common domain.
 
     Power dips show up as negative deviations. Healthy values below 1e-9 of
-    the series median are marked undefined instead of dividing by them.
+    the series median are marked undefined instead of dividing by them; a
+    series with no defined layer raises DataError, and a deviation that
+    overflows raises NumericError.
     """
     common, di, hi = np.intersect1d(defective.layers, healthy.layers, return_indices=True)
     if common.size == 0:
@@ -294,7 +283,12 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
     hv = healthy.values[hi]
     guard = 1e-9 * _median(np.abs(hv))
     defined = np.abs(hv) > guard
-    dev = 100.0 * (dv[defined] - hv[defined]) / hv[defined]
+    if not defined.any():
+        raise DataError("no deviation is defined: every healthy value is at most 1e-9 of their median")
+    with np.errstate(over="ignore"):
+        dev = 100.0 * (dv[defined] - hv[defined]) / hv[defined]
+    if not np.isfinite(dev).all():
+        raise NumericError("a percent deviation overflows the float range")
     return DeviationSeries(
         layers=common[defined],
         values=dev,
@@ -344,8 +338,7 @@ class AdaptivePolicy:
             raise ConfigError(f"k must be positive, got {self.k}")
 
 
-@dataclass(frozen=True)
-class DetectionMetrics:
+class DetectionMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -369,14 +362,11 @@ class DetectionReport:
             "calibration_layers": list(self.calibration_layers) if self.calibration_layers else None,
             "fallback_used": self.fallback_used,
             "undefined_layers": list(self.deviations.undefined),
-            "deviations": {str(l): v for l, v in self.deviations.as_dict().items()},
+            "deviations": dict(zip(map(str, self.deviations.layers.tolist()),
+                                   self.deviations.values.tolist())),
         }
         if self.metrics is not None:
-            out["metrics"] = {
-                "precision": self.metrics.precision,
-                "recall": self.metrics.recall,
-                "f1": self.metrics.f1,
-            }
+            out["metrics"] = self.metrics._asdict()
         return out
 
 

@@ -313,8 +313,10 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, ra
         starts = [(i - s) * block for s in range(n_stages)]
         counts = [min(block, n_steps - k0) if 0 <= k0 < n_steps else 0 for k0 in starts]
         rows, masks = floats[: max(counts)], ring[i % n_stages, : max(counts)]
-        # each stage clips its block of `decoded` at its own radius, in
-        # place, and computes its drive from it. A stage's steps outside its
+        # each stage clips its block of `decoded` at ±its own radius before
+        # dividing by it, in place, so no radius overflows the quotient (a
+        # clipped value gives ±1.0 exactly, as a clip after the divide
+        # would), and computes its drive from it. A stage's steps outside its
         # block get a drive of exactly 0: a stage that has not started stays
         # at rest (v, refr and its synapse hold +0.0, and it never spikes),
         # and one that has finished is never read again. The einsum writes
@@ -327,9 +329,9 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, ra
             drive = rows[:, :, cols[s]]
             if n:
                 x = decoded[:, k0 : k0 + n]
+                np.maximum(x, -e.radius, out=x)
+                np.minimum(x, e.radius, out=x)
                 np.divide(x, e.radius, out=x)
-                np.maximum(x, -1.0, out=x)
-                np.minimum(x, 1.0, out=x)
                 np.einsum("kb,i->kbi", x.T, gain_enc[s], out=drive[:n])
                 drive[:n] += e.biases
             drive[n:] = 0.0

@@ -795,6 +795,23 @@ def test_sweep_with_every_point_failing_names_the_reason(workdir, capsys):
     assert "calibration range (1, 5) contains no deviation layers" in err
 
 
+def test_tiny_radius_runs_without_a_numpy_warning(workdir, tmp_path, capsys):
+    # every input lies beyond a radius of 1e-310, so each clips to 1.0 and
+    # nothing overflows the divide by the radius
+    (tmp_path / "tiny.json").write_text(json.dumps({**FAST_CONFIG, "radius": 1e-310}))
+    data = workdir / "data"
+    code = main(["detect", "--defective", str(data / "defective.csv"),
+                 "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
+                 "--config", str(tmp_path / "tiny.json"), "--outdir", str(workdir / "tiny")])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+def test_gen_data_overflowing_sum_is_a_data_error_alone(tmp_path, capsys):
+    code = main(["gen-data", "--baseline-level", "1e308", "--junction-amplitude", "1e308",
+                 "--outdir", str(tmp_path / "huge")])
+    assert (code, capsys.readouterr().err) == (2, "error: series values must be finite\n")
+
+
 @pytest.mark.parametrize("flag", ["--config", "--truth", "--defective"])
 def test_undecodable_input_exits_2(workdir, tmp_path, capsys, flag):
     bad = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ from snndetect.errors import ConfigError, DataError, SnnDetectError
 from snndetect.evaluation import (
     GroundTruth, compare_filters, evaluate, f1_score, sweep_tau, window_flags,
 )
-from snndetect.pipeline import FilterConfig, FixedPolicy, run_filter
+from snndetect.pipeline import DetectionMetrics, FilterConfig, FixedPolicy, run_filter
 
 WINDOW = (570, 650)
 
@@ -32,6 +32,17 @@ def test_f1_perfect():
 def test_f1_empty_flags():
     truth = GroundTruth(defect_layers=frozenset(range(613, 620)), window=WINDOW)
     assert f1_score(set(), truth) == (0.0, 0.0, 0.0)
+
+
+def test_f1_returns_the_report_metrics():
+    truth = GroundTruth(defect_layers=frozenset(range(613, 620)), window=WINDOW)
+    m = f1_score(set(range(613, 622)), truth)
+    assert isinstance(m, DetectionMetrics)
+    assert (m.precision, m.recall, m.f1) == tuple(m)
+    defective, healthy, truth = noiseless_case()
+    report = evaluate([defective, healthy], FixedPolicy(threshold_pct=30.0), truth)
+    assert report.metrics == f1_score(window_flags(report, truth), truth) == (1.0, 1.0, 1.0)
+    assert type(report.metrics) is DetectionMetrics
 
 
 def test_f1_hand_computed():

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from dataclasses import replace
 
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
-from snndetect.errors import ConfigError, DataError
+from snndetect.errors import ConfigError, DataError, NumericError
 from snndetect.evaluation import evaluate
 from snndetect.pipeline import (
     AdaptivePolicy,
+    DetectionMetrics,
     DeviationSeries,
     FilterConfig,
     FixedPolicy,
@@ -336,7 +337,7 @@ def test_deviation_seven_layer_dip():
         dvals[l - 570] = 400.0
     d = series(layers, dvals)
     dev = percent_deviation(d, h)
-    m = dev.as_dict()
+    m = dict(zip(dev.layers.tolist(), dev.values.tolist()))
     for l in range(613, 620):
         assert m[l] == pytest.approx(-60.0)
     assert sum(1 for v in m.values() if v != 0.0) == 7
@@ -354,7 +355,35 @@ def test_deviation_near_zero_healthy_is_undefined():
     d = series([570, 571, 572], [900.0, 5.0, 900.0])
     dev = percent_deviation(d, h)
     assert dev.undefined == (571,)
-    assert 571 not in dev.as_dict()
+    assert dev.layers.tolist() == [570, 572]
+
+
+def test_deviation_of_an_all_zero_healthy_series_is_a_data_error():
+    h = series([570, 571], [0.0, 0.0])
+    d = series([570, 571], [900.0, 5.0])
+    with pytest.raises(DataError, match="no deviation is defined"):
+        percent_deviation(d, h)
+
+
+@pytest.mark.parametrize("healthy, defective", [
+    (1e-307, 1000.0),  # a defined healthy value, but 1000 beside it is 1e312 %
+    (1e308, 1e306),  # the difference times 100 is -9.9e309
+])
+def test_overflowing_deviation_is_a_numeric_error(healthy, defective):
+    h = series([570, 571, 572], [healthy] * 3)
+    d = series([570, 571, 572], [healthy, defective, healthy])
+    with pytest.raises(NumericError, match="overflows the float range"):
+        percent_deviation(d, h)
+
+
+def test_deviation_series_is_a_checked_signal_series():
+    dev = DeviationSeries(layers=[570, 571], values=[-1, 2], undefined=(572,))
+    assert isinstance(dev, SignalSeries)
+    assert dev.layers.dtype == np.int64 and dev.values.dtype == float
+    assert dev.layer_index(571) == 1
+    for layers, values in (([570, 571], [0.0]), ([571, 570], [0.0, 0.0]), ([570], [np.inf])):
+        with pytest.raises(DataError):
+            DeviationSeries(layers=layers, values=values)
 
 
 def test_deviation_requires_overlap():
@@ -447,3 +476,14 @@ def test_report_serializes(cfg):
     report = flag_anomalies(dev_series(mapping), FixedPolicy(threshold_pct=5.0))
     doc = json.dumps(report.to_dict())
     assert "580" in doc
+
+
+def test_report_dict_holds_the_deviations_and_metrics():
+    dev = DeviationSeries(layers=[570, 571], values=[-50.0, 0.25], undefined=(572,))
+    report = replace(flag_anomalies(dev, FixedPolicy(threshold_pct=5.0)),
+                     metrics=DetectionMetrics(precision=1.0, recall=0.5, f1=2 / 3))
+    doc = report.to_dict()
+    assert doc["deviations"] == {"570": -50.0, "571": 0.25}
+    assert [type(v) for v in doc["deviations"].values()] == [float, float]
+    assert doc["undefined_layers"] == [572]
+    assert doc["metrics"] == {"precision": 1.0, "recall": 0.5, "f1": 2 / 3}
