@@ -39,7 +39,6 @@ from .pipeline import (
     AdaptivePolicy,
     FilterConfig,
     FixedPolicy,
-    SignalSeries,
     load_layer_series,
     run_filter,
 )
@@ -78,20 +77,13 @@ def _parse_taus(text: str) -> list[float]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+    # np.float64 is a float, and str of a numpy integer is its digits
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _csv_text(meta: dict, columns: list[str], rows) -> str:
-    return _csv_lines(meta, columns, (",".join(_fmt(c) for c in row) for row in rows))
-
-
-def _csv_lines(meta: dict, columns: list[str], lines) -> str:
-    header = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(columns)]
-    return "\n".join([*header, *lines]) + "\n"
+def _cells(rows):
+    """One CSV line per row, each cell written by _fmt."""
+    return (",".join(map(_fmt, row)) for row in rows)
 
 
 def _check_cell(what: str, name: str, row_start: bool = False) -> None:
@@ -121,6 +113,16 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_csv(path: Path, meta: dict, columns: list[str], lines) -> None:
+    """A CSV artifact: the meta as a # comment, the header, then `lines`."""
+    header = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(columns)]
+    _atomic_write(path, "\n".join([*header, *lines]) + "\n")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _read_json(path, what: str):
     """The parsed JSON document in the file at `path`; every JSON input of
     the CLI is read here. A missing file or invalid JSON is a DataError."""
@@ -134,9 +136,9 @@ def _read_json(path, what: str):
         raise DataError(f"{path}: invalid JSON: {err}") from err
 
 
-def _outdir(args) -> Path:
-    out = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
+def _outdir(outdir: str | None) -> Path:
+    """The output directory, made if missing: --outdir, else $SNNDETECT_OUTDIR, else ."""
+    path = Path(outdir or os.environ.get(OUTDIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -196,11 +198,10 @@ def _resolve_scoring(args):
 
 
 def _add_scoring_args(sp, truth_required: bool) -> None:
-    """The inputs, outputs, network and policy flags of detect, sweep and compare."""
+    """The inputs, network and policy flags of detect, sweep and compare."""
     sp.add_argument("--defective", required=True)
     sp.add_argument("--healthy", required=True)
     sp.add_argument("--truth", required=truth_required, default=None)
-    sp.add_argument("--outdir", default=None)
     _add_network_args(sp)
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
     sp.add_argument("--k", type=float, default=AdaptivePolicy.k, help="adaptive threshold multiplier")
@@ -209,12 +210,7 @@ def _add_scoring_args(sp, truth_required: bool) -> None:
                     help="LO:HI layer range used to calibrate the adaptive threshold")
 
 
-def _series_csv(series: SignalSeries, meta: dict) -> str:
-    return _csv_text(meta, ["layer", "value"], zip(series.layers, series.values))
-
-
-def _cmd_gen_data(args) -> int:
-    out = _outdir(args)
+def _cmd_gen_data(args, out: Path) -> int:
     noise = args.noise_std if args.noise_std is not None else NOISE_STD[args.sensor]
     lo, hi = args.window
     baseline_seed = args.baseline_seed if args.baseline_seed is not None else args.seed + 1
@@ -232,8 +228,9 @@ def _cmd_gen_data(args) -> int:
     healthy = gen_healthy(p_heal)
 
     meta = _meta(args.seed, "-")
-    _atomic_write(out / "defective.csv", _series_csv(defective, meta))
-    _atomic_write(out / "healthy.csv", _series_csv(healthy, {**meta, "seed": baseline_seed}))
+    for name, series, seed in (("defective", defective, args.seed), ("healthy", healthy, baseline_seed)):
+        _write_csv(out / f"{name}.csv", {**meta, "seed": seed}, ["layer", "value"],
+                   _cells(zip(series.layers, series.values)))
     truth = {
         **meta,
         "defect_layers": list(spec.layers),
@@ -242,22 +239,18 @@ def _cmd_gen_data(args) -> int:
         "power_reduction_percent": args.reduction,
         "baseline_seed": baseline_seed,
     }
-    _atomic_write(out / "truth.json", json.dumps(truth, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "truth.json", truth)
     print(f"wrote defective.csv, healthy.csv, truth.json to {out}")
     return 0
 
 
-def _cmd_detect(args) -> int:
-    out = _outdir(args)
+def _cmd_detect(args, out: Path) -> int:
     cfg, meta, _, pair, truth, policy = _resolve_scoring(args)
     report = evaluate(run_filter(pair, cfg)[0], policy, truth)
     dev = report.deviations
-    doc = {**meta, "config": cfg.to_dict(), **report.to_dict()}
-    _atomic_write(out / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _atomic_write(
-        out / "deviations.csv",
-        _csv_text(meta, ["layer", "deviation_pct"], zip(dev.layers, dev.values)),
-    )
+    _write_json(out / "report.json", {**meta, "config": cfg.to_dict(), **report.to_dict()})
+    _write_csv(out / "deviations.csv", meta, ["layer", "deviation_pct"],
+               _cells(zip(dev.layers, dev.values)))
     flagged = ", ".join(str(l) for l in report.flagged_layers) or "none"
     print(f"flagged layers: {flagged} (threshold {report.threshold_used:.3g}%)")
     if report.metrics:
@@ -266,36 +259,27 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    out = _outdir(args)
+def _cmd_sweep(args, out: Path) -> int:
     cfg, meta, _, pair, truth, policy = _resolve_scoring(args)
     result = sweep_tau(*pair, args.taus, cfg, truth, policy)
     rows = [(pt.key, pt.precision, pt.recall, pt.f1, pt.flagged) for pt in result.points]
-    _atomic_write(
-        out / "sweep.csv",
-        _csv_text(meta, ["tau", "precision", "recall", "f1", "flagged"], rows),
-    )
+    _write_csv(out / "sweep.csv", meta, ["tau", "precision", "recall", "f1", "flagged"], _cells(rows))
     print(f"best tau: {result.best_tau}")
     return 0
 
 
-def _cmd_compare(args) -> int:
-    out = _outdir(args)
+def _cmd_compare(args, out: Path) -> int:
     cfg, meta, baseline_specs, pair, truth, policy = _resolve_scoring(args)
     specs = baseline_specs if baseline_specs is not None else default_specs()
     rows = compare_filters(*pair, specs, cfg, truth, policy)
-    _atomic_write(
-        out / "compare.csv",
-        _csv_text(meta, ["filter", "precision", "recall", "f1"],
-                  [(r.key, r.precision, r.recall, r.f1) for r in rows]),
-    )
+    _write_csv(out / "compare.csv", meta, ["filter", "precision", "recall", "f1"],
+               _cells((r.key, r.precision, r.recall, r.f1) for r in rows))
     for r in rows:
         print(f"{r.key:16s} f1={r.f1:.3f}" + (f"  [{r.error}]" if r.error else ""))
     return 0
 
 
-def _cmd_raster(args) -> int:
-    out = _outdir(args)
+def _cmd_raster(args, out: Path) -> int:
     cfg, meta, _ = _resolve_config(args)
     _, sim = run_filter(load_layer_series(args.input), cfg, decode=False)
     # one row per spike, in spike_events' order. The cells are what _fmt
@@ -305,13 +289,12 @@ def _cmd_raster(args) -> int:
     names = list(map(str, range(sim.n_neurons)))
     times = ["," + repr(t) for t in (np.arange(sim.n_steps) * sim.dt).tolist()]
     rows = [names[i] + times[t] for t, i in zip(k.tolist(), ids.tolist())]
-    _atomic_write(out / "raster.csv", _csv_lines(meta, ["neuron", "time"], rows))
+    _write_csv(out / "raster.csv", meta, ["neuron", "time"], rows)
     print(f"{k.size} spikes from {sim.n_neurons} neurons over {sim.n_steps * sim.dt:.3g} s")
     return 0
 
 
-def _cmd_classify(args) -> int:
-    out = _outdir(args)
+def _cmd_classify(args, out: Path) -> int:
     cfg, meta, _ = _resolve_config(args)
     path = Path(args.manifest)
     manifest = _read_json(path, "manifest")
@@ -342,28 +325,21 @@ def _cmd_classify(args) -> int:
     model = train_classifier(features, labels, epochs=args.epochs, lr=args.lr)
     # the losses are Python floats, so each row is the str and repr that
     # _fmt writes, without its per-cell type checks
-    _atomic_write(
-        out / "loss.csv",
-        _csv_lines(meta, ["epoch", "loss"],
-                   (f"{epoch},{loss!r}" for epoch, loss in enumerate(model.training_history))),
-    )
+    _write_csv(out / "loss.csv", meta, ["epoch", "loss"],
+               (f"{epoch},{loss!r}" for epoch, loss in enumerate(model.training_history)))
     rows = []
     correct = 0
     for sample_id, label, feature in zip(ids, labels, features):
         predicted = int(np.argmax(predict(model, feature)))
         correct += predicted == label
         rows.append((sample_id, label, predicted))
-    _atomic_write(
-        out / "predictions.csv",
-        _csv_text(meta, ["sample_id", "target", "predicted"], rows),
-    )
+    _write_csv(out / "predictions.csv", meta, ["sample_id", "target", "predicted"], _cells(rows))
     print(f"final loss {model.training_history[-1]:.4f}, "
           f"training accuracy {correct / len(features):.4f}")
     return 0
 
 
-def _cmd_energy(args) -> int:
-    out = _outdir(args)
+def _cmd_energy(args, out: Path) -> int:
     cfg, meta, _ = _resolve_config(args)
     profiles = profiles_from_dict(_read_json(args.profiles, "profiles")) if args.profiles else None
     for name in profiles or ():
@@ -391,9 +367,8 @@ def _cmd_energy(args) -> int:
         (sample_id, *(estimate_energy(counts[sample_id], profiles[n]) for n in names))
         for sample_id, _, _ in ENERGY_SAMPLES
     ]
-    _atomic_write(out / "energy.csv", _csv_text(meta, ["sample"] + names, rows))
-    profiles_doc = {**meta, "profiles": profiles_to_dict(profiles)}
-    _atomic_write(out / "profiles.json", json.dumps(profiles_doc, indent=2, sort_keys=True) + "\n")
+    _write_csv(out / "energy.csv", meta, ["sample"] + names, _cells(rows))
+    _write_json(out / "profiles.json", {**meta, "profiles": profiles_to_dict(profiles)})
     for row in rows:
         cells = " ".join(f"{n}={v:.3f}" for n, v in zip(names, row[1:]))
         print(f"{row[0]}: {cells} (uJ/inference)")
@@ -410,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-data", help="generate a synthetic healthy/defective pair")
-    sp.add_argument("--outdir", default=None)
     sp.add_argument("--seed", type=int, default=GenParams.seed)
     sp.add_argument("--baseline-seed", type=int, default=None,
                     help="seed of the healthy reference build (default: seed + 1)")
@@ -441,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("raster", help="export the spike raster of a filter run")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--outdir", default=None)
     _add_network_args(sp)
     sp.set_defaults(func=_cmd_raster)
 
@@ -449,12 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--epochs", type=int, default=1000)
     sp.add_argument("--lr", type=float, default=0.05)
-    sp.add_argument("--outdir", default=None)
     _add_network_args(sp)
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("energy", help="estimate per-hardware energy per inference")
-    sp.add_argument("--outdir", default=None)
     sp.add_argument("--profiles", default=None, help="custom hardware profiles JSON")
     sp.add_argument("--noise-std", type=float, default=GenParams.noise_std)
     sp.add_argument("--window", type=_parse_window, default=GenParams.layer_range)
@@ -462,6 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_args(sp)
     sp.set_defaults(func=_cmd_energy)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--outdir", default=None,
+                        help=f"output directory (default ${OUTDIR_ENV} or .)")
     return parser
 
 
@@ -472,7 +446,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return int(args.func(args) or 0)
+        return int(args.func(args, _outdir(args.outdir)) or 0)
     except (SnnDetectError, OSError, UnicodeDecodeError, MemoryError) as err:
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -125,8 +125,9 @@ class FilterConfig:
             check_real(name, getattr(self, name))
         if not (self.radius > 0 and math.isfinite(2.0 * self.radius)):
             raise ConfigError(f"radius must be positive with a finite span 2*radius, got {self.radius}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        # a spike is a current of 1/dt, so a subnormal dt, whose 1/dt is inf, is refused
+        if not (self.dt > 0 and math.isfinite(1.0 / self.dt)):
+            raise ConfigError(f"dt must be positive with a finite spike current 1/dt, got {self.dt}")
         if not (self.tau_in > 0 and self.tau_out > 0):
             raise ConfigError(f"time constants must be positive, got {self.tau_in}, {self.tau_out}")
         if self.stages > self.neurons:
@@ -299,12 +300,16 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
 def _median(values: np.ndarray) -> float:
     """np.median of a non-empty 1-D array, without the numpy.ma import that
     np.median makes on first use: the middle value, or (a + b) / 2 of the
-    two middle values; NaN when any value is NaN."""
+    two middle values, and a / 2 + b / 2 when a + b overflows; NaN when any
+    value is NaN."""
     s = np.sort(values)  # NaNs sort last
     if np.isnan(s[-1]):
         return s[-1]
     mid = s.size // 2
-    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2
+    if s.size % 2:
+        return s[mid]
+    a, b = float(s[mid - 1]), float(s[mid])
+    return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
 
 
 @dataclass(frozen=True)

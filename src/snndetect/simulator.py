@@ -252,12 +252,17 @@ def simulate_cascade(
                      rates=rates)
 
 
+@np.errstate(divide="ignore")
 def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, rates) -> None:
     """The step loop over one slice of lanes, writing its rows of the result
     arrays in place: `decoded` (lanes, steps), `spikes` (steps, lanes,
     bytes) and, with one step window per lane, `rates` (lanes, neurons).
     Every row it writes is overwritten or zeroed first, so a slice can run
-    again."""
+    again.
+
+    Division by zero is silenced once per call, not per step: when dt is so
+    long that the LIF decay is exactly 0, a spiking neuron's overshoot is -1
+    and log1p gives -inf, which leaves it no refractory time, as it should."""
     n_stages = len(ensembles)
     lanes, n_steps = inputs.shape
     sizes = [e.n_neurons for e in ensembles]

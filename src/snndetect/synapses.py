@@ -11,10 +11,12 @@ from .errors import ConfigError
 
 
 def _decay(tau, dt) -> float:
-    """The per-step decay exp(-dt / tau) of one time constant, validated."""
+    """The per-step decay exp(-dt / tau) of one time constant, validated.
+    The quotient is taken in Python floats, the doubles numpy gives, so a
+    subnormal tau makes it -inf and the decay 0.0 without a numpy warning."""
     if not (math.isfinite(tau) and tau > 0 and math.isfinite(dt) and dt > 0):
         raise ConfigError(f"tau and dt must be positive and finite, got tau={tau}, dt={dt}")
-    return math.exp(-dt / tau)
+    return math.exp(-float(dt) / float(tau))
 
 
 def lowpass_series(xs, tau: float, dt: float) -> np.ndarray:

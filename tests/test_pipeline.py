@@ -105,6 +105,12 @@ def test_config_presentation_must_be_multiple_of_dt():
     assert FilterConfig(presentation_time=0.01).presentation_steps == 10
 
 
+def test_config_refuses_a_dt_whose_spike_current_overflows():
+    with pytest.raises(ConfigError, match="1/dt"):
+        FilterConfig(dt=5e-324, presentation_time=5e-324)
+    assert FilterConfig(dt=1e-300, presentation_time=1e-300).presentation_steps == 1
+
+
 def test_config_json_round_trip_and_strict_keys():
     cfg = FilterConfig(tau_in=0.004, tau_out=0.004, seed=3, stages=2)
     again = FilterConfig.from_dict(cfg.to_dict())
@@ -374,6 +380,14 @@ def test_overflowing_deviation_is_a_numeric_error(healthy, defective):
     d = series([570, 571, 572], [healthy, defective, healthy])
     with pytest.raises(NumericError, match="overflows the float range"):
         percent_deviation(d, h)
+
+
+def test_deviation_of_a_healthy_series_near_the_float_maximum():
+    # the sum of the two middle values overflows, so their median is the
+    # sum of their halves, and every layer is defined
+    h = series([570, 571, 572, 573], [1.5e308, 1.6e308, 1.7e308, 1.75e308])
+    dev = percent_deviation(h, h)
+    assert dev.values.tolist() == [0.0] * 4 and dev.undefined == ()
 
 
 def test_deviation_series_is_a_checked_signal_series():

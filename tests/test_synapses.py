@@ -182,6 +182,14 @@ def test_non_finite_time_constant_or_dt_is_a_config_error(tau, dt):
         lowpass_series([1.0, 2.0], tau, dt)
 
 
+@pytest.mark.parametrize("tau", [1e-320, 5e-324])
+def test_a_subnormal_time_constant_passes_its_input_through(tau):
+    # -dt / tau is -inf, so the decay is 0.0 and the gain 1.0, without a
+    # numpy overflow warning for a numpy scalar tau, as the simulator hands in
+    np.testing.assert_array_equal(lowpass_series([1.0, 2.0], np.float64(tau), 0.001), [1.0, 2.0])
+    assert Lowpass([tau], 0.001, 1).decay.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("tau", [0.0005, 0.002, 0.02])
 def test_lowpass_series_equals_the_stepped_filter(tau):
     # the plain-float recurrence must give a Lowpass's doubles bit for bit,
