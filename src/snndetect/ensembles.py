@@ -15,6 +15,8 @@ out of the decoded signal.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,12 +92,25 @@ def _rates(gain_enc: np.ndarray, biases: np.ndarray, x_norm: np.ndarray) -> np.n
     element gets the arithmetic of one whole-table lif_rate call.
     """
     x_norm = np.clip(x_norm, -1.0, 1.0)
-    table = np.empty((len(biases), len(x_norm)))
+    # a mapping of its own, not malloc: glibc raises its mmap threshold to
+    # the size of a freed mmapped block, so a freed 4 MB table would leave
+    # every later build's table and Gram resident on the brk heap
+    table = shared_array((len(biases), len(x_norm)), np.float64)
     rows = max(1, TABLE_CHUNK_BYTES // max(1, table.itemsize * len(x_norm)))
     for start in range(0, len(table), rows):
         chunk = slice(start, start + rows)
         table[chunk] = lif_rate(gain_enc[chunk, None] * x_norm[None, :] + biases[chunk, None])
     return table
+
+
+def shared_array(shape, dtype) -> np.ndarray:
+    """A zeroed array viewing an anonymous shared mapping of its own, which
+    is unmapped when the array is freed and which a forked child writes
+    into as well."""
+    count = math.prod(shape)
+    # mmap rejects a length of 0, as a run of no steps would ask for
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
 def _normal_equations(table: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:

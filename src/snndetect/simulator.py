@@ -32,7 +32,6 @@ and (step, neuron) events are read from them when asked for.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import signal
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import Ensemble
+from .ensembles import Ensemble, shared_array
 from .errors import ConfigError, check_int
 from .neurons import lif_step_arrays
 from .synapses import Lowpass, lowpass_series
@@ -407,8 +406,8 @@ def _lane_slices(lanes: int, lane_work: int) -> list[tuple[int, int]]:
 
 def _result_arrays(lanes: int, n_steps: int, n_total: int, n_rates: int | None):
     """A run's `decoded` (lanes, steps), `spikes` (steps, lanes, bytes) and
-    `rates` (lanes, n_rates) or None, each viewing an anonymous shared
-    mapping of its own, which a forked child writes into as well.
+    `rates` (lanes, n_rates) or None, each a `shared_array`: an anonymous
+    shared mapping of its own, which a forked child writes into as well.
 
     Every array keeps its lanes apart: `spikes` is a (steps, lanes, bytes)
     view of lane-major bits, so each lane slice's rows are contiguous and
@@ -416,16 +415,9 @@ def _result_arrays(lanes: int, n_steps: int, n_total: int, n_rates: int | None):
     every page of a split run's spikes went into both processes: over the
     `research-batch` op cycle run in one process, the peak resident size
     rose 0.86 MB above a run that never forks, and 0.43 MB lane-major."""
-
-    def shared(shape, dtype):
-        count = math.prod(shape)
-        # mmap rejects a length of 0, as a run of no steps would ask for
-        buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
-        return np.frombuffer(buf, dtype, count).reshape(shape)
-
-    decoded = shared((lanes, n_steps), np.float64)
-    spikes = shared((lanes, n_steps, (n_total + 7) // 8), np.uint8).transpose(1, 0, 2)
-    return decoded, spikes, None if n_rates is None else shared((lanes, n_rates), np.float64)
+    decoded = shared_array((lanes, n_steps), np.float64)
+    spikes = shared_array((lanes, n_steps, (n_total + 7) // 8), np.uint8).transpose(1, 0, 2)
+    return decoded, spikes, None if n_rates is None else shared_array((lanes, n_rates), np.float64)
 
 
 def _run_split(slices: Sequence[tuple[int, int]], run) -> None:

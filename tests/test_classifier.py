@@ -334,9 +334,10 @@ def test_no_window_averages_each_series_over_its_own_layers():
 def test_encoding_memory_tracks_the_window_not_the_series():
     # two 1,500-layer series, 15,000 steps each at 500 neurons: recording
     # the last stage's rates at every step would take lanes x steps x
-    # neurons x 8 B = 120 MB. numpy reports its buffers to tracemalloc, so
-    # the traced peak covers every array of the run; the window sums need
-    # a small fraction of it
+    # neurons x 8 B = 120 MB. numpy reports its buffers to tracemalloc,
+    # which sees the loop's buffers and the window sums; the run's result
+    # arrays view mappings of their own and are not traced. The window
+    # sums need a small fraction of the bound
     cfg = FilterConfig(seed=7)
     samples = [gen_healthy(GenParams(seed=41, layer_range=(0, 1499))),
                gen_defective(GenParams(seed=42, layer_range=(0, 1499)),
