@@ -62,17 +62,6 @@ def encode_sample(
     return np.stack([run.rates for run in runs])
 
 
-def _mean_nll(true_p: np.ndarray) -> np.ndarray:
-    """The cross-entropy of each row of already valid true-class
-    probabilities (samples along the last axis)."""
-    return -np.mean(np.log(np.maximum(true_p, PROB_EPS)), axis=-1)
-
-
-def _warn_on_zero(true_p: np.ndarray) -> None:
-    if np.any(true_p <= 0):
-        warnings.warn("zero probability on a true class; clamping at 1e-12", stacklevel=3)
-
-
 def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
     y = np.zeros((len(labels), n_classes))
     y[np.arange(len(labels)), list(labels)] = 1.0
@@ -178,10 +167,11 @@ def train_classifier(
             np.multiply(step, grad_b, grad_b)
             np.subtract(b, grad_b, b)
 
-    losses = _mean_nll(true_p)
+    losses = -np.mean(np.log(np.maximum(true_p, PROB_EPS)), axis=-1)
     bad = np.flatnonzero(~(losses <= 10.0 * losses[0]))  # NaN is never <=
     last = int(bad[0]) if bad.size else epochs - 1
-    _warn_on_zero(true_p[: last + 1])
+    if np.any(true_p[: last + 1] <= 0):
+        warnings.warn("zero probability on a true class; clamping at 1e-12", stacklevel=2)
     if bad.size:
         raise NumericError(
             f"training diverged at epoch {last}: loss {losses[last]:.4g} vs "

@@ -274,8 +274,10 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
 
     Power dips show up as negative deviations. Healthy values below 1e-9 of
     the series median are marked undefined instead of dividing by them; a
-    series with no defined layer raises DataError, and a deviation that
-    overflows raises NumericError.
+    series with no defined layer raises DataError. Where the product
+    100 * (defective - healthy) overflows, the deviation is taken as
+    100 * (defective / healthy - 1), and a deviation that is outside the
+    float range either way raises NumericError.
     """
     common, di, hi = np.intersect1d(defective.layers, healthy.layers, return_indices=True)
     if common.size == 0:
@@ -286,8 +288,14 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
     defined = np.abs(hv) > guard
     if not defined.any():
         raise DataError("no deviation is defined: every healthy value is at most 1e-9 of their median")
+    dv, hv = dv[defined], hv[defined]
+    # 100 * (d - h) overflows beside an h near 1e308 although the deviation
+    # is finite, so only where it is not finite is the deviation taken as a
+    # ratio; every other value keeps the bits of the difference form
     with np.errstate(over="ignore"):
-        dev = 100.0 * (dv[defined] - hv[defined]) / hv[defined]
+        dev = 100.0 * (dv - hv) / hv
+        over = ~np.isfinite(dev)
+        dev[over] = (dv[over] / hv[over] - 1.0) * 100.0
     if not np.isfinite(dev).all():
         raise NumericError("a percent deviation overflows the float range")
     return DeviationSeries(
@@ -298,13 +306,11 @@ def percent_deviation(defective: SignalSeries, healthy: SignalSeries) -> Deviati
 
 
 def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty 1-D array, without the numpy.ma import that
-    np.median makes on first use: the middle value, or (a + b) / 2 of the
-    two middle values, and a / 2 + b / 2 when a + b overflows; NaN when any
-    value is NaN."""
-    s = np.sort(values)  # NaNs sort last
-    if np.isnan(s[-1]):
-        return s[-1]
+    """np.median of a non-empty 1-D array without NaNs, without the numpy.ma
+    import that np.median makes on first use: the middle value, or
+    (a + b) / 2 of the two middle values, and a / 2 + b / 2 when a + b
+    overflows."""
+    s = np.sort(values)
     mid = s.size // 2
     if s.size % 2:
         return s[mid]

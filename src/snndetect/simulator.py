@@ -69,10 +69,6 @@ class SpikeRaster:
     n_neurons: int
     duration: float
 
-    def __post_init__(self) -> None:
-        if len(self.neuron_ids) != len(self.times):
-            raise ConfigError("neuron_ids and times must have equal length")
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -279,7 +275,7 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, ra
     # pass over the stages that feed another
     n_dec = n_stages if decode else n_stages - 1
     if n_dec:
-        out_syn = Lowpass(np.repeat(taus[:, 1:], sizes, axis=1), dt, (lanes, n_total))
+        out_syn = Lowpass(np.repeat(taus[:, 1:], sizes, axis=1), dt)
         spike_gain = out_syn.gain * (1.0 / dt)
     gain_enc = [e.gains * e.encoders for e in ensembles]
     v = np.zeros((lanes, n_total))

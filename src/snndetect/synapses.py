@@ -34,29 +34,22 @@ def lowpass_series(xs, tau: float, dt: float) -> np.ndarray:
 
 
 class Lowpass:
-    """Stateful per-lane filter for simulation loops.
+    """Stateful per-element filter for simulation loops.
 
     Each step is y' = y*a + x*(1 - a), a = exp(-dt/tau): unit DC gain, so a
-    constant input passes through unchanged once settled. `taus` holds the
-    time constants over the leading axes of `shape`: one per lane, or a
-    (lanes, n) grid with one per element of a lane's row. Each distinct
-    decay is math.exp(-dt / tau), so an element filters exactly as it
-    would alone. `decay` and `gain` are stored at the state's full shape,
-    each time constant's coefficient repeated along the trailing axes, so a
-    step broadcasts nothing.
+    constant input passes through unchanged once settled. `taus` holds one
+    time constant per element of the state, which has its shape: the
+    simulator's output link passes a (lanes, neurons) grid, each stage's
+    time constant repeated over its neurons. Each distinct decay is
+    math.exp(-dt / tau), so an element filters exactly as it would alone.
     """
 
-    def __init__(self, taus, dt: float, shape: int | tuple):
-        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    def __init__(self, taus, dt: float):
         taus = np.asarray(taus, dtype=float)
-        if taus.ndim == 0 or taus.shape != shape[: taus.ndim]:
-            raise ConfigError(f"time constants must span the leading axes of {shape}, got {taus.tolist()}")
         values, index = np.unique(taus, return_inverse=True)
-        decays = np.array([_decay(t, dt) for t in values.tolist()])[index]
-        column = decays.reshape(taus.shape + (1,) * (len(shape) - taus.ndim))
-        self.decay = np.broadcast_to(column, shape).copy()
+        self.decay = np.array([_decay(t, dt) for t in values.tolist()])[index].reshape(taus.shape)
         self.gain = 1.0 - self.decay
-        self.y = np.zeros(shape)
+        self.y = np.zeros(taus.shape)
 
     def step(self, x):
         """Advance one step in place; returns the state array `y` itself.

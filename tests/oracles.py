@@ -12,11 +12,11 @@ cross-entropy of a probability table.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from snndetect.classifier import _mean_nll, _warn_on_zero
 from snndetect.ensembles import DECODE_POINTS, DECODE_REG, INTERCEPT_RANGE, MAX_RATE_RANGE, Ensemble
 from snndetect.errors import ConfigError, DataError
 from snndetect.neurons import TAU_RC, TAU_REF, drive_for_rate, lif_rate
@@ -191,5 +191,6 @@ def cross_entropy(probs, labels) -> float:
     y = np.asarray(labels, dtype=float)
     _validate_probs_labels(p, y)
     true_p = (p * y).sum(axis=1)
-    _warn_on_zero(true_p)
-    return float(_mean_nll(true_p))
+    if np.any(true_p <= 0):
+        warnings.warn("zero probability on a true class; clamping at 1e-12", stacklevel=2)
+    return float(-np.mean(np.log(np.maximum(true_p, 1e-12)), axis=-1))

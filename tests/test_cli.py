@@ -180,6 +180,31 @@ def test_compare_table_shape(workdir):
     assert lines[-1].startswith("snn,")
 
 
+def test_compare_scores_a_healthy_series_near_the_float_maximum(tmp_path):
+    # healthy values near 1e308 beside defective ones near 1e3: every
+    # 100 * (defective - healthy) overflows, and the deviation, near -100%,
+    # is taken as a ratio, so each baseline row is scored rather than an
+    # error row of nans. A fresh `python -W error` process fails on any warning
+    assert main(["gen-data", "--window", "570:651", "--outdir", str(tmp_path)]) == 0
+    comment, header, *rows = (tmp_path / "healthy.csv").read_text().splitlines()
+    lines = [f"{layer},{float(value) * 1e305!r}" for layer, value in (r.split(",") for r in rows)]
+    (tmp_path / "scaled.csv").write_text("\n".join([comment, header, *lines]) + "\n")
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "snndetect.cli", "compare",
+         "--defective", str(tmp_path / "defective.csv"), "--healthy", str(tmp_path / "scaled.csv"),
+         "--truth", str(tmp_path / "truth.json"), "--outdir", str(tmp_path / "compare")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [r.split(",") for r in (tmp_path / "compare" / "compare.csv").read_text().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["savitzky_golay", "butterworth", "moving_average", "gaussian", "snn"]
+    scores = np.array([[float(c) for c in r[1:]] for r in rows])
+    assert np.all(np.isfinite(scores))
+    assert scores[:4, 2] == pytest.approx([0.157] * 4, abs=5e-4)
+    assert scores[4, 2] == pytest.approx(0.923, abs=5e-4)
+
+
 def test_raster_export(workdir):
     data = workdir / "data"
     out = workdir / "raster"

@@ -373,13 +373,23 @@ def test_deviation_of_an_all_zero_healthy_series_is_a_data_error():
 
 @pytest.mark.parametrize("healthy, defective", [
     (1e-307, 1000.0),  # a defined healthy value, but 1000 beside it is 1e312 %
-    (1e308, 1e306),  # the difference times 100 is -9.9e309
 ])
 def test_overflowing_deviation_is_a_numeric_error(healthy, defective):
     h = series([570, 571, 572], [healthy] * 3)
     d = series([570, 571, 572], [healthy, defective, healthy])
     with pytest.raises(NumericError, match="overflows the float range"):
         percent_deviation(d, h)
+
+
+def test_a_deviation_whose_difference_overflows_is_taken_as_a_ratio():
+    # 100 * (1e306 - 1e308) is -9.9e309, so that layer is 100 * (d / h - 1);
+    # the layers beside it keep the difference form's bits
+    h = series([570, 571, 572], [1e308] * 3)
+    d = series([570, 571, 572], [1e308, 1e306, 9.9e307])
+    dev = percent_deviation(d, h)
+    assert dev.values[0] == 0.0 and dev.values[2] == 100.0 * (9.9e307 - 1e308) / 1e308
+    assert dev.values[1] == (1e306 / 1e308 - 1.0) * 100.0
+    assert dev.values[1] == pytest.approx(-99.0)
 
 
 def test_deviation_of_a_healthy_series_near_the_float_maximum():
