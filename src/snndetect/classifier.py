@@ -25,7 +25,7 @@ from .pipeline import FilterConfig, SignalSeries, run_filter
 PROB_EPS = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassifierModel:
     weights: np.ndarray        # classes x features
     biases: np.ndarray         # classes
@@ -55,10 +55,11 @@ def encode_sample(
     layer when `window` is None. The network is the one `cfg` describes,
     so a cascade is read at the rates of its last stage. The run sums the
     rates as it goes, so its memory grows with lanes x neurons, not with
-    the length of the series.
+    the length of the series. It decodes nothing, so a one-stage network
+    never solves its decoders.
     """
     windows = [(int(s.layers[0]), int(s.layers[-1])) if window is None else window for s in series]
-    _, runs = run_filter(series, cfg, windows)
+    _, runs = run_filter(series, cfg, windows, decode=False)
     return np.stack([run.rates for run in runs])
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,9 +32,14 @@ DECODE_REG = 0.1  # ridge noise, as a fraction of the peak activity
 TABLE_CHUNK_BYTES = 1 << 18  # bytes of tuning-table rows filled per lif_rate call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """A built population; immutable and safe to share between runs."""
+    """A built population; immutable and safe to share between runs.
+
+    Its `decoders` are solved from its tunings on first read and kept, so a
+    run that decodes nothing never solves them. A `dataclasses.replace`
+    copy solves its own from its own tunings. Ensembles compare by
+    identity."""
 
     n_neurons: int
     radius: float
@@ -44,12 +49,24 @@ class Ensemble:
     biases: np.ndarray
     intercepts: np.ndarray
     max_rates: np.ndarray
-    decoders: np.ndarray
+
+    @cached_property
+    def decoders(self) -> np.ndarray:
+        """Identity decoders, read-only: the ridge solve over DECODE_POINTS
+        evenly spaced points of [-radius, radius]; NumericError when it
+        fails."""
+        xs = np.linspace(-self.radius, self.radius, DECODE_POINTS)
+        # the table is an argument only, so it is freed before the solve copies the Gram
+        decoders = _solve(*_normal_equations(
+            _rates(self.gains * self.encoders, self.biases, xs / self.radius), xs))
+        decoders.flags.writeable = False
+        return decoders
 
 
 @lru_cache(maxsize=32, typed=True)
 def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
-    """Sample tunings and solve identity decoders; deterministic per seed.
+    """Sample tunings; deterministic per seed. The decoders are solved on
+    their first read (see Ensemble).
 
     Encoders are +-1 with equal probability, intercepts and max rates
     uniform over INTERCEPT_RANGE and MAX_RATE_RANGE. Gain and bias follow
@@ -57,7 +74,8 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
     rate at the end of the range).
 
     Builds are memoised per (n_neurons, radius, seed) within a process:
-    equal arguments return the same Ensemble, whose arrays are read-only.
+    equal arguments return the same Ensemble, whose arrays are read-only,
+    so a process solves each population's decoders once.
     """
     rng = np.random.default_rng(seed)
     encoders = rng.choice(np.array([-1.0, 1.0]), size=n_neurons)
@@ -68,17 +86,8 @@ def build_ensemble(n_neurons: int, radius: float, seed: int) -> Ensemble:
     gains = (j_max - 1.0) / (1.0 - intercepts)
     biases = 1.0 - gains * intercepts
 
-    xs = np.linspace(-radius, radius, DECODE_POINTS)
-    # the table is an argument only, so it is freed before the solve copies the Gram
-    decoders = _solve(*_normal_equations(_rates(gains * encoders, biases, xs / radius), xs))
-    arrays = dict(
-        encoders=encoders,
-        gains=gains,
-        biases=biases,
-        intercepts=intercepts,
-        max_rates=max_rates,
-        decoders=decoders,
-    )
+    arrays = dict(encoders=encoders, gains=gains, biases=biases, intercepts=intercepts,
+                  max_rates=max_rates)
     for arr in arrays.values():
         arr.flags.writeable = False
     return Ensemble(n_neurons=n_neurons, radius=radius, seed=seed, **arrays)

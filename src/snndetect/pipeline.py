@@ -24,7 +24,7 @@ from .simulator import SimResult, simulate_cascade
 FALLBACK_THRESHOLD_PCT = 5.0  # the adaptive policy's threshold when the calibration MAD is zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalSeries:
     """Per-layer mean sensor values for one build and one sensor channel."""
 
@@ -188,9 +188,9 @@ def run_filter(
     each run's `rates` is then the last stage's filtered rates averaged
     over the presentation steps of its window's layers (see simulate_cascade).
 
-    `decode=False` runs without the output link (see simulate_cascade), for
-    a caller that reads only the runs' spikes: the filtered part is then
-    None and each run's `decoded` is None.
+    `decode=False` decodes nothing (see simulate_cascade), for a caller
+    that reads only the runs' spikes or window rates: the filtered part is
+    then None and each run's `decoded` is None.
 
     Returns (filtered, run) for one series, or (filtered, runs) with one
     entry per lane in each list for a sequence; either way `[0]` is the
@@ -258,7 +258,7 @@ def _window_steps(series: SignalSeries, window: tuple, m: int) -> tuple[int, int
     return series.layer_index(lo) * m, (series.layer_index(hi) + 1) * m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviationSeries(SignalSeries):
     """Signed percent deviation per layer, over the common layer domain.
 
@@ -355,7 +355,7 @@ class DetectionMetrics(NamedTuple):
     f1: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionReport:
     flagged_layers: tuple[int, ...]
     deviations: DeviationSeries

@@ -60,7 +60,7 @@ SPIKE_BLOCK_BYTES = 1 << 20
 FORK_MIN_NEURON_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikeRaster:
     """Spike events from one run: parallel arrays of neuron ids and times."""
 
@@ -70,14 +70,14 @@ class SpikeRaster:
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Output of one run.
 
-    A run has `decoded` of shape (lanes, steps), or None when it ran
-    without its output link (`decode=False`), and, when it was given step
-    windows, `rates` of shape (lanes, neurons): each lane's filtered rates
-    of the last stage, averaged over its window. A single lane (see `lane`)
+    A run has `decoded` of shape (lanes, steps), or None when it decoded
+    nothing (`decode=False`), and, when it was given step windows, `rates`
+    of shape (lanes, neurons): each lane's filtered rates of the last
+    stage, averaged over its window. A single lane (see `lane`)
     drops the lane axis from both. `spikes` holds one bit per neuron and
     step, packed along the neuron axis: (steps, lanes, ceil(neurons / 8)).
     """
@@ -185,12 +185,15 @@ def simulate_cascade(
     Neighbouring lanes of one lane slice (see below) that share a window
     are summed by one add per step.
 
-    With `decode=False` the last stage's output link is not computed: its
-    output is not decoded (nor, in a one-stage run, filtered), and the
-    result's `decoded` is None. A stage that feeds the next one is still
-    filtered and decoded, so the spikes are those of `decode=True`. It is
-    for a caller that reads only spikes; `windows` need the last stage's
-    filtered rates, so they are a ConfigError without it.
+    With `decode=False` the last stage's output is not decoded, and the
+    result's `decoded` is None; its output link filters it only for
+    `windows`, or in a cascade, where the link runs anyway. A stage that
+    feeds the next one is still filtered and decoded, so the spikes and the
+    window rates are those of `decode=True`. Decoders are solved on their
+    first read (see Ensemble), so a one-stage run without `decode` never
+    solves them. The decoders of the stages the run decodes are read here,
+    before any fork: a child's solve would be lost with it, and might run
+    under another BLAS thread count.
 
     Once every argument is checked, the lanes are cut into contiguous
     slices (`_lane_slices`): one per CPU this process may run on, as long
@@ -217,29 +220,22 @@ def simulate_cascade(
         )
     if not np.all(np.isfinite(taus) & (taus > 0)):
         raise ConfigError(f"time constants must be positive and finite, got {taus.tolist()}")
-    for e in ensembles:
-        if len(e.decoders) != e.n_neurons:
-            raise ConfigError(
-                f"decoder length {len(e.decoders)} does not match "
-                f"{e.n_neurons} neurons"
-            )
-
     sizes = [e.n_neurons for e in ensembles]
     n_total = sum(sizes)
     if windows is not None:
         windows = _check_windows(windows, lanes, n_steps)
-        if not decode:
-            raise ConfigError("step windows average the last stage's filtered rates, "
-                              "so they need decode=True")
 
-    # every check has run: the lanes are split into slices, and each slice
+    # every check has run. The decoders of the stages the run decodes are
+    # read here, so a first read solves them in this process, not in a
+    # forked child. Then the lanes are split into slices, and each slice
     # writes its rows of the shared result arrays, here or in another process
+    decoders = [e.decoders for e in ensembles[: n_stages if decode else n_stages - 1]]
     decoded, spikes, rates = _result_arrays(lanes, n_steps, n_total,
                                             None if windows is None else sizes[-1])
 
     def run_slice(lo: int, hi: int) -> None:
         _run_slice(ensembles, inputs[lo:hi], dt, taus[lo:hi],
-                   None if windows is None else windows[lo:hi], decode, decoded[lo:hi],
+                   None if windows is None else windows[lo:hi], decoders, decoded[lo:hi],
                    spikes[:, lo:hi], None if rates is None else rates[lo:hi])
 
     _run_split(_lane_slices(lanes, n_steps * n_total), run_slice)
@@ -248,12 +244,12 @@ def simulate_cascade(
 
 
 @np.errstate(divide="ignore")
-def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, rates) -> None:
+def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, rates) -> None:
     """The step loop over one slice of lanes, writing its rows of the result
     arrays in place: `decoded` (lanes, steps), `spikes` (steps, lanes,
     bytes) and, with one step window per lane, `rates` (lanes, neurons).
-    Every row it writes is overwritten or zeroed first, so a slice can run
-    again.
+    `decoders` holds those of the leading stages it decodes. Every row it
+    writes is overwritten or zeroed first, so a slice can run again.
 
     Division by zero is silenced once per call, not per step: when dt is so
     long that the LIF decay is exactly 0, a spiking neuron's overshoot is -1
@@ -268,13 +264,14 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, ra
     # every loop buffer is allocated here and updated in place by the loop.
     # One output synapse covers the axis, each stage's time constant over its
     # own neurons; the unit spike current 1/dt is folded into the spike gain,
-    # so a spike's row entry is 1.0 times that gain. The first n_dec stages
-    # are decoded, the last one only when `decode`; the synapse runs when
-    # any is. A cascade without `decode` filters its last stage too, unread:
-    # one pass over the whole contiguous axis measured faster than a strided
-    # pass over the stages that feed another
-    n_dec = n_stages if decode else n_stages - 1
-    if n_dec:
+    # so a spike's row entry is 1.0 times that gain. The leading stages with
+    # `decoders` are decoded; the synapse runs when any is, or when `rates` read the
+    # last stage's rows. A cascade that does not decode its last stage
+    # filters it too, unread without windows: one pass over the whole
+    # contiguous axis measured faster than a strided pass over the stages
+    # that feed another
+    filtered = bool(decoders) or rates is not None
+    if filtered:
         out_syn = Lowpass(np.repeat(taus[:, 1:], sizes, axis=1), dt)
         spike_gain = out_syn.gain * (1.0 / dt)
     gain_enc = [e.gains * e.encoders for e in ensembles]
@@ -341,7 +338,7 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, ra
             lif_step_arrays(v, refr, j, step_dt, mask, decay)
         # the masks as 0.0 and 1.0 times the gain: a float product, cheaper
         # than a bool one and the same doubles
-        if n_dec:
+        if filtered:
             rows[...] = masks
             np.multiply(rows, spike_gain, out=rows)
             out_syn.run(rows)
@@ -350,10 +347,10 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decode, decoded, spikes, ra
         # (step, lane) row: vecdot runs the same per-row dot as a one-lane
         # run, where a single (lanes x n) @ (n,) product sums in a different
         # order and drifts from it
-        for s, e in enumerate(ensembles[:n_dec]):
+        for s, d in enumerate(decoders):
             k0, n = starts[s], counts[s]
             if n:
-                np.vecdot(rows[:n, :, cols[s]], e.decoders, out=decoded[:, k0 : k0 + n].T)
+                np.vecdot(rows[:n, :, cols[s]], d, out=decoded[:, k0 : k0 + n].T)
         # the last stage has now run time block i - (n_stages - 1): each
         # group of lanes adds its output rows inside its window, one per
         # step, and the block's masks are packed, each stage's from the slot

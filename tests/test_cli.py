@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from snndetect import __version__, baselines, classifier, cli, evaluation, pipeline
+from snndetect import __version__, baselines, classifier, cli, ensembles, evaluation, pipeline
 from snndetect.cli import build_parser, main
 from snndetect.datagen import GenParams, gen_healthy
+from snndetect.errors import NumericError
+from snndetect.presets import get_preset
 
 FAST_CONFIG = {
     "neurons": 200,
@@ -501,6 +504,53 @@ def test_populations_built_once_per_command(workdir, monkeypatch):
     assert main(["energy", "--preset", "fpga-pd1-66", "--seed", "3",
                  "--outdir", str(workdir / "once")]) == 0
     assert calls == [3, 4]  # one population per cascade stage
+
+
+def test_decode_free_commands_never_solve_decoders(workdir, capsys, monkeypatch):
+    # raster, energy and classify decode nothing, so on a one-stage preset
+    # they never solve decoders: with the solve made to fail, each writes
+    # the bytes of a run beside solved decoders, while detect reaches the
+    # solve. The seeds are built by no other test, so their populations are
+    # fresh in this process
+    data = workdir / "data"
+    manifest = workdir / "manifest.json"
+    manifest.write_text(json.dumps({"window": [605, 635], "samples": [
+        {"path": str(data / "healthy.csv"), "label": 0, "sample_id": "h"},
+        {"path": str(data / "defective.csv"), "label": 1, "sample_id": "d"},
+    ]}))
+    preset = ["--preset", "cpu-pd1-66", "--seed", "9173"]
+    commands = {
+        "raster": ["raster", "--input", str(data / "defective.csv"), *preset],
+        "energy": ["energy", *preset],
+        "classify": ["classify", "--manifest", str(manifest), *preset, "--epochs", "2"],
+    }
+    detect = ["detect", "--defective", str(data / "defective.csv"), "--healthy",
+              str(data / "healthy.csv"), *preset, "--outdir", str(workdir / "detect")]
+
+    def outputs(tag):
+        for name, argv in commands.items():
+            assert main([*argv, "--outdir", str(workdir / tag / name)]) == 0, name
+        return {p.relative_to(workdir / tag): p.read_bytes()
+                for p in sorted((workdir / tag).rglob("*")) if p.is_file()}
+
+    def no_solve(*_):
+        raise NumericError("the decoder solve ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ensembles, "_solve", no_solve)
+        unsolved = outputs("unsolved")
+        capsys.readouterr()
+        assert main(detect) == 2
+        assert "the decoder solve ran" in capsys.readouterr().err
+        # a cascade still decodes every stage that feeds another
+        assert main(["raster", "--input", str(data / "defective.csv"), "--preset", "fpga-pd1-66",
+                     "--seed", "9175", "--outdir", str(workdir / "fpga")]) == 2
+    assert main(detect) == 0
+    assert len(unsolved) == 5 and outputs("solved") == unsolved
+    assert main(["raster", "--input", str(data / "defective.csv"), "--preset", "fpga-pd1-66",
+                 "--seed", "9175", "--outdir", str(workdir / "fpga")]) == 0
+    first, second = pipeline.build_filter_ensembles(replace(get_preset("fpga-pd1-66"), seed=9175))
+    assert "decoders" in first.__dict__ and "decoders" not in second.__dict__
 
 
 def test_no_subcommand_loads_scipy(workdir):

@@ -190,11 +190,12 @@ def test_build_memory_stays_near_one_tuning_table():
     # took the peak to 12.5 MB. numpy reports its buffers to tracemalloc,
     # but not the table, which views a mapping of its own (the resident
     # test below covers it); OpenBLAS's and LAPACK's own workspace is not
-    # seen either. The Gram, at 0.5 table, is most of what is left
+    # seen either. The Gram, at 0.5 table, is most of what is left. The
+    # decoders are read, since the solve runs on their first read
     table_bytes = 500 * DECODE_POINTS * 8
     tracemalloc.start()
     try:
-        build_ensemble.__wrapped__(500, 1100.0, 42)
+        build_ensemble.__wrapped__(500, 1100.0, 42).decoders
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -215,7 +216,8 @@ def test_later_builds_leave_no_table_resident():
     # a malloc'd 4 MB table, once freed, sent every later build's table and
     # Gram to the brk heap, and after four builds RssAnon stood 3.8 MiB
     # above its value after the first. Fresh process, so no earlier
-    # allocation has moved the threshold
+    # allocation has moved the threshold; each build's decoders are read,
+    # since the table and the Gram are made on that first read
     script = (
         "from snndetect.ensembles import build_ensemble\n"
         "def anon():\n"
@@ -223,7 +225,7 @@ def test_later_builds_leave_no_table_resident():
         "        return next(int(l.split()[1]) for l in f if l.startswith('RssAnon:'))\n"
         "marks = []\n"
         "for seed in range(1, 5):\n"
-        "    build_ensemble.__wrapped__(500, 1100.0, seed)\n"
+        "    build_ensemble.__wrapped__(500, 1100.0, seed).decoders\n"
         "    marks.append(anon())\n"
         "print(marks[0], marks[-1])\n"
     )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from dataclasses import replace
 
+from snndetect import simulator
+from snndetect.classifier import ClassifierModel
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
+from snndetect.ensembles import build_ensemble
 from snndetect.errors import ConfigError, DataError, NumericError
 from snndetect.evaluation import evaluate
 from snndetect.pipeline import (
@@ -249,7 +253,7 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
 
 
 @pytest.mark.parametrize("stages", [1, 2])
-def test_run_filter_without_decode_gives_the_spikes_of_a_decoded_run(stages):
+def test_run_filter_without_decode_gives_the_spikes_of_a_decoded_run(stages, monkeypatch):
     cfg = FilterConfig(neurons=120, seed=7, stages=stages)
     lanes = lane_series()
     filtered, runs = run_filter(lanes, cfg, decode=False)
@@ -259,8 +263,40 @@ def test_run_filter_without_decode_gives_the_spikes_of_a_decoded_run(stages):
         np.testing.assert_array_equal(r.spikes, full.spikes)
         assert len(r.spikes) == len(full.decoded)
     assert run_filter(lanes[0], cfg, decode=False)[0] is None
-    with pytest.raises(ConfigError):
-        run_filter(lanes[0], cfg, [(570, 571)], decode=False)
+    # windows without the decode give the rates of a decoded run at
+    # tolerance 0, split over two processes and not
+    windows = [(571, 650), (578, 634), (600, 600)]
+    decoded_runs = run_filter(lanes, cfg, windows)[1]
+    for workers in (1, 2) if hasattr(os, "fork") else (1,):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(workers)), raising=False)
+        monkeypatch.setattr(simulator, "FORK_MIN_NEURON_STEPS", 1)
+        filtered, runs = run_filter(lanes, cfg, windows, decode=False)
+        assert filtered is None
+        for r, full in zip(runs, decoded_runs):
+            assert r.decoded is None
+            np.testing.assert_array_equal(r.rates, full.rates)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # a field-wise == of numpy arrays has no single truth value (ValueError),
+    # and such a record had no hash (TypeError): each compares by identity
+    defective, healthy = lane_series()[:2]
+    cfg = FilterConfig(neurons=20, seed=7)
+    makers = [
+        lambda: series([1, 2], [1.0, 2.0]),
+        lambda: percent_deviation(defective, healthy),
+        lambda: flag_anomalies(percent_deviation(defective, healthy), FixedPolicy(5.0)),
+        lambda: build_ensemble.__wrapped__(20, 1100.0, 3),
+        lambda: run_filter(defective, cfg)[1],
+        lambda: run_filter(defective, cfg)[1].raster,
+        lambda: ClassifierModel(np.zeros((2, 3)), np.zeros(2), np.zeros(3), np.ones(3), [1.0]),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert type(a) is type(b)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_run_filter_windows_are_layer_windows():

@@ -148,9 +148,14 @@ def test_config_errors(ens):
         simulate_cascade([ens], np.zeros((1, 10)), 0.0, [[0.003, 0.003]])
     with pytest.raises(ValueError):
         simulate_cascade([ens], np.array([[1.0, np.nan]]), DT, [[0.003, 0.003]])
-    bad = replace(build_ensemble(20, 1100.0, 3), decoders=np.zeros(5))
-    with pytest.raises(ConfigError):
-        simulate_cascade([bad], np.zeros((1, 10)), DT, [[0.003, 0.003]])
+    # decoders are no field, so none can mismatch a population: a copy
+    # solves its own from its own tunings, which do not depend on the radius
+    e = build_ensemble(20, 1100.0, 3)
+    with pytest.raises(TypeError):
+        replace(e, decoders=np.zeros(5))
+    wide = replace(e, radius=2200.0)
+    np.testing.assert_array_equal(wide.decoders, build_ensemble(20, 2200.0, 3).decoders)
+    assert not np.array_equal(wide.decoders, e.decoders)
     # inputs come as lanes and time constants as one row per lane
     with pytest.raises(ValueError):
         simulate_cascade([ens], np.zeros(10), DT, [[0.003, 0.003]])  # a 1-D input
@@ -477,6 +482,34 @@ def test_split_runs_equal_one_process(lanes, stages, monkeypatch):
 
 
 @needs_fork
+def test_decoders_are_solved_before_any_fork(monkeypatch):
+    # the solve runs on a population's first read of its decoders; in a
+    # forked child it would run under that child's BLAS threads and be lost
+    # with it, so every decoded stage is solved before the first fork
+    def fresh():
+        return [build_ensemble.__wrapped__(40, 1100.0, 1), build_ensemble.__wrapped__(30, 1100.0, 2)]
+
+    ensembles = fresh()
+    inputs = lane_signals(4, 60)
+    taus = np.full((4, 3), 0.003)
+    forks, fork = [], os.fork
+
+    def checked():
+        for e in ensembles:
+            assert "decoders" in e.__dict__, "forked before the decoders were solved"
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", checked)
+    force_workers(monkeypatch, 2)
+    split = simulate_cascade(ensembles, inputs, DT, taus)
+    assert forks == [1]
+    assert_no_child_left()
+    force_workers(monkeypatch, 1)
+    assert_same_arrays(split, simulate_cascade(fresh(), inputs, DT, taus))
+
+
+@needs_fork
 @pytest.mark.parametrize("failure", ["exit", "raise", "kill"])
 def test_a_failed_child_leaves_its_slice_to_this_process(failure, monkeypatch):
     ensembles = [build_ensemble(40, 1100.0, 1), build_ensemble(30, 1100.0, 2)]
@@ -587,6 +620,14 @@ def test_checks_run_before_any_fork(ens, monkeypatch):
     for windows in BAD_WINDOWS:
         with pytest.raises(ConfigError):
             simulate_cascade([ens], np.zeros((2, 10)), DT, [[0.003, 0.003]] * 2, windows)
-    with pytest.raises(ConfigError, match="decode=True"):
-        simulate_cascade([ens], np.zeros((2, 10)), DT, [[0.003, 0.003]] * 2, [(0, 10)] * 2,
-                         decode=False)
+    # windows without the decode pass the checks: they give the rates of a
+    # decoded run at tolerance 0, split and unsplit
+    monkeypatch.undo()
+    inputs, taus, windows = lane_signals(2, 10), [[0.003, 0.003]] * 2, [(0, 10), (3, 8)]
+    decoded_run = simulate_cascade([ens], inputs, DT, taus, windows)
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        run = simulate_cascade([ens], inputs, DT, taus, windows, decode=False)
+        assert run.decoded is None
+        np.testing.assert_array_equal(run.rates, decoded_run.rates)
+        np.testing.assert_array_equal(run.spikes, decoded_run.spikes)

@@ -10,9 +10,11 @@ reproduce the reference exactly; the tolerance is 0 (array_equal) on
 decoded values, packed spikes and the window means of the last stage's
 rates, and the runs and windows cross block boundaries. Every lane, stage and block-size case also runs at a dt
 of 0.0005 and 0.0025, where the 2 ms refractory period lasts four steps
-and less than one. A run without its output link (`decode=False`) must
-give the same packed spikes.
+and less than one. A run that decodes nothing (`decode=False`) must
+give the same packed spikes and window means.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from oracles import reference_cascade, window_mean
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
-from snndetect.errors import ConfigError
 from snndetect.simulator import simulate_cascade
 from snndetect.synapses import lowpass_series
 
@@ -126,14 +127,17 @@ def test_each_stage_clips_its_input_at_its_own_radius(block, monkeypatch):
 
 @pytest.mark.parametrize("stages", [1, 2, 3])
 def test_a_run_without_its_output_link_spikes_as_the_reference(ensembles, stages, monkeypatch):
-    # decode=False skips the last stage's output synapse and decode; every
-    # stage that feeds another is still filtered and decoded, so the spikes
-    # are the reference's and those of decode=True, at tolerance 0
+    # decode=False skips the last stage's decode, and its output synapse
+    # unless windows read it; every stage that feeds another is still
+    # filtered and decoded, so the spikes are the reference's and those of
+    # decode=True, at tolerance 0
     chain = ensembles[:stages]
     rng = np.random.default_rng(7 + stages)
     inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
     taus = rng.uniform(0.0005, 0.012, (3, stages + 1))
-    _, spikes, _ = reference_lanes(chain, inputs, 0.001, taus)
+    _, spikes, rates = reference_lanes(chain, inputs, 0.001, taus)
+    windows = [(10, 88), (10, 88), (2, 97)]
+    means = np.array([window_mean(r, w) for r, w in zip(rates, windows)])
     lo = sum(SIZES[: stages - 1])  # the last stage's first neuron
     assert np.unpackbits(spikes, axis=-1)[..., lo : sum(SIZES[:stages])].any()
     for block in (STEPS, 1, 7):
@@ -148,8 +152,18 @@ def test_a_run_without_its_output_link_spikes_as_the_reference(ensembles, stages
         assert one.decoded is None
         np.testing.assert_array_equal(one.spikes, spikes[:50, 1:2])
         np.testing.assert_array_equal(one.raster.neuron_ids, full.lane(1, 50).raster.neuron_ids)
-    with pytest.raises(ConfigError, match="decode=True"):
-        simulate_cascade(chain, inputs, 0.001, taus, [(10, 88)] * 3, decode=False)
+        # windows without the decode still filter the last stage: its window
+        # means are the reference's and a decoded run's, split and unsplit
+        windowed = simulate_cascade(chain, inputs, 0.001, taus, windows)
+        np.testing.assert_array_equal(windowed.rates, means)
+        for workers in (1, 2) if hasattr(os, "fork") else (1,):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(workers)),
+                                raising=False)
+            monkeypatch.setattr(simulator, "FORK_MIN_NEURON_STEPS", 1)
+            res = simulate_cascade(chain, inputs, 0.001, taus, windows, decode=False)
+            assert res.decoded is None
+            np.testing.assert_array_equal(res.rates, windowed.rates)
+            np.testing.assert_array_equal(res.spikes, spikes)
 
 
 @pytest.mark.parametrize("decode", [True, False])
