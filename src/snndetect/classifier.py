@@ -1,9 +1,9 @@
-"""Softmax readout over time-averaged spiking-filter activity.
+"""Softmax readout over the spike rates of the spiking filter.
 
 The sample series run through the spiking filter as the lanes of one
-run, and every neuron's output-filtered rate is averaged over a layer
-window, giving a (samples, neurons) feature matrix, one row per sample.
-A linear softmax layer on top is trained on that matrix, with one class
+run. Each last-stage neuron's spike count over a layer window, divided by
+the window's length in seconds, gives a (samples, neurons) feature matrix
+of spike rates in Hz, one row per sample. A linear softmax layer on top is trained on that matrix, with one class
 label per row beside it, by full-batch gradient descent on the
 multi-class cross-entropy; the spiking population itself is never
 trained. Features are standardized internally (rates span hundreds of
@@ -47,16 +47,17 @@ def encode_sample(
     cfg: FilterConfig,
     window: tuple[int, int] | None,
 ) -> np.ndarray:
-    """Per-neuron mean output-filtered rate over a layer window, one
-    float64 row per series: (series, neurons).
+    """Per-neuron spike rate (Hz) over a layer window, one float64 row per
+    series: (series, neurons).
 
     The series run as the lanes of one filter run (see run_filter), each
-    averaged over the inclusive layer window, or over its own first to last
-    layer when `window` is None. The network is the one `cfg` describes,
-    so a cascade is read at the rates of its last stage. The run sums the
-    rates as it goes, so its memory grows with lanes x neurons, not with
-    the length of the series. It decodes nothing, so a one-stage network
-    never solves its decoders.
+    counted over the presentation steps of the inclusive layer window, or
+    of its own first to last layer when `window` is None, and divided by
+    their length in seconds. The network is the one `cfg` describes, so a
+    cascade is read at the spikes of its last stage. The run counts the
+    spikes as it goes, so its memory grows with lanes x neurons, not with
+    the length of the series. It decodes nothing and filters no neuron, so
+    a one-stage network never solves its decoders.
     """
     windows = [(int(s.layers[0]), int(s.layers[-1])) if window is None else window for s in series]
     _, runs = run_filter(series, cfg, windows, decode=False)

@@ -344,6 +344,8 @@ def _cmd_energy(args, out: Path) -> int:
     profiles = profiles_from_dict(_read_json(args.profiles, "profiles")) if args.profiles else None
     for name in profiles or ():
         _check_cell("profile name", name)
+        if name == "sample":  # a second `sample` column would hide the sample ids
+            raise DataError(f"profile name {name!r} is the name of energy.csv's sample column")
     lo, hi = args.window
     samples = [
         gen_defective(

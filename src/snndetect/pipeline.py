@@ -185,8 +185,9 @@ def run_filter(
 
     `windows`, when given, holds one inclusive layer window (first, last)
     per lane, each bound a layer of that lane's series (else a DataError);
-    each run's `rates` is then the last stage's filtered rates averaged
-    over the presentation steps of its window's layers (see simulate_cascade).
+    each run's `rates` is then each last-stage neuron's spike rate (Hz)
+    over the presentation steps of its window's layers: its spike count
+    there over their length in seconds (see simulate_cascade).
 
     `decode=False` decodes nothing (see simulate_cascade), for a caller
     that reads only the runs' spikes or window rates: the filtered part is

@@ -1,11 +1,15 @@
 """Clocked simulation of spiking filter networks, many lanes at once.
 
 Each step low-passes the raw input, drives every neuron through its
-tuning, collects spikes, low-passes each neuron's spike train, and
-decodes. Cascaded populations chain through one synapse per link, so a
-chain of N populations applies N + 1 filter stages in total. Spikes are
-scaled by 1/dt when converted to current so the filtered trains are
-rate-equivalent (Hz) and match the units the decoders were solved in.
+tuning, collects spikes, decodes them, and low-passes the decoded value.
+Cascaded populations chain through one synapse per link, so a chain of N
+populations applies N + 1 filter stages in total. The decoders and the
+output synapse are both linear, so decoding a stage's spike mask before
+its output link, rather than filtering every neuron's spike train and
+decoding the filtered rates, filters one value per lane and step instead
+of one per neuron. Each spike carries the unit current 1/dt, so the
+filtered output is rate-equivalent (Hz) and in the units the decoders
+were solved in.
 
 The model is clocked per step, but only the LIF update is computed step
 by step. The input link reads only the input, so each lane's series is
@@ -15,9 +19,10 @@ one. So the loop runs in blocks of steps and lets stage s run one block
 behind stage s - 1: in one iteration every stage runs its own block, and
 one LIF call per step updates the neurons of all stages, laid side by side
 on one axis. Every stage reads its block from the decoded output, clips it
-at its own radius just before its drive, and decodes its output back into
-it, once per block; the output link filters a whole block at once. Each
-element gets the arithmetic of a per-step loop, and so the same doubles.
+at its own radius just before its drive, and decodes its spikes back into
+it, once per block; its output link then filters each lane's decoded block
+as the same recurrence on Python floats. Each element gets the arithmetic
+of a per-step loop, and so the same doubles.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
@@ -44,7 +49,7 @@ import numpy as np
 from .ensembles import Ensemble, shared_array
 from .errors import ConfigError, check_int
 from .neurons import lif_step_arrays
-from .synapses import Lowpass, lowpass_series
+from .synapses import _decay, lowpass_series
 
 # bound on the buffers of one block of the step loop (see _block_steps)
 SPIKE_BLOCK_BYTES = 1 << 20
@@ -76,21 +81,22 @@ class SimResult:
 
     A run has `decoded` of shape (lanes, steps), or None when it decoded
     nothing (`decode=False`), and, when it was given step windows, `rates`
-    of shape (lanes, neurons): each lane's filtered rates of the last
-    stage, averaged over its window. A single lane (see `lane`)
-    drops the lane axis from both. `spikes` holds one bit per neuron and
-    step, packed along the neuron axis: (steps, lanes, ceil(neurons / 8)).
+    of shape (lanes, neurons): each last-stage neuron's spike count inside
+    its lane's window over the window's length in seconds, in Hz. A single
+    lane (see `lane`) drops the lane axis from both. `spikes` holds one bit
+    per neuron and step, packed along the neuron axis: (steps, lanes,
+    ceil(neurons / 8)).
     """
 
     decoded: np.ndarray | None
     spikes: np.ndarray
     n_neurons: int
     dt: float
-    rates: np.ndarray | None = None  # window-mean filtered rates of the last stage
+    rates: np.ndarray | None = None  # window spike rates (Hz) of the last stage
 
     def lane(self, b: int, steps: int | None = None) -> "SimResult":
         """Lane `b` as a single-lane result, cut to its first `steps` steps
-        (its window mean is kept whole)."""
+        (its window rates are kept whole)."""
         cut = slice(None, steps)
         return SimResult(
             decoded=None if self.decoded is None else self.decoded[b, cut],
@@ -166,9 +172,11 @@ def simulate_cascade(
     input for stage 0, the block the previous stage decoded one iteration
     earlier for a later one), clips it at its own radius and computes its
     drive in two calls (an einsum outer product and the bias add); one
-    output synapse, with each stage's coefficients over its neurons,
-    filters the iteration's masks, and one stacked vecdot per stage decodes
-    its block back into `decoded`. A stage outside its
+    stacked vecdot per stage decodes its block's spike masks back into
+    `decoded`, and its output link filters each lane's row of that block in
+    place, as `lowpass_series` runs the input link, with the unit spike
+    current 1/dt folded into the gain and the state carried from block to
+    block. No neuron's spike train is filtered. A stage outside its
     blocks, before its first (ramp-up) or after its last (drain, or past
     the end of a short last block), gets a drive of exactly 0, which keeps
     a stage that has not started at rest. So a run of `block`-step blocks
@@ -177,19 +185,17 @@ def simulate_cascade(
     last stage has run it.
 
     `windows`, when given, holds one step range (start, stop) per lane,
-    non-empty and within [0, steps). As each block's output rows of the
-    last stage are filtered, the rows inside a lane's window are added into
-    a (lanes, neurons) sum in step order, and the sum is divided by the
-    window's length once at the end: the same doubles as averaging the
-    recorded rows with mean(axis=0), without a buffer as long as the run.
-    Neighbouring lanes of one lane slice (see below) that share a window
-    are summed by one add per step.
+    non-empty and within [0, steps). As each block of the last stage runs,
+    each lane adds the spikes of its window's steps into a (lanes, neurons)
+    count, one reduce per lane and block, and the count is divided by the
+    window's length in seconds once at the end: each neuron's spike rate
+    over the window, in Hz, an exact integer count over one float, without
+    a buffer as long as the run.
 
-    With `decode=False` the last stage's output is not decoded, and the
-    result's `decoded` is None; its output link filters it only for
-    `windows`, or in a cascade, where the link runs anyway. A stage that
-    feeds the next one is still filtered and decoded, so the spikes and the
-    window rates are those of `decode=True`. Decoders are solved on their
+    With `decode=False` the last stage's output is neither decoded nor
+    filtered, and the result's `decoded` is None. A stage that feeds the
+    next one is still decoded and filtered, so the spikes and the window
+    rates are those of `decode=True`. Decoders are solved on their
     first read (see Ensemble), so a one-stage run without `decode` never
     solves them. The decoders of the stages the run decodes are read here,
     before any fork: a child's solve would be lost with it, and might run
@@ -261,19 +267,7 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
     cols = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]  # each stage's neurons
 
     # every stage's neurons sit side by side on one (lanes, n_total) axis, and
-    # every loop buffer is allocated here and updated in place by the loop.
-    # One output synapse covers the axis, each stage's time constant over its
-    # own neurons; the unit spike current 1/dt is folded into the spike gain,
-    # so a spike's row entry is 1.0 times that gain. The leading stages with
-    # `decoders` are decoded; the synapse runs when any is, or when `rates` read the
-    # last stage's rows. A cascade that does not decode its last stage
-    # filters it too, unread without windows: one pass over the whole
-    # contiguous axis measured faster than a strided pass over the stages
-    # that feed another
-    filtered = bool(decoders) or rates is not None
-    if filtered:
-        out_syn = Lowpass(np.repeat(taus[:, 1:], sizes, axis=1), dt)
-        spike_gain = out_syn.gain * (1.0 / dt)
+    # every loop buffer is allocated here and updated in place by the loop
     gain_enc = [e.gains * e.encoders for e in ensembles]
     v = np.zeros((lanes, n_total))
     refr = np.zeros((lanes, n_total))
@@ -284,21 +278,21 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
     # in plain floats before the loop, as stage 0's input in `decoded`
     for b in range(lanes):
         decoded[b] = lowpass_series(inputs[b], taus[b, 0], dt)
-    # neighbouring lanes that share a window, (lane slice, start, stop), are
-    # summed by one add per step
-    groups = []
-    for b, window in enumerate(windows or ()):
-        if groups and groups[-1][1:] == window:
-            groups[-1] = (slice(groups[-1][0].start, b + 1), *window)
-        else:
-            groups.append((slice(b, b + 1), *window))
+    # each decoded stage's output link filters its decoded spikes, one value
+    # per lane and step, in plain floats: y = u * gain + y * a, with the unit
+    # spike current 1/dt folded into the gain (1 - a) * (1 / dt). links[s][b]
+    # holds lane b's (a, gain) of stage s's link, and state[s][b] its value,
+    # carried from block to block
+    links = [[(a, (1.0 - a) * (1.0 / dt)) for a in (_decay(t, dt) for t in row)]
+             for row in taus[:, 1 : len(decoders) + 1].T.tolist()]
+    state = [[0.0] * lanes for _ in decoders]
     if rates is not None:
         rates[...] = 0.0
     # in iteration i stage s runs time block i - s. One float64 buffer holds
-    # every stage's drive for the iteration's steps and then their filtered
-    # output rows. The spike masks go into a ring of one slot per stage: a
-    # time block's masks are complete, and packed, once the last stage has
-    # run it, before any stage writes into their slot again
+    # every stage's drive for the iteration's steps. The spike masks go into
+    # a ring of one slot per stage: a time block's masks are complete, and
+    # packed, once the last stage has run it, before any stage writes into
+    # their slot again
     block = _block_steps(lanes, sizes, n_steps)
     ring = np.empty((n_stages, block, lanes, n_total), dtype=bool)
     floats = np.empty((block, lanes, n_total))
@@ -315,12 +309,11 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
         # clipped value gives ±1.0 exactly, as a clip after the divide
         # would), and computes its drive from it. A stage's steps outside its
         # block get a drive of exactly 0: a stage that has not started stays
-        # at rest (v, refr and its synapse hold +0.0, and it never spikes),
-        # and one that has finished is never read again. The einsum writes
-        # one product per element, but sums it into a zeroed output, so a
-        # -0.0 product lands as +0.0; the bias add then gives the doubles
-        # of the plain product, as a bias (1 - gain * intercept) is never
-        # -0.0
+        # at rest (v and refr hold +0.0, and it never spikes), and one that
+        # has finished is never read again. The einsum writes one product
+        # per element, but sums it into a zeroed output, so a -0.0 product
+        # lands as +0.0; the bias add then gives the doubles of the plain
+        # product, as a bias (1 - gain * intercept) is never -0.0
         for s, e in enumerate(ensembles):
             k0, n = starts[s], counts[s]
             drive = rows[:, :, cols[s]]
@@ -336,33 +329,30 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
         # runs per step
         for j, mask in zip(rows, masks):
             lif_step_arrays(v, refr, j, step_dt, mask, decay)
-        # the masks as 0.0 and 1.0 times the gain: a float product, cheaper
-        # than a bool one and the same doubles
-        if filtered:
-            rows[...] = masks
-            np.multiply(rows, spike_gain, out=rows)
-            out_syn.run(rows)
-        # each stage decodes its block over its input in `decoded`, where
-        # the next stage reads it one iteration later. One dot product per
-        # (step, lane) row: vecdot runs the same per-row dot as a one-lane
-        # run, where a single (lanes x n) @ (n,) product sums in a different
-        # order and drifts from it
+        # each stage decodes its block's spikes over its input in `decoded`,
+        # and its output link filters them there, where the next stage reads
+        # them one iteration later. One dot product per (step, lane) row:
+        # vecdot runs the same per-row dot as a one-lane run, where a single
+        # (lanes x n) @ (n,) product sums in a different order and drifts
+        # from it
         for s, d in enumerate(decoders):
             k0, n = starts[s], counts[s]
             if n:
-                np.vecdot(rows[:n, :, cols[s]], d, out=decoded[:, k0 : k0 + n].T)
-        # the last stage has now run time block i - (n_stages - 1): each
-        # group of lanes adds its output rows inside its window, one per
-        # step, and the block's masks are packed, each stage's from the slot
-        # of the iteration that ran it
+                u = decoded[:, k0 : k0 + n]
+                np.vecdot(masks[:n, :, cols[s]], d, out=u.T)
+                for b, (a, gain) in enumerate(links[s]):
+                    ys = list(accumulate(u[b].tolist(), lambda y, x: x * gain + y * a,
+                                         initial=state[s][b]))
+                    u[b], state[s][b] = ys[1:], ys[-1]
+        # the last stage has now run time block i - (n_stages - 1): each lane
+        # counts its spikes inside its window, and the block's masks are
+        # packed, each stage's from the slot of the iteration that ran it
         k0, n = starts[-1], counts[-1]
         if not n:
             continue
-        last = rows[:n, :, cols[-1]]
-        for cut, start, stop in groups:
-            acc = rates[cut]
-            for row in last[max(start - k0, 0) : max(stop - k0, 0), cut]:
-                acc += row
+        last = masks[:n, :, cols[-1]]
+        for b, (start, stop) in enumerate(windows or ()):
+            rates[b] += last[max(start - k0, 0) : max(stop - k0, 0), b].sum(axis=0)
         if n_stages == 1:
             spiked = masks[:n]
         else:
@@ -371,16 +361,17 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
             )
         spikes[k0 : k0 + n] = np.packbits(spiked, axis=-1)
 
-    for cut, start, stop in groups:
-        rates[cut] /= stop - start
+    # a window's count over its length in seconds: its rate in Hz
+    for b, (start, stop) in enumerate(windows or ()):
+        rates[b] /= (stop - start) * dt
 
 
 def _block_steps(lanes: int, sizes: Sequence[int], n_steps: int) -> int:
     """Steps per block of the step loop: as many as fit in SPIKE_BLOCK_BYTES,
     at least 1 and at most the run. A step holds, for every lane and every
     neuron of every stage, one bool mask per stage (the mask ring's slots)
-    and one float64 (its drive, then its filtered output); a cascade also
-    packs from a transient side-by-side copy of one block's masks."""
+    and one float64 (its drive); a cascade also packs from a transient
+    side-by-side copy of one block's masks."""
     step_bytes = lanes * sum(sizes) * (len(sizes) + 8)
     return max(1, min(n_steps, SPIKE_BLOCK_BYTES // max(1, step_bytes)))
 

@@ -23,9 +23,10 @@ def lowpass_series(xs, tau: float, dt: float) -> np.ndarray:
     """Filter one series from rest: the state after each step, (steps,).
 
     The recurrence runs on Python floats, one lane at a time, as
-    y = x*gain + y*decay: the operations `Lowpass.run` applies to a row, in
-    the same order, so the doubles are the ones a `Lowpass` of this time
-    constant gives, without two numpy calls per step.
+    y = x*gain + y*decay: the doubles a `Lowpass` of this time constant
+    gives, without two numpy calls per step. The simulator filters the
+    input link with it, and each output link, over a lane's decoded
+    values, by the same recurrence with its state carried between blocks.
     """
     a = _decay(tau, dt)
     scaled = (np.asarray(xs, dtype=float) * (1.0 - a)).tolist()
@@ -34,14 +35,15 @@ def lowpass_series(xs, tau: float, dt: float) -> np.ndarray:
 
 
 class Lowpass:
-    """Stateful per-element filter for simulation loops.
+    """Stateful per-element filter, one step per call.
 
     Each step is y' = y*a + x*(1 - a), a = exp(-dt/tau): unit DC gain, so a
     constant input passes through unchanged once settled. `taus` holds one
-    time constant per element of the state, which has its shape: the
-    simulator's output link passes a (lanes, neurons) grid, each stage's
-    time constant repeated over its neurons. Each distinct decay is
-    math.exp(-dt / tau), so an element filters exactly as it would alone.
+    time constant per element of the state, which has its shape. Each
+    distinct decay is math.exp(-dt / tau), so an element filters exactly as
+    it would alone. Nothing in the package runs it: the simulator filters
+    one decoded value per lane and step (see `lowpass_series`). It is kept
+    for the benchmark harness, which wraps `step`, and for the tests.
     """
 
     def __init__(self, taus, dt: float):
@@ -52,29 +54,7 @@ class Lowpass:
         self.y = np.zeros(taus.shape)
 
     def step(self, x):
-        """Advance one step in place; returns the state array `y` itself.
-
-        The simulator filters whole blocks with `run` and does not call
-        this. It stays as the per-step form that `run` is tested against
-        bit for bit, and perfbench's tracer wraps it (`synapses.lowpass`).
-        """
+        """Advance one step in place; returns the state array `y` itself."""
         self.y *= self.decay
         self.y += x * self.gain
         return self.y
-
-    def run(self, rows):
-        """Advance one step per row, in place, continuing from `y`.
-
-        `rows` is (steps,) + the state's shape, and row k holds step k's
-        input already multiplied by `gain`. Each row becomes the state after
-        its step and `y` is left holding the last one. row[k] += row[k-1] *
-        decay is step's y*decay + x*gain with the two addends swapped, and
-        IEEE addition commutes, so every value is the double `step` gives.
-        Returns `rows`.
-        """
-        prev, scaled = self.y, np.empty_like(self.y)
-        for row in rows:
-            row += np.multiply(prev, self.decay, out=scaled)
-            prev = row
-        self.y[...] = prev
-        return rows

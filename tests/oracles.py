@@ -2,11 +2,12 @@
 
 Nothing in the package calls these: the exact scalar synapse step, the
 LIF rate formula evaluated at every point, the out-of-place LIF step and a
-one-lane cascade loop built on it, the same cascade with each population
-replaced by its steady-state rates, the mean of its rates over a step
-window, the steady-state tuning curves of a population, a population's
-decoders solved from its whole tuning table at once, and the validated
-cross-entropy of a probability table.
+one-lane cascade loop built on it (decoding before the output link, as the
+package does, and after it), the same cascade with each population
+replaced by its steady-state rates, the spike rate over a step window, the
+steady-state tuning curves of a population, a population's decoders solved
+from its whole tuning table at once, and the validated cross-entropy of a
+probability table.
 """
 
 from __future__ import annotations
@@ -77,19 +78,50 @@ def reference_cascade(ensembles, signal, dt, taus):
     """One lane of simulate_cascade, the straightforward way.
 
     Each step filters the input, and each stage clips its input at its
-    radius, drives its neurons through reference_step, filters their spike
-    trains (1/dt per spike) and decodes. `signal` is the lane's input and
+    radius, drives its neurons through reference_step, decodes their spike
+    mask (vecdot with its decoders) and filters that one value through its
+    output link: y = u * ((1 - a) * (1 / dt)) + y * a, the unit spike
+    current 1/dt folded into the gain. `signal` is the lane's input and
     `taus` its row of time constants, one per link. Returns the decoded
     values (steps,), the spike masks of all stages side by side (steps,
-    neurons) and the last stage's filtered rates (steps, its neurons).
+    neurons) and those of the last stage (steps, its neurons).
     """
     sizes = [e.n_neurons for e in ensembles]
     decays = [math.exp(-dt / tau) for tau in taus]
     y_in = 0.0
     v = [np.zeros(n) for n in sizes]
     refr = [np.zeros(n) for n in sizes]
+    y = [0.0 for _ in sizes]
+    decoded, spikes = [], []
+    for value in signal:
+        y_in = y_in * decays[0] + value * (1.0 - decays[0])
+        x, masks = y_in, []
+        for s, e in enumerate(ensembles):
+            drive = e.gains * e.encoders * min(max(x / e.radius, -1.0), 1.0) + e.biases
+            v[s], refr[s], spiked = reference_step(v[s], refr[s], drive, dt)
+            a = decays[s + 1]
+            y[s] = x = float(np.vecdot(spiked, e.decoders)) * ((1.0 - a) * (1.0 / dt)) + y[s] * a
+            masks.append(spiked)
+        decoded.append(x)
+        spikes.append(np.concatenate(masks))
+    steps = len(decoded)
+    spikes = np.array(spikes, dtype=bool).reshape(steps, sum(sizes))
+    return np.array(decoded).reshape(steps), spikes, spikes[:, sum(sizes[:-1]):]
+
+
+def filter_first_cascade(ensembles, signal, dt, taus):
+    """reference_cascade with the output link before the decode: each stage
+    filters every neuron's spike train (1/dt per spike) and decodes the
+    filtered rates. Equal to the decode-first form in exact arithmetic, not
+    in doubles. Returns the decoded values (steps,) and the spike masks of
+    all stages side by side (steps, neurons)."""
+    sizes = [e.n_neurons for e in ensembles]
+    decays = [math.exp(-dt / tau) for tau in taus]
+    y_in = 0.0
+    v = [np.zeros(n) for n in sizes]
+    refr = [np.zeros(n) for n in sizes]
     r = [np.zeros(n) for n in sizes]
-    decoded, spikes, rates = [], [], []
+    decoded, spikes = [], []
     for value in signal:
         y_in = y_in * decays[0] + value * (1.0 - decays[0])
         x, masks = y_in, []
@@ -102,20 +134,16 @@ def reference_cascade(ensembles, signal, dt, taus):
             masks.append(spiked)
         decoded.append(x)
         spikes.append(np.concatenate(masks))
-        rates.append(r[-1])
     steps = len(decoded)
-    return (np.array(decoded).reshape(steps), np.array(spikes, dtype=bool).reshape(steps, sum(sizes)),
-            np.array(rates).reshape(steps, sizes[-1]))
+    return np.array(decoded).reshape(steps), np.array(spikes, dtype=bool).reshape(steps, sum(sizes))
 
 
-def window_mean(rates, window):
-    """The mean of the rows of `rates` (steps, neurons) in the step window
-    (start, stop): added one row after another, then divided once."""
+def window_rate(masks, window, dt):
+    """Each neuron's spike rate (Hz) in the step window (start, stop) of
+    `masks` (steps, neurons): its spike count there over the window's
+    length in seconds."""
     start, stop = window
-    total = np.zeros(rates.shape[1])
-    for row in rates[start:stop]:
-        total = total + row
-    return total / (stop - start)
+    return masks[start:stop].sum(axis=0) / ((stop - start) * dt)
 
 
 def rate_twin(ensembles, signal, dt, taus, block=1000):

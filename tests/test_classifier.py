@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import cross_entropy
 
+from snndetect import classifier, simulator
 from snndetect.classifier import (
     ClassifierModel,
     encode_sample,
@@ -18,7 +20,7 @@ from snndetect.classifier import (
 from snndetect.datagen import DefectSpec, GenParams, gen_defective, gen_healthy
 from snndetect.ensembles import build_ensemble
 from snndetect.errors import MAX_INT, ConfigError, DataError, NumericError
-from snndetect.pipeline import FilterConfig
+from snndetect.pipeline import FilterConfig, run_filter
 from snndetect.simulator import simulate_cascade
 
 
@@ -331,13 +333,48 @@ def test_no_window_averages_each_series_over_its_own_layers():
             f, encode_sample([s], CFG, (int(s.layers[0]), int(s.layers[-1])))[0])
 
 
+@pytest.mark.parametrize("workers", [1, 2] if hasattr(os, "fork") else [1])
+@pytest.mark.parametrize("window", [(600, 640), None], ids=["window", "whole"])
+def test_features_are_window_spike_counts_over_seconds(window, workers, monkeypatch):
+    # each feature is a last-stage neuron's spike count inside its sample's
+    # window, counted here off the same run's spike events, over the
+    # window's length in seconds: tolerance 0, with the three lanes split
+    # over two processes and unsplit. The samples cover different layers,
+    # so without a window each lane counts over steps of its own
+    cfg = FilterConfig(neurons=150, stages=2, tau_in=0.004, tau_out=0.004, seed=7)
+    samples = [gen_healthy(GenParams(seed=31)),
+               gen_defective(GenParams(seed=32, layer_range=(580, 650)), DefectSpec()),
+               gen_healthy(GenParams(seed=33, layer_range=(590, 700)))]
+    runs = []
+
+    def recorded(*args, **kwargs):
+        filtered, lane_runs = run_filter(*args, **kwargs)
+        runs.extend(lane_runs)
+        return filtered, lane_runs
+
+    monkeypatch.setattr(classifier, "run_filter", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(workers)), raising=False)
+    monkeypatch.setattr(simulator, "FORK_MIN_NEURON_STEPS", 1)
+    features = encode_sample(samples, cfg, window)
+    m, last = cfg.presentation_steps, cfg.stage_sizes()[-1]
+    assert len(runs) == len(samples)
+    for s, run, row in zip(samples, runs, features):
+        first, final = window or (s.layers[0], s.layers[-1])
+        start, stop = s.layer_index(first) * m, (s.layer_index(final) + 1) * m
+        k, ids = run.spike_events()
+        inside = (k >= start) & (k < stop) & (ids >= run.n_neurons - last)
+        counts = np.bincount(ids[inside] - (run.n_neurons - last), minlength=last)
+        assert counts.sum() > 100
+        np.testing.assert_array_equal(row, counts / ((stop - start) * cfg.dt))
+
+
 def test_encoding_memory_tracks_the_window_not_the_series():
     # two 1,500-layer series, 15,000 steps each at 500 neurons: recording
     # the last stage's rates at every step would take lanes x steps x
     # neurons x 8 B = 120 MB. numpy reports its buffers to tracemalloc,
-    # which sees the loop's buffers and the window sums; the run's result
+    # which sees the loop's buffers and the window counts; the run's result
     # arrays view mappings of their own and are not traced. The window
-    # sums need a small fraction of the bound
+    # counts need a small fraction of the bound
     cfg = FilterConfig(seed=7)
     samples = [gen_healthy(GenParams(seed=41, layer_range=(0, 1499))),
                gen_defective(GenParams(seed=42, layer_range=(0, 1499)),

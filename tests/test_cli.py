@@ -834,11 +834,14 @@ def test_sample_id_that_breaks_a_csv_row_exits_2_before_the_filter(workdir, caps
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("name", ["a,b", "x\ry", "x\ny", '"x'], ids=["comma", "cr", "lf", "quote"])
+@pytest.mark.parametrize("name", ["a,b", "x\ry", "x\ny", '"x', "sample"],
+                         ids=["comma", "cr", "lf", "quote", "sample"])
 def test_profile_name_that_breaks_the_csv_header_exits_2_before_the_filter(
         workdir, capsys, monkeypatch, name):
-    # {"a,b": ...} used to write the header sample,a,b and exit 0, and
-    # {'"x': ...} a header cell that opens a quoted cell
+    # {"a,b": ...} used to write the header sample,a,b and exit 0,
+    # {'"x': ...} a header cell that opens a quoted cell, and {"sample": ...}
+    # the header sample,CPU,sample, which a csv.DictReader reads with the
+    # sample ids lost under the profile's values
     def no_run(*args, **kwargs):
         raise AssertionError("the filter ran before the profile names were checked")
 
@@ -850,7 +853,9 @@ def test_profile_name_that_breaks_the_csv_header_exits_2_before_the_filter(
                  *ENERGY_ARGS, "--outdir", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    reason = "starts with a double quote" if name.startswith('"') else "holds a comma or a line break"
+    reason = ("starts with a double quote" if name.startswith('"')
+              else "is the name of energy.csv's sample column" if name == "sample"
+              else "holds a comma or a line break")
     assert err.startswith(f"error: profile name {name!r} {reason}")
     assert len(err.splitlines()) == 1
     assert not any(out.iterdir())

@@ -242,7 +242,7 @@ def test_run_filter_lanes_equal_single_runs(stages, per_lane_taus):
     base = FilterConfig(neurons=120, tau_in=0.002, tau_out=0.003, seed=7, stages=stages)
     lanes = lane_series()
     cfgs = [replace(base, tau_in=t, tau_out=2 * t) for t in (0.001, 0.004, 0.008)]
-    # each lane averages its rates over a window of its own layers; the
+    # each lane counts its spike rates over a window of its own layers; the
     # shortest lane (41 layers, 410 steps) is padded to the longest
     windows = [(571, 650), (578, 634), (600, 600)]
     filtered, runs = run_filter(lanes, cfgs if per_lane_taus else base, windows)
@@ -300,8 +300,8 @@ def test_records_that_hold_arrays_compare_by_identity():
 
 
 def test_run_filter_windows_are_layer_windows():
-    # a window of layers (first, last) averages the steps those layers are
-    # held for, so it equals the simulator's mean over that step range
+    # a window of layers (first, last) counts the steps those layers are
+    # held for, so it equals the simulator's rates over that step range
     cfg = FilterConfig(neurons=60, seed=7)
     s = series([10, 11, 12, 15, 16], [900.0, 1000.0, 1100.0, 950.0, 1050.0])
     m = cfg.presentation_steps

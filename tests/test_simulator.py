@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import rate_twin, reference_cascade, tuning_curves, window_mean
+from oracles import rate_twin, reference_cascade, tuning_curves, window_rate
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
@@ -26,7 +26,7 @@ def ens():
 
 def one_lane(ensembles, signal, taus, window=None):
     """The run of one signal under one row of time constants, as lane 0,
-    averaging its last stage's rates over the step window when given."""
+    with its last stage's spike rates over the step window when given."""
     res = simulate_cascade(ensembles, np.asarray(signal, dtype=float)[None], DT, [taus],
                            None if window is None else [window])
     return res.lane(0)
@@ -208,7 +208,7 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
         monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
         for windows in (None, [(30, 125)] * 2, [(3, 139), (60, 150)]):
             res = simulate_cascade(ensembles, inputs, DT, taus, windows)
-            for b, (decoded, spikes, rates) in enumerate(refs):
+            for b, (decoded, spikes, last) in enumerate(refs):
                 lane = res.lane(b)
                 k, ids = np.nonzero(spikes)
                 np.testing.assert_array_equal(lane.decoded, decoded)
@@ -217,7 +217,7 @@ def test_lanes_match_reference_loop_bit_for_bit(sizes, monkeypatch):
                 if windows is None:
                     assert lane.rates is None
                 else:
-                    np.testing.assert_array_equal(lane.rates, window_mean(rates, windows[b]))
+                    np.testing.assert_array_equal(lane.rates, window_rate(last, windows[b], DT))
     assert ids.size > 100 and np.any(ids >= sum(sizes[:-1]))  # the last stage fires too
 
 

@@ -1,24 +1,27 @@
 """The lane-batched step loop against the one-lane reference loop.
 
-`oracles.reference_cascade` runs one lane at a time, out of place, with
-the spike current applied before the output synapse's gain. The fast loop
-runs every lane at once, in place, with the spike current folded into the
-gain, runs stage s one block of steps behind stage s - 1 with one LIF call
-per step for every stage, and computes each stage's drive and filters and
-decodes its spikes a block of steps at a time. It must
-reproduce the reference exactly; the tolerance is 0 (array_equal) on
-decoded values, packed spikes and the window means of the last stage's
-rates, and the runs and windows cross block boundaries. Every lane, stage and block-size case also runs at a dt
-of 0.0005 and 0.0025, where the 2 ms refractory period lasts four steps
-and less than one. A run that decodes nothing (`decode=False`) must
-give the same packed spikes and window means.
+`oracles.reference_cascade` runs one lane at a time, out of place, one
+step at a time: each stage decodes its spike mask and filters the decoded
+value through its output link. The fast loop runs every lane at once, in
+place, runs stage s one block of steps behind stage s - 1 with one LIF call
+per step for every stage, and computes each stage's drive and decodes its
+spikes a block of steps at a time, then filters each lane's decoded block
+in plain floats. It must reproduce the reference exactly; the tolerance is
+0 (array_equal) on decoded values, packed spikes and the window spike rates
+of the last stage, and the runs and windows cross block boundaries. Every
+lane, stage and block-size case also runs at a dt of 0.0005 and 0.0025,
+where the 2 ms refractory period lasts four steps and less than one. A run
+that decodes nothing (`decode=False`) must give the same packed spikes and
+window rates. The output link before the decode (`filter_first_cascade`)
+is equal in exact arithmetic only, so the loop is held to it within a
+stated tolerance.
 """
 
 import os
 
 import numpy as np
 import pytest
-from oracles import reference_cascade, window_mean
+from oracles import filter_first_cascade, reference_cascade, window_rate
 
 from snndetect import simulator
 from snndetect.ensembles import build_ensemble
@@ -27,18 +30,19 @@ from snndetect.synapses import lowpass_series
 
 STEPS = 97  # not a multiple of the small blocks below
 SIZES = (40, 30, 25)
+DECODED_ATOL = 2e-12  # decode first against filter first (see the last test)
 
 
 def reference_lanes(chain, inputs, dt, taus):
     """reference_cascade of each lane, laid out as simulate_cascade lays out
     a run: decoded (lanes, steps), packed spikes (steps, lanes, bytes), and
-    the last stage's rates (lanes, steps, neurons) that window means are
-    taken of."""
+    the last stage's spike masks (lanes, steps, neurons) that window rates
+    are counted from."""
     runs = [reference_cascade(chain, signal, dt, row) for signal, row in zip(inputs, taus)]
     decoded = np.array([d for d, _, _ in runs]).reshape(inputs.shape)
     spikes = np.stack([np.packbits(s, axis=-1) for _, s, _ in runs], axis=1)
-    rates = np.array([r for _, _, r in runs])
-    return decoded, spikes, rates
+    last = np.array([m for _, _, m in runs])
+    return decoded, spikes, last
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +95,7 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatc
     # 0-step run has none
     for block in (STEPS, 1, 7):
         monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
-        for steps, taus, (decoded, spikes, rates) in cases:
+        for steps, taus, (decoded, spikes, last) in cases:
             for windows in window_cases(lanes, steps):
                 res = simulate_cascade(chain, inputs[:, :steps], dt, taus, windows)
                 np.testing.assert_array_equal(res.decoded, decoded)
@@ -100,8 +104,8 @@ def test_step_loop_equals_previous_loop(ensembles, stages, lanes, dt, monkeypatc
                 if windows is None:
                     assert res.rates is None
                 else:
-                    means = [window_mean(r, w) for r, w in zip(rates, windows)]
-                    np.testing.assert_array_equal(res.rates, np.array(means))
+                    want = [window_rate(m, w, dt) for m, w in zip(last, windows)]
+                    np.testing.assert_array_equal(res.rates, np.array(want))
                 last_stage_spikes += np.unpackbits(spikes, axis=-1)[..., lo:hi].sum()
     assert last_stage_spikes > 0
 
@@ -116,28 +120,28 @@ def test_each_stage_clips_its_input_at_its_own_radius(block, monkeypatch):
     inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
     taus = rng.uniform(0.0005, 0.012, (3, 4))
     windows = [(10, 88), (10, 88), (2, 97)]
-    decoded, spikes, rates = reference_lanes(chain, inputs, 0.001, taus)
+    decoded, spikes, last = reference_lanes(chain, inputs, 0.001, taus)
     monkeypatch.setattr(simulator, "_block_steps", lambda *_: block)
     res = simulate_cascade(chain, inputs, 0.001, taus, windows)
     np.testing.assert_array_equal(res.decoded, decoded)
     np.testing.assert_array_equal(res.spikes, spikes)
-    np.testing.assert_array_equal(res.rates, np.array([window_mean(r, w) for r, w in zip(rates, windows)]))
+    want = [window_rate(m, w, 0.001) for m, w in zip(last, windows)]
+    np.testing.assert_array_equal(res.rates, np.array(want))
     assert np.abs(reference_lanes(chain[:1], inputs, 0.001, taus[:, :2])[0]).max() > 600.0
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])
 def test_a_run_without_its_output_link_spikes_as_the_reference(ensembles, stages, monkeypatch):
-    # decode=False skips the last stage's decode, and its output synapse
-    # unless windows read it; every stage that feeds another is still
-    # filtered and decoded, so the spikes are the reference's and those of
-    # decode=True, at tolerance 0
+    # decode=False skips the last stage's decode and its output link; every
+    # stage that feeds another is still decoded and filtered, so the spikes
+    # are the reference's and those of decode=True, at tolerance 0
     chain = ensembles[:stages]
     rng = np.random.default_rng(7 + stages)
     inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
     taus = rng.uniform(0.0005, 0.012, (3, stages + 1))
-    _, spikes, rates = reference_lanes(chain, inputs, 0.001, taus)
+    _, spikes, last = reference_lanes(chain, inputs, 0.001, taus)
     windows = [(10, 88), (10, 88), (2, 97)]
-    means = np.array([window_mean(r, w) for r, w in zip(rates, windows)])
+    means = np.array([window_rate(m, w, 0.001) for m, w in zip(last, windows)])
     lo = sum(SIZES[: stages - 1])  # the last stage's first neuron
     assert np.unpackbits(spikes, axis=-1)[..., lo : sum(SIZES[:stages])].any()
     for block in (STEPS, 1, 7):
@@ -152,8 +156,9 @@ def test_a_run_without_its_output_link_spikes_as_the_reference(ensembles, stages
         assert one.decoded is None
         np.testing.assert_array_equal(one.spikes, spikes[:50, 1:2])
         np.testing.assert_array_equal(one.raster.neuron_ids, full.lane(1, 50).raster.neuron_ids)
-        # windows without the decode still filter the last stage: its window
-        # means are the reference's and a decoded run's, split and unsplit
+        # windows without the decode still count the last stage's spikes:
+        # its window rates are the reference's and a decoded run's, split
+        # and unsplit
         windowed = simulate_cascade(chain, inputs, 0.001, taus, windows)
         np.testing.assert_array_equal(windowed.rates, means)
         for workers in (1, 2) if hasattr(os, "fork") else (1,):
@@ -202,3 +207,31 @@ def test_each_lif_call_gets_the_reference_drive_bits(ensembles, stages, decode, 
                 want = e.gains * e.encoders * x + e.biases
             got = j[:, ends[s] - e.n_neurons : ends[s]]
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# every stage count at a preset's width: one 500-neuron population, two of
+# 250 and three of 167/167/166
+PRESET_WIDTHS = {1: (500,), 2: (250, 250), 3: (167, 167, 166)}
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_decoding_before_the_output_link_stays_near_filtering_after_it(stages):
+    # the output link and the decode are both linear, so decoding a stage's
+    # spike mask and filtering one value per lane equals filtering every
+    # neuron's spike train and decoding the filtered rates, in exact
+    # arithmetic. In doubles the sums round apart in about 60% of entries:
+    # over 2 lanes x 3000 steps the decoded output stays within
+    # DECODED_ATOL of the filter-first form on values up to about 1240
+    # (measured at most 6.8e-13 here, and 9.1e-13 over 30,000 steps), and
+    # every spike bit of every stage is equal
+    chain = [build_ensemble(n, 1100.0, 7 + s) for s, n in enumerate(PRESET_WIDTHS[stages])]
+    rng = np.random.default_rng(20 + stages)
+    inputs = np.repeat(rng.uniform(200.0, 1600.0, (2, 300)), 10, axis=1)
+    taus = np.array([[0.002] * (stages + 1), [0.004] * (stages + 1)])
+    res = simulate_cascade(chain, inputs, 0.001, taus)
+    for b in range(2):
+        decoded, spikes = filter_first_cascade(chain, inputs[b], 0.001, taus[b])
+        np.testing.assert_array_equal(res.spikes[:, b], np.packbits(spikes, axis=-1))
+        np.testing.assert_allclose(res.decoded[b], decoded, rtol=0.0, atol=DECODED_ATOL)
+        assert not np.array_equal(res.decoded[b], decoded)  # the two forms differ in doubles
+    assert spikes[:, -PRESET_WIDTHS[stages][-1]:].sum() > 10_000

@@ -150,28 +150,6 @@ def test_lowpass_coefficients_have_the_state_shape(shape):
         assert np.all(lp.gain[b] == 1 - math.exp(-dt / tau))
 
 
-@pytest.mark.parametrize("spikes", [False, True], ids=["real", "spikes"])
-@pytest.mark.parametrize("shape", [3, (3, 4)], ids=["lanes", "lanes-by-neurons"])
-def test_lowpass_run_equals_repeated_steps(shape, spikes):
-    # run's row[k] += row[k-1] * decay must give step's doubles exactly, per
-    # lane time constant, and continue from the state: three calls in a row,
-    # the middle one over zero rows
-    dt, taus = 0.001, [0.0005, 0.004, 0.02]
-    rng = np.random.default_rng(8)
-    stepped, blocked = Lowpass(lane_grid(taus, shape), dt), Lowpass(lane_grid(taus, shape), dt)
-    if spikes:  # a spike mask with the unit current 1/dt in the gain, as the step loop has it
-        stepped.gain = blocked.gain = stepped.gain * (1.0 / dt)
-    for steps in (13, 0, 7):
-        size = (steps,) + stepped.y.shape
-        xs = rng.random(size) < 0.3 if spikes else rng.uniform(-3.0, 3.0, size)
-        expected = np.array([stepped.step(x).copy() for x in xs]).reshape(size)
-        rows = xs * blocked.gain
-        assert blocked.run(rows) is rows
-        np.testing.assert_array_equal(rows, expected)
-        np.testing.assert_array_equal(blocked.y, stepped.y)
-    assert np.all(blocked.y != 0.0)
-
-
 @pytest.mark.parametrize("tau, dt", [(float("inf"), 0.001), (0.002, float("inf")),
                                      (float("nan"), 0.001), (0.002, float("nan"))])
 def test_non_finite_time_constant_or_dt_is_a_config_error(tau, dt):
