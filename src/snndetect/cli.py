@@ -98,13 +98,24 @@ def _check_cell(what: str, name: str, row_start: bool = False) -> None:
         raise DataError(f"{what} {name!r} starts with #, which would make its CSV row a comment")
 
 
+def _say(line: str) -> None:
+    """Print one console line. A character the console's encoding lacks (a
+    profile name under the C locale) is written as a backslash escape, as
+    Python writes it to stderr, in place of a UnicodeEncodeError."""
+    try:
+        print(line)
+    except UnicodeEncodeError:
+        print(line.encode("ascii", "backslashreplace").decode("ascii"))
+
+
 def _atomic_write(path: Path, text: str) -> None:
     # mode 0o666 less the umask, as open(path, "w") gives (mkstemp's is 0o600);
-    # O_EXCL and the random name keep each writer to a temp file of its own
+    # O_EXCL and the random name keep each writer to a temp file of its own.
+    # Every artifact is UTF-8, whatever the locale
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -125,11 +136,12 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _read_json(path, what: str):
     """The parsed JSON document in the file at `path`; every JSON input of
-    the CLI is read here. A missing file or invalid JSON is a DataError."""
+    the CLI is read here, as UTF-8 with or without a BOM. A missing file or
+    invalid JSON is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} file does not exist: {path}")
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")
     try:
         return json.loads(text)
     except ValueError as err:  # bad JSON, or an integer past Python's digit limit
@@ -240,7 +252,7 @@ def _cmd_gen_data(args, out: Path) -> int:
         "baseline_seed": baseline_seed,
     }
     _write_json(out / "truth.json", truth)
-    print(f"wrote defective.csv, healthy.csv, truth.json to {out}")
+    _say(f"wrote defective.csv, healthy.csv, truth.json to {out}")
     return 0
 
 
@@ -252,10 +264,10 @@ def _cmd_detect(args, out: Path) -> int:
     _write_csv(out / "deviations.csv", meta, ["layer", "deviation_pct"],
                _cells(zip(dev.layers, dev.values)))
     flagged = ", ".join(str(l) for l in report.flagged_layers) or "none"
-    print(f"flagged layers: {flagged} (threshold {report.threshold_used:.3g}%)")
+    _say(f"flagged layers: {flagged} (threshold {report.threshold_used:.3g}%)")
     if report.metrics:
-        print(f"precision={report.metrics.precision:.3f} recall={report.metrics.recall:.3f} "
-              f"f1={report.metrics.f1:.3f}")
+        _say(f"precision={report.metrics.precision:.3f} recall={report.metrics.recall:.3f} "
+             f"f1={report.metrics.f1:.3f}")
     return 0
 
 
@@ -264,7 +276,7 @@ def _cmd_sweep(args, out: Path) -> int:
     result = sweep_tau(*pair, args.taus, cfg, truth, policy)
     rows = [(pt.key, pt.precision, pt.recall, pt.f1, pt.flagged) for pt in result.points]
     _write_csv(out / "sweep.csv", meta, ["tau", "precision", "recall", "f1", "flagged"], _cells(rows))
-    print(f"best tau: {result.best_tau}")
+    _say(f"best tau: {result.best_tau}")
     return 0
 
 
@@ -275,7 +287,7 @@ def _cmd_compare(args, out: Path) -> int:
     _write_csv(out / "compare.csv", meta, ["filter", "precision", "recall", "f1"],
                _cells((r.key, r.precision, r.recall, r.f1) for r in rows))
     for r in rows:
-        print(f"{r.key:16s} f1={r.f1:.3f}" + (f"  [{r.error}]" if r.error else ""))
+        _say(f"{r.key:16s} f1={r.f1:.3f}" + (f"  [{r.error}]" if r.error else ""))
     return 0
 
 
@@ -290,7 +302,7 @@ def _cmd_raster(args, out: Path) -> int:
     times = ["," + repr(t) for t in (np.arange(sim.n_steps) * sim.dt).tolist()]
     rows = [names[i] + times[t] for t, i in zip(k.tolist(), ids.tolist())]
     _write_csv(out / "raster.csv", meta, ["neuron", "time"], rows)
-    print(f"{k.size} spikes from {sim.n_neurons} neurons over {sim.n_steps * sim.dt:.3g} s")
+    _say(f"{k.size} spikes from {sim.n_neurons} neurons over {sim.n_steps * sim.dt:.3g} s")
     return 0
 
 
@@ -334,8 +346,8 @@ def _cmd_classify(args, out: Path) -> int:
         correct += predicted == label
         rows.append((sample_id, label, predicted))
     _write_csv(out / "predictions.csv", meta, ["sample_id", "target", "predicted"], _cells(rows))
-    print(f"final loss {model.training_history[-1]:.4f}, "
-          f"training accuracy {correct / len(features):.4f}")
+    _say(f"final loss {model.training_history[-1]:.4f}, "
+         f"training accuracy {correct / len(features):.4f}")
     return 0
 
 
@@ -373,7 +385,7 @@ def _cmd_energy(args, out: Path) -> int:
     _write_json(out / "profiles.json", {**meta, "profiles": profiles_to_dict(profiles)})
     for row in rows:
         cells = " ".join(f"{n}={v:.3f}" for n, v in zip(names, row[1:]))
-        print(f"{row[0]}: {cells} (uJ/inference)")
+        _say(f"{row[0]}: {cells} (uJ/inference)")
     return 0
 
 

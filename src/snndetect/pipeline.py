@@ -55,6 +55,7 @@ class SignalSeries:
 def load_layer_series(path) -> SignalSeries:
     """Parse a layer/value CSV into a validated, layer-sorted PD1 series.
 
+    The file is read as UTF-8, with or without a BOM (Excel's "CSV UTF-8").
     Lines starting with '#' are treated as comments. Errors name the
     offending physical row (1-based, comments and header included).
     """
@@ -64,7 +65,7 @@ def load_layer_series(path) -> SignalSeries:
     header: list[str] | None = None
     rows: list[tuple[int, float]] = []
     seen: dict[int, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -12,17 +12,19 @@ filtered output is rate-equivalent (Hz) and in the units the decoders
 were solved in.
 
 The model is clocked per step, but only the LIF update is computed step
-by step. The input link reads only the input, so each lane's series is
-filtered before the loop, as one recurrence on Python floats, into the
-decoded output. A cascade is feed-forward: a stage never reads a later
-one. So the loop runs in blocks of steps and lets stage s run one block
-behind stage s - 1: in one iteration every stage runs its own block, and
-one LIF call per step updates the neurons of all stages, laid side by side
-on one axis. Every stage reads its block from the decoded output, clips it
-at its own radius just before its drive, and decodes its spikes back into
-it, once per block; its output link then filters each lane's decoded block
-as the same recurrence on Python floats. Each element gets the arithmetic
-of a per-step loop, and so the same doubles.
+by step. Every link, input or output, is one first-order recurrence,
+`synapses.lowpass_series`, run on Python floats one lane at a time. The
+input link reads only the input, so each lane's series is filtered before
+the loop into the decoded output. A cascade is feed-forward: a stage never
+reads a later one. So the loop runs in blocks of steps and lets stage s
+run one block behind stage s - 1: in one iteration every stage runs its
+own block, and one LIF call per step updates the neurons of all stages,
+laid side by side on one axis. Every stage reads its block from the
+decoded output, clips it at its own radius just before its drive, and
+decodes its spikes back into it, once per block, from the drive buffer
+its LIF calls have finished with; its output link then filters each
+lane's decoded block, its state carried from block to block. Each element
+gets the arithmetic of a per-step loop, and so the same doubles.
 
 A run carries a leading lane axis: every lane is an independent input
 series pushed through the same populations, with its own neuron state
@@ -49,7 +51,7 @@ import numpy as np
 from .ensembles import Ensemble, shared_array
 from .errors import ConfigError, check_int
 from .neurons import lif_step_arrays
-from .synapses import _decay, lowpass_series
+from .synapses import lowpass_series
 
 # bound on the buffers of one block of the step loop (see _block_steps)
 SPIKE_BLOCK_BYTES = 1 << 20
@@ -158,9 +160,9 @@ def simulate_cascade(
     per stage in chain order. Fully deterministic: no randomness enters the
     loop.
 
-    The input link depends on the input alone, so before the step loop
-    each lane's series is filtered as one recurrence on Python floats
-    (`lowpass_series`), with no numpy call per step, into `decoded`.
+    Every link runs `lowpass_series`, one recurrence on Python floats with
+    no numpy call per step. The input link depends on the input alone, so
+    before the step loop each lane's series is filtered into `decoded`.
     `dt` and every time constant must be positive and finite.
 
     The loop runs in blocks of `_block_steps` steps, on buffers allocated
@@ -171,18 +173,19 @@ def simulate_cascade(
     iteration, every stage reads its block from `decoded` (the filtered
     input for stage 0, the block the previous stage decoded one iteration
     earlier for a later one), clips it at its own radius and computes its
-    drive in two calls (an einsum outer product and the bias add); one
-    stacked vecdot per stage decodes its block's spike masks back into
-    `decoded`, and its output link filters each lane's row of that block in
-    place, as `lowpass_series` runs the input link, with the unit spike
-    current 1/dt folded into the gain and the state carried from block to
-    block. No neuron's spike train is filtered. A stage outside its
-    blocks, before its first (ramp-up) or after its last (drain, or past
-    the end of a short last block), gets a drive of exactly 0, which keeps
-    a stage that has not started at rest. So a run of `block`-step blocks
-    makes steps + (stages - 1) * block LIF calls. The masks go into a ring
-    of one slot per stage, and a time block's masks are packed once the
-    last stage has run it.
+    drive in two calls (an einsum outer product and the bias add). After
+    the LIF calls, each decoded stage copies its block's spike masks into
+    its own columns of the drive buffer, as 0/1 doubles, and one stacked
+    vecdot there decodes them back into `decoded`, with no float64 copy of
+    the masks allocated; its output link then filters each lane's row of
+    that block in place by `lowpass_series` at the spike current 1/dt,
+    from the state the previous block left. No neuron's spike train is
+    filtered. A stage outside its blocks, before its first (ramp-up) or
+    after its last (drain, or past the end of a short last block), gets a
+    drive of exactly 0, which keeps a stage that has not started at rest.
+    So a run of `block`-step blocks makes steps + (stages - 1) * block LIF
+    calls. The masks go into a ring of one slot per stage, and a time
+    block's masks are packed once the last stage has run it.
 
     `windows`, when given, holds one step range (start, stop) per lane,
     non-empty and within [0, steps). As each block of the last stage runs,
@@ -275,16 +278,11 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
     step_dt = np.asarray(dt, dtype=float)  # 0-d: spares each ufunc call a conversion
 
     # the input link sees only the input, so each lane's series is filtered
-    # in plain floats before the loop, as stage 0's input in `decoded`
+    # before the loop, as stage 0's input in `decoded`. Each decoded stage's
+    # output link filters its decoded spikes, each of current 1/dt, block by
+    # block: state[s][b] is lane b's state of stage s's link between blocks
     for b in range(lanes):
-        decoded[b] = lowpass_series(inputs[b], taus[b, 0], dt)
-    # each decoded stage's output link filters its decoded spikes, one value
-    # per lane and step, in plain floats: y = u * gain + y * a, with the unit
-    # spike current 1/dt folded into the gain (1 - a) * (1 / dt). links[s][b]
-    # holds lane b's (a, gain) of stage s's link, and state[s][b] its value,
-    # carried from block to block
-    links = [[(a, (1.0 - a) * (1.0 / dt)) for a in (_decay(t, dt) for t in row)]
-             for row in taus[:, 1 : len(decoders) + 1].T.tolist()]
+        decoded[b] = lowpass_series(inputs[b], taus[b, 0], dt)[0]
     state = [[0.0] * lanes for _ in decoders]
     if rates is not None:
         rates[...] = 0.0
@@ -331,19 +329,21 @@ def _run_slice(ensembles, inputs, dt, taus, windows, decoders, decoded, spikes, 
             lif_step_arrays(v, refr, j, step_dt, mask, decay)
         # each stage decodes its block's spikes over its input in `decoded`,
         # and its output link filters them there, where the next stage reads
-        # them one iteration later. One dot product per (step, lane) row:
-        # vecdot runs the same per-row dot as a one-lane run, where a single
-        # (lanes x n) @ (n,) product sums in a different order and drifts
-        # from it
+        # them one iteration later. The drives are dead once the LIF calls
+        # have run, so each stage casts its masks into its own columns of
+        # them, and vecdot, which would cast a bool operand into a fresh
+        # float64 copy, reads the 0/1 doubles there. One dot product per
+        # (step, lane) row: vecdot runs the same per-row dot as a one-lane
+        # run, where a single (lanes x n) @ (n,) product sums in a different
+        # order and drifts from it
         for s, d in enumerate(decoders):
             k0, n = starts[s], counts[s]
             if n:
-                u = decoded[:, k0 : k0 + n]
-                np.vecdot(masks[:n, :, cols[s]], d, out=u.T)
-                for b, (a, gain) in enumerate(links[s]):
-                    ys = list(accumulate(u[b].tolist(), lambda y, x: x * gain + y * a,
-                                         initial=state[s][b]))
-                    u[b], state[s][b] = ys[1:], ys[-1]
+                spiked, u = rows[:n, :, cols[s]], decoded[:, k0 : k0 + n]
+                spiked[...] = masks[:n, :, cols[s]]
+                np.vecdot(spiked, d, out=u.T)
+                for b in range(lanes):
+                    u[b], state[s][b] = lowpass_series(u[b], taus[b, s + 1], dt, state[s][b], 1.0 / dt)
         # the last stage has now run time block i - (n_stages - 1): each lane
         # counts its spikes inside its window, and the block's masks are
         # packed, each stage's from the slot of the iteration that ran it

@@ -19,19 +19,23 @@ def _decay(tau, dt) -> float:
     return math.exp(-float(dt) / float(tau))
 
 
-def lowpass_series(xs, tau: float, dt: float) -> np.ndarray:
-    """Filter one series from rest: the state after each step, (steps,).
+def lowpass_series(xs, tau: float, dt: float, y0: float = 0.0, current: float = 1.0):
+    """Filter one series from the state `y0`: (the state after each step
+    (steps,), the end state).
 
-    The recurrence runs on Python floats, one lane at a time, as
-    y = x*gain + y*decay: the doubles a `Lowpass` of this time constant
-    gives, without two numpy calls per step. The simulator filters the
-    input link with it, and each output link, over a lane's decoded
-    values, by the same recurrence with its state carried between blocks.
+    Every synaptic link of the package runs here. Each input x carries the
+    link's spike current: 1 for the input link, 1/dt for a link that
+    filters decoded spikes. The values are scaled by the gain
+    (1 - a) * current in numpy, and y = x + y * a runs on Python floats:
+    the doubles a `Lowpass` of this time constant gives at unit current,
+    without two numpy calls per step. The end state carries a link from
+    one block of a run into the next, as if it ran over the whole series.
     """
     a = _decay(tau, dt)
-    scaled = (np.asarray(xs, dtype=float) * (1.0 - a)).tolist()
-    states = accumulate(scaled, lambda y, x: x + y * a, initial=0.0)
-    return np.fromiter(states, dtype=float, count=len(scaled) + 1)[1:]
+    scaled = (np.asarray(xs, dtype=float) * ((1.0 - a) * current)).tolist()
+    states = accumulate(scaled, lambda y, x: x + y * a, initial=y0)
+    ys = np.fromiter(states, dtype=float, count=len(scaled) + 1)
+    return ys[1:], float(ys[-1])
 
 
 class Lowpass:
@@ -41,9 +45,9 @@ class Lowpass:
     constant input passes through unchanged once settled. `taus` holds one
     time constant per element of the state, which has its shape. Each
     distinct decay is math.exp(-dt / tau), so an element filters exactly as
-    it would alone. Nothing in the package runs it: the simulator filters
-    one decoded value per lane and step (see `lowpass_series`). It is kept
-    for the benchmark harness, which wraps `step`, and for the tests.
+    it would alone. Nothing in the package runs it: every link filters one
+    value per lane and step (see `lowpass_series`). It is kept for the
+    benchmark harness, which wraps `step`, and for the tests.
     """
 
     def __init__(self, taus, dt: float):

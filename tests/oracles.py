@@ -155,11 +155,11 @@ def rate_twin(ensembles, signal, dt, taus, block=1000):
     stage's tau. lif_rate runs on `block` steps at a time. Returns the last
     stage's filtered output (steps,).
     """
-    y = lowpass_series(signal, taus[0], dt)
+    y = lowpass_series(signal, taus[0], dt)[0]
     for e, tau in zip(ensembles, taus[1:]):
         decoded = np.concatenate([_table(e.gains * e.encoders, e.biases, y[i:i + block] / e.radius).T
                                   @ e.decoders for i in range(0, len(y), block)])
-        y = lowpass_series(decoded, tau, dt)
+        y = lowpass_series(decoded, tau, dt)[0]
     return y
 
 

@@ -354,14 +354,23 @@ def test_exit_codes(workdir, capsys):
     assert code == 2
 
 
-def _fresh_cli(*argv):
-    """`python -m snndetect.cli ARGV` in a fresh interpreter on this package."""
+def _fresh_python(args, locale=None):
+    """`python ARGS` in a fresh interpreter on this package; its output is
+    text, or bytes under a given `locale` (environment variables)."""
     import snndetect
 
     src = os.path.dirname(os.path.dirname(snndetect.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, "-m", "snndetect.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
+    if locale is not None:
+        env.pop("PYTHONIOENCODING", None)
+        env.update(locale)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=locale is None, timeout=300)
+
+
+def _fresh_cli(*argv):
+    """`python -m snndetect.cli ARGV` in a fresh interpreter on this package."""
+    return _fresh_python(["-m", "snndetect.cli", *argv])
 
 
 def test_module_entry_point_matches_main(workdir, capsys):
@@ -600,19 +609,33 @@ def test_no_subcommand_loads_scipy(workdir):
         "savitzky_golay", "butterworth", "moving_average", "gaussian", "snn"]
 
 
-def test_cold_detect_loads_neither_numpy_ma_nor_scipy(workdir):
-    # np.median imports numpy.ma on first use, about 20 ms of a cold run;
-    # the pipeline's own median keeps a fresh detect process clear of it
-    import os
-    import subprocess
-    import sys
-
-    import snndetect
-
+def _cold_argv(workdir, command):
+    """The argv of one fast run of `command` on the workdir's inputs."""
     data = workdir / "data"
-    argv = ["detect", "--defective", str(data / "defective.csv"),
-            "--healthy", str(data / "healthy.csv"), "--truth", str(data / "truth.json"),
-            "--config", str(workdir / "config.json"), "--outdir", str(workdir / "cold")]
+    pair = ["--defective", str(data / "defective.csv"), "--healthy", str(data / "healthy.csv"),
+            "--truth", str(data / "truth.json")]
+    cfg = ["--config", str(workdir / "config.json")]
+    manifest = workdir / "cold-manifest.json"
+    manifest.write_text(json.dumps({"window": [605, 635], "samples": [
+        {"path": "data/healthy.csv", "label": 0}, {"path": "data/defective.csv", "label": 1}]}))
+    return {
+        "gen-data": ["gen-data", "--seed", "3", "--window", "600:640", "--defect-start", "620",
+                     "--defect-layers", "5"],
+        "detect": ["detect", *pair, *cfg],
+        "sweep": ["sweep", *pair, *cfg, "--taus", "0.002,0.004"],
+        "compare": ["compare", *pair, *cfg],
+        "raster": ["raster", "--input", str(data / "defective.csv"), *cfg],
+        "classify": ["classify", "--manifest", str(manifest), *cfg, "--epochs", "2"],
+        "energy": ["energy", *cfg, *ENERGY_ARGS],
+    }[command] + ["--outdir", str(workdir / "cold" / command)]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "detect", "sweep", "compare", "raster", "classify",
+                                     "energy"])
+def test_cold_subcommand_loads_neither_numpy_ma_nor_scipy(workdir, command):
+    # np.median imports numpy.ma on first use, about 20 ms of a cold run (the
+    # pipeline's own median keeps it out), and scipy is a test-only oracle:
+    # a fresh process of any subcommand leaves both unloaded
     script = (
         "import json, sys\n"
         "from snndetect.cli import main\n"
@@ -621,12 +644,59 @@ def test_cold_detect_loads_neither_numpy_ma_nor_scipy(workdir):
         "                if m == 'numpy.ma' or m.startswith(('numpy.ma.', 'scipy')))\n"
         "assert not loaded, loaded\n"
     )
-    src = os.path.dirname(os.path.dirname(snndetect.__file__))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = _fresh_python(["-c", script, json.dumps(_cold_argv(workdir, command))])
     assert proc.returncode == 0, proc.stderr
-    assert (workdir / "cold" / "report.json").exists()
+    assert any((workdir / "cold" / command).iterdir())
+
+
+# the C locale without Python's coercion to UTF-8: the locale encoding, and
+# so open()'s and the console's default, is ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
+
+
+def _locale_run(workdir, locale, name, argv):
+    """`python -m snndetect.cli ARGV --outdir workdir/name` in a fresh
+    interpreter under `locale`; the process and its artifacts by name."""
+    out = workdir / name
+    proc = _fresh_python(["-m", "snndetect.cli", *argv, "--outdir", str(out)], locale)
+    return proc, {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
+def _non_ascii_inputs(workdir, case):
+    """The argv of a run whose input holds a non-ASCII name, by case."""
+    cfg = ["--config", str(workdir / "config.json")]
+    samples = [{"path": "data/healthy.csv", "label": 0, "sample_id": "hé"},
+               {"path": "data/defective.csv", "label": 1, "sample_id": "dé"}]
+    path = workdir / f"{case}.json"
+    if case == "profile-name":
+        path.write_text(json.dumps({"CPUé": {"e_synop": 1e-9}, "GPU": {"e_synop": 2e-9}}))
+        return ["energy", "--profiles", str(path), *cfg, *ENERGY_ARGS]
+    # JSON's \u00e9 makes an ASCII file; else é is written as UTF-8, after a BOM or not
+    text = json.dumps({"window": [605, 635], "samples": samples}, ensure_ascii=case == "escaped-sample-id")
+    path.write_bytes(("\ufeff" if case == "bom-sample-id" else "").encode() + text.encode())
+    return ["classify", "--manifest", str(path), *cfg, "--epochs", "3"]
+
+
+@pytest.mark.parametrize("case", ["escaped-sample-id", "literal-sample-id", "bom-sample-id",
+                                  "profile-name"])
+def test_artifacts_do_not_depend_on_the_locale(workdir, case):
+    # under the C locale a non-ASCII sample id or profile name ended in a
+    # UnicodeEncodeError traceback, and a manifest holding UTF-8 bytes was
+    # refused; every artifact is UTF-8 and every input read as UTF-8
+    argv = _non_ascii_inputs(workdir, case)
+    c_proc, c_files = _locale_run(workdir, C_LOCALE, "c-locale", argv)
+    u_proc, u_files = _locale_run(workdir, UTF8_LOCALE, "utf8-locale", argv)
+    assert c_proc.returncode == 0, c_proc.stderr.decode("ascii", "backslashreplace")
+    assert u_proc.returncode == 0, u_proc.stderr.decode("utf-8", "backslashreplace")
+    assert sorted(c_files) == sorted(u_files) and c_files
+    for name, data in u_files.items():
+        assert c_files[name] == data, name
+    assert "é".encode() in b"".join(u_files.values())
+    # the console line that names the profile is escaped, not an error
+    c_proc.stdout.decode("ascii")
+    if case == "profile-name":
+        assert b"CPU\\xe9=" in c_proc.stdout and "CPUé=".encode() in u_proc.stdout
 
 
 @pytest.mark.parametrize("baseline", [

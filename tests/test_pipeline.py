@@ -44,6 +44,19 @@ def test_load_direct_parse(tmp_path):
     assert s.values.tolist() == [1010.0, 1005.0]
 
 
+def test_load_reads_utf8_with_or_without_a_bom(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte order mark, which a
+    # plain UTF-8 read left in the first header cell as '\ufefflayer'
+    text = "# build é\nlayer,value\n571,1005\n570,1010.5\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = load_layer_series(plain)
+    got = load_layer_series(bom)
+    assert want.layers.tolist() == got.layers.tolist() == [570, 571]
+    assert want.values.tolist() == got.values.tolist() == [1010.5, 1005.0]
+
+
 def test_load_duplicate_layer_names_row(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("layer,value\n570,1010\n570,990\n")

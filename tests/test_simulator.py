@@ -1,6 +1,7 @@
 import os
 import signal
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -258,6 +259,34 @@ def test_block_steps_fit_the_budget_within_the_run():
     assert simulator._block_steps(2, (250, 250), 30_000) == 104
     assert simulator._block_steps(4096, (500,), 10) == 1
     assert simulator._block_steps(2, (60,), 0) == 1
+
+
+def test_run_memory_stays_at_its_inputs_and_block_buffers(monkeypatch):
+    # a run holds its inputs and, per call, the block buffers _block_steps
+    # sizes: the mask ring (one bool per stage, lane, neuron and step of a
+    # block) and the float64 drive buffer. The result arrays view mappings
+    # of their own, which tracemalloc does not see. Each stage decodes its
+    # masks from the drive buffer: a vecdot of the bool masks themselves
+    # cast them into a fresh float64 block, 928 KB here, and took the peak
+    # from 1.1 MB to 2.0 MB. 128 KB is left for the (lanes, neurons) LIF
+    # state and each block's packed bits and filtered rows
+    monkeypatch.setattr(simulator, "FORK_MIN_NEURON_STEPS", 10**12)  # one process, all traced
+    cfg = get_preset("cpu-pd1-66")
+    ensembles = build_filter_ensembles(cfg)
+    inputs = np.repeat(lane_signals(2, 300), 10, axis=1)
+    taus = [[cfg.tau_in] + [cfg.tau_out] * cfg.stages] * 2
+    sizes = [e.n_neurons for e in ensembles]
+    block = simulator._block_steps(2, sizes, inputs.shape[1])
+    ring, drive = len(sizes) * block * 2 * sum(sizes), 8 * block * 2 * sum(sizes)
+    simulate_cascade(ensembles, inputs, cfg.dt, taus)  # solves the decoders, untraced
+    tracemalloc.start()
+    try:
+        simulate_cascade(ensembles, inputs, cfg.dt, taus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = inputs.nbytes + ring + drive + 128 * 1024
+    assert peak < bound, f"run peaked at {peak} B, bound {bound} B"
 
 
 def assert_same_run(batched, single):

@@ -184,7 +184,7 @@ def test_each_lif_call_gets_the_reference_drive_bits(ensembles, stages, decode, 
     inputs = np.repeat(rng.uniform(-2500.0, 2500.0, (3, STEPS // 10 + 1)), 10, axis=1)[:, :STEPS]
     taus = rng.uniform(0.0005, 0.012, (3, stages + 1))
     dt = 0.001
-    stage_inputs = [np.array([lowpass_series(x, row[0], dt) for x, row in zip(inputs, taus)])]
+    stage_inputs = [np.array([lowpass_series(x, row[0], dt)[0] for x, row in zip(inputs, taus)])]
     stage_inputs += [reference_lanes(chain[:s], inputs, dt, taus[:, : s + 1])[0] for s in range(1, stages)]
     drives = []
     lif_step = simulator.lif_step_arrays

@@ -164,7 +164,7 @@ def test_non_finite_time_constant_or_dt_is_a_config_error(tau, dt):
 def test_a_subnormal_time_constant_passes_its_input_through(tau):
     # -dt / tau is -inf, so the decay is 0.0 and the gain 1.0, without a
     # numpy overflow warning for a numpy scalar tau, as the simulator hands in
-    np.testing.assert_array_equal(lowpass_series([1.0, 2.0], np.float64(tau), 0.001), [1.0, 2.0])
+    np.testing.assert_array_equal(lowpass_series([1.0, 2.0], np.float64(tau), 0.001)[0], [1.0, 2.0])
     assert Lowpass([tau], 0.001).decay.tolist() == [0.0]
 
 
@@ -177,6 +177,41 @@ def test_lowpass_series_equals_the_stepped_filter(tau):
     xs = np.concatenate([[-0.0, 0.0, -0.0], rng.uniform(-2500.0, 2500.0, 60), [0.0] * 5])
     lp = Lowpass([tau], dt)
     want = np.array([lp.step(x).copy() for x in xs]).reshape(len(xs))
-    got = lowpass_series(xs, tau, dt)
+    got, end = lowpass_series(xs, tau, dt)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert lowpass_series([], tau, dt).shape == (0,)
+    assert end == got[-1]
+    none, end = lowpass_series([], tau, dt, y0=0.5)
+    assert none.shape == (0,) and end == 0.5
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+finite = st.floats(min_value=-3000.0, max_value=3000.0, allow_nan=False)
+
+
+@given(
+    xs=st.lists(finite, max_size=60),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+    tau=st.one_of(st.floats(min_value=1e-4, max_value=0.05), st.sampled_from([1e-320, 5e-324])),
+    unit=st.booleans(),
+)
+def test_carried_state_equals_one_call_and_the_stepped_filter(xs, cuts, tau, unit):
+    # a link run block by block, each call starting from the end state of
+    # the one before, as the simulator runs an output link, gives the bits
+    # of one call over the whole series; at unit current, those of a
+    # stepped Lowpass too. A subnormal tau makes the decay exactly 0
+    dt = 0.001
+    current = 1.0 if unit else 1.0 / dt
+    whole, end = lowpass_series(xs, tau, dt, current=current)
+    pieces, y = [], 0.0
+    bounds = sorted({0, len(xs), *(min(c, len(xs)) for c in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        part, y = lowpass_series(xs[lo:hi], tau, dt, y, current)
+        pieces.append(part)
+    assert bits(np.concatenate([[], *pieces])) == bits(whole)
+    assert bits([y]) == bits([end]) == bits([whole[-1] if xs else 0.0])
+    if unit:
+        lp = Lowpass([tau], dt)
+        assert bits([lp.step(x)[0] for x in xs]) == bits(whole)
